@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .encoding import BOT, HUMAN
 from .errors import MissingLabel
 from .lsh import LshIndex, Neighbor
@@ -32,23 +34,30 @@ class Prediction:
     no_neighbor_flag: bool
 
 
+def _majority(query_id: str, n: int, bot_votes: int) -> Prediction:
+    predicted = BOT if 2 * bot_votes > n else HUMAN
+    return Prediction(query_id, predicted, n, bot_votes, no_neighbor_flag=n == 0)
+
+
 def vote(neighbors: NeighborSet) -> Prediction:
     """Majority vote: bot iff bot votes exceed half the neighborhood."""
-    n = len(neighbors.neighbors)
     bot_votes = sum(1 for nb in neighbors.neighbors if nb.label == BOT)
-    predicted = BOT if 2 * bot_votes > n else HUMAN
-    return Prediction(neighbors.query_id, predicted, n, bot_votes, no_neighbor_flag=n == 0)
+    return _majority(neighbors.query_id, len(neighbors.neighbors), bot_votes)
 
 
 def classify(index: LshIndex, sig: MinHashSignature, jaccard_floor: float | None = None) -> Prediction:
     """Retrieve candidates, drop those below the Jaccard floor, vote.
 
     ``jaccard_floor`` defaults to the index's plan threshold; pass 0.0 to
-    keep every banding candidate.
+    keep every banding candidate.  Gives the same prediction as ``vote``
+    over the ``index.query`` neighbors whose ``jaccard`` reaches the floor,
+    but works on the index's arrays and builds no ``Neighbor``.
     """
     floor = index.plan.threshold if jaccard_floor is None else jaccard_floor
-    kept = [nb for nb in index.query(sig) if nb.jaccard >= floor]
-    return vote(NeighborSet(sig.user_id, kept))
+    ordinals, matches = index._candidates(sig)
+    # Same IEEE division as Neighbor.jaccard, so the floor cuts identically.
+    kept = ordinals[matches / index.num_perm >= floor]
+    return _majority(sig.user_id, len(kept), int(np.count_nonzero(index._is_bot[kept])))
 
 
 @dataclass

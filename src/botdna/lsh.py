@@ -1,11 +1,18 @@
 """Banded LSH index over labeled MinHash signatures.
 
 Signatures are split into ``bands`` groups of ``rows`` consecutive values;
-each group is digested to a 64-bit key and filed into that band's bucket
-table.  Two users become candidate neighbors when any band digest matches,
-which happens with probability ``1 - (1 - s**rows)**bands`` for true
-similarity ``s``.  ``lsh_plan`` picks the factorization whose curve best
-matches a target similarity threshold.
+each group is digested to a 64-bit key.  Two users become candidate
+neighbors when their digests match in the same band, which happens with
+probability ``1 - (1 - s**rows)**bands`` for true similarity ``s``.
+``lsh_plan`` picks the factorization whose curve best matches a target
+similarity threshold.
+
+In memory the index is columnar: one signature matrix, one band-digest
+matrix and one label array, a row per user in insertion order.  A query
+looks all its band digests up at once in a single sorted table of every
+stored digest (rebuilt by the first query after an insert), keeps the hits
+whose band matches, and counts equal signature positions for the
+candidates with one vectorised compare.
 
 Index file layout (all integers little-endian)::
 
@@ -18,12 +25,14 @@ Index file layout (all integers little-endian)::
     bytes 25-32 seed, u64
     bytes 33-40 user count, u64
     per user, in insertion order:
-        u16 id length, UTF-8 id, u8 label (0 human / 1 bot),
+        u16 id length, u8 label (0 human / 1 bot), UTF-8 id,
         num_perm signature values (u64 each),
         bands band digests (u64 each)
 
-Loading replays the stored users in order, so a round-tripped index
-reproduces the original's query results exactly.
+This is the only file layout (version 1); the columnar memory layout does
+not change it.  Loading restores the stored users in order, so a
+round-tripped index reproduces the original's query results exactly, and
+a user id stored twice is rejected as a format error.
 """
 
 from __future__ import annotations
@@ -34,7 +43,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .encoding import BOT, HUMAN
 from .errors import DuplicateUser, FormatError, IncompatibleSignatures
@@ -50,8 +58,6 @@ INDEX_MAGIC = b"BDIX"
 INDEX_VERSION = 1
 
 _HEADER = struct.Struct("<4sBdIIIQQ")
-_LABEL_CODE = {HUMAN: 0, BOT: 1}
-_LABEL_NAME = {0: HUMAN, 1: BOT}
 
 
 @dataclass(frozen=True)
@@ -63,8 +69,11 @@ class BandingPlan:
     rows: int
 
 
-def _collision_probability(s: float, bands: int, rows: int) -> float:
-    return 1.0 - (1.0 - s**rows) ** bands
+@lru_cache(maxsize=16)
+def _gauss_legendre(num_perm: int) -> tuple[np.ndarray, np.ndarray]:
+    # n nodes integrate polynomials up to degree 2n - 1 exactly; the
+    # collision curve for a plan over num_perm values has degree num_perm.
+    return np.polynomial.legendre.leggauss(num_perm // 2 + 1)
 
 
 def lsh_plan(threshold: float, num_perm: int) -> BandingPlan:
@@ -72,19 +81,23 @@ def lsh_plan(threshold: float, num_perm: int) -> BandingPlan:
 
     Minimizes the equal-weight false-positive area below the threshold plus
     false-negative area above it under the collision curve
-    ``1 - (1 - s**rows)**bands``; ties resolve to fewer rows.
+    ``1 - (1 - s**rows)**bands``; ties resolve to fewer rows.  Both areas
+    are integrated exactly by Gauss-Legendre quadrature.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     if num_perm < 2:
         raise ValueError(f"num_perm must be at least 2, got {num_perm}")
+    nodes, weights = _gauss_legendre(num_perm)
+    below = threshold / 2 * (nodes + 1)  # nodes mapped onto [0, threshold]
+    above = threshold + (1 - threshold) / 2 * (nodes + 1)  # ... onto [threshold, 1]
     best: tuple[float, int, int] | None = None
     for bands in range(1, num_perm + 1):
         if num_perm % bands:
             continue
         rows = num_perm // bands
-        fp, _ = quad(lambda s: _collision_probability(s, bands, rows), 0.0, threshold, limit=200)
-        fn, _ = quad(lambda s: 1.0 - _collision_probability(s, bands, rows), threshold, 1.0, limit=200)
+        fp = threshold / 2 * np.dot(weights, 1.0 - (1.0 - below**rows) ** bands)
+        fn = (1 - threshold) / 2 * np.dot(weights, (1.0 - above**rows) ** bands)
         key = (fp + fn, rows)
         if best is None or key < (best[0], best[2]):
             best = (fp + fn, bands, rows)
@@ -108,7 +121,17 @@ def _digest_params(seed: int, bands: int, rows: int) -> tuple[np.ndarray, np.nda
 
 
 class LshIndex:
-    """Mutable while building; treat as frozen once queries start."""
+    """Banded LSH index over labeled signatures, stored in columns.
+
+    Users are numbered by insertion order (their ordinal).  Row ``i`` of
+    each column belongs to ordinal ``i``: an ``N x num_perm`` u64 signature
+    matrix, an ``N x bands`` u64 band-digest matrix and a bot-label array,
+    beside the list of user ids.  The columns grow by doubling their
+    capacity.  Lookups use one flat table of all ``N * bands`` digests,
+    sorted, with each entry's owner ordinal and band.  The table is built
+    by the first query after an insert, so a query following inserts pays
+    one re-sort; inserts and queries may otherwise be mixed freely.
+    """
 
     def __init__(self, plan: BandingPlan, num_perm: int, seed: int):
         if plan.bands * plan.rows != num_perm:
@@ -118,12 +141,14 @@ class LshIndex:
         self.plan = plan
         self.num_perm = num_perm
         self.seed = seed
-        self._buckets: list[dict[int, list[int]]] = [{} for _ in range(plan.bands)]
         self._user_ids: list[str] = []
-        self._labels: list[str] = []
-        self._values: list[np.ndarray] = []
-        self._digests: list[np.ndarray] = []
         self._ordinals: dict[str, int] = {}
+        self._values = np.empty((0, num_perm), dtype=np.uint64)
+        self._digests = np.empty((0, plan.bands), dtype=np.uint64)
+        self._is_bot = np.empty(0, dtype=bool)
+        # (sorted digests, owner ordinal, band) for the first len(self)
+        # rows; None when an insert has happened since it was built.
+        self._table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self._user_ids)
@@ -133,7 +158,8 @@ class LshIndex:
 
     @property
     def labels(self) -> dict[str, str]:
-        return dict(zip(self._user_ids, self._labels))
+        names = (BOT if bot else HUMAN for bot in self._is_bot[: len(self)])
+        return dict(zip(self._user_ids, names))
 
     def band_digests(self, values: np.ndarray) -> np.ndarray:
         """One 64-bit digest per band of a signature's value vector."""
@@ -149,45 +175,90 @@ class LshIndex:
                 f"index (num_perm={self.num_perm}, seed={self.seed})"
             )
 
+    def _resize(self, capacity: int) -> None:
+        n = len(self)
+        for name in ("_values", "_digests", "_is_bot"):
+            old = getattr(self, name)
+            new = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
+            new[:n] = old[:n]
+            setattr(self, name, new)
+
     def insert(self, sig: MinHashSignature, label: str) -> None:
-        if label not in _LABEL_CODE:
+        if label not in (HUMAN, BOT):
             raise ValueError(f"label must be {HUMAN!r} or {BOT!r}, got {label!r}")
         self._check_compatible(sig)
         if sig.user_id in self._ordinals:
             raise DuplicateUser(sig.user_id)
-        ordinal = len(self._user_ids)
         digests = self.band_digests(sig.values)
+        ordinal = len(self)
+        if ordinal == len(self._is_bot):
+            self._resize(max(16, 2 * ordinal))
+        self._values[ordinal] = sig.values
+        self._digests[ordinal] = digests
+        self._is_bot[ordinal] = label == BOT
         self._user_ids.append(sig.user_id)
-        self._labels.append(label)
-        self._values.append(np.asarray(sig.values, dtype=np.uint64))
-        self._digests.append(digests)
         self._ordinals[sig.user_id] = ordinal
-        for band, digest in enumerate(digests):
-            self._buckets[band].setdefault(int(digest), []).append(ordinal)
+        self._table = None
+
+    def _lookup_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._table is None:
+            flat = self._digests[: len(self)].ravel()
+            order = np.argsort(flat)
+            owners, bands = np.divmod(order, self.plan.bands)
+            self._table = flat[order], owners, bands
+        return self._table
+
+    def _candidates(self, sig: MinHashSignature) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate ordinals (ascending) and their equal-position counts.
+
+        A user is a candidate when its digest equals the query's in at
+        least one band; the same digest value in two different bands does
+        not count.
+        """
+        self._check_compatible(sig)
+        n = len(self)
+        digests, owners, entry_bands = self._lookup_table()
+        query = self.band_digests(sig.values)
+        lo = np.searchsorted(digests, query, side="left")
+        counts = np.searchsorted(digests, query, side="right") - lo
+        total = int(counts.sum())
+        if total == 0:
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+        # Table positions of every hit, grouped by the query band it matched.
+        starts = lo - (np.cumsum(counts) - counts)
+        hits = np.arange(total) + np.repeat(starts, counts)
+        same_band = entry_bands[hits] == np.repeat(np.arange(self.plan.bands), counts)
+        is_candidate = np.zeros(n, dtype=bool)
+        is_candidate[owners[hits[same_band]]] = True
+        values = self._values[:n]
+        if is_candidate.all():
+            ordinals = np.arange(n)
+        else:
+            ordinals = np.flatnonzero(is_candidate)
+            values = values[ordinals]
+        return ordinals, np.count_nonzero(values == sig.values, axis=1)
 
     def query(self, sig: MinHashSignature) -> list[Neighbor]:
-        """Users sharing at least one band digest, with estimated Jaccard."""
-        self._check_compatible(sig)
-        digests = self.band_digests(sig.values)
-        candidates: set[int] = set()
-        for band, digest in enumerate(digests):
-            candidates.update(self._buckets[band].get(int(digest), ()))
-        if not candidates:
-            return []
-        ordered = sorted(candidates)
-        stacked = np.vstack([self._values[i] for i in ordered])
-        matches = np.count_nonzero(stacked == sig.values, axis=1)
+        """Users sharing at least one band digest, with estimated Jaccard.
+
+        Neighbors come in insertion order.
+        """
+        ordinals, matches = self._candidates(sig)
+        ids, is_bot = self._user_ids, self._is_bot
         return [
-            Neighbor(self._user_ids[i], self._labels[i], float(m) / self.num_perm)
-            for i, m in zip(ordered, matches)
+            Neighbor(ids[i], BOT if is_bot[i] else HUMAN, float(m) / self.num_perm)
+            for i, m in zip(ordinals.tolist(), matches.tolist())
         ]
 
     def bucket_entry_count(self) -> int:
-        return sum(len(members) for table in self._buckets for members in table.values())
+        """Entries over all band buckets: one per user and band."""
+        return len(self) * self.plan.bands
 
     # --- persistence ---------------------------------------------------
 
     def save(self, path) -> None:
+        n = len(self)
+        records = np.hstack([self._values[:n], self._digests[:n]]).astype("<u8")
         with open(path, "wb") as fh:
             fh.write(
                 _HEADER.pack(
@@ -198,17 +269,14 @@ class LshIndex:
                     self.plan.rows,
                     self.num_perm,
                     self.seed,
-                    len(self._user_ids),
+                    n,
                 )
             )
-            for uid, label, values, digests in zip(
-                self._user_ids, self._labels, self._values, self._digests
-            ):
+            for uid, bot, record in zip(self._user_ids, self._is_bot.tolist(), records):
                 raw = uid.encode("utf-8")
-                fh.write(struct.pack("<HB", len(raw), _LABEL_CODE[label]))
+                fh.write(struct.pack("<HB", len(raw), bot))
                 fh.write(raw)
-                fh.write(values.astype("<u8").tobytes())
-                fh.write(digests.astype("<u8").tobytes())
+                fh.write(record.tobytes())
 
     @classmethod
     def load(cls, path) -> "LshIndex":
@@ -219,7 +287,12 @@ class LshIndex:
         _, version, threshold, bands, rows, num_perm, seed, count = _HEADER.unpack_from(data)
         if version != INDEX_VERSION:
             raise FormatError(f"unsupported index version {version}")
-        index = cls(BandingPlan(threshold, bands, rows), num_perm, seed)
+        try:
+            index = cls(BandingPlan(threshold, bands, rows), num_perm, seed)
+        except ValueError as exc:
+            raise FormatError(f"corrupt index header: {exc}") from exc
+        record_size = 8 * (num_perm + bands)
+        ids, labels, records = [], [], []
         offset = _HEADER.size
         try:
             for _ in range(count):
@@ -227,20 +300,24 @@ class LshIndex:
                 offset += 3
                 uid = data[offset : offset + id_len].decode("utf-8")
                 offset += id_len
-                values = np.frombuffer(data, dtype="<u8", count=num_perm, offset=offset).astype(np.uint64)
-                offset += 8 * num_perm
-                digests = np.frombuffer(data, dtype="<u8", count=bands, offset=offset).astype(np.uint64)
-                offset += 8 * bands
-                ordinal = len(index._user_ids)
-                index._user_ids.append(uid)
-                index._labels.append(_LABEL_NAME[label_code])
-                index._values.append(values)
-                index._digests.append(digests)
-                index._ordinals[uid] = ordinal
-                for band, digest in enumerate(digests):
-                    index._buckets[band].setdefault(int(digest), []).append(ordinal)
-        except (struct.error, ValueError, KeyError, UnicodeDecodeError) as exc:
+                if label_code > 1:
+                    raise FormatError(f"bad label code {label_code} for user {uid!r}")
+                if uid in index._ordinals:
+                    raise FormatError(f"user {uid!r} appears twice in index file")
+                index._ordinals[uid] = len(ids)
+                ids.append(uid)
+                labels.append(label_code)
+                records.append(data[offset : offset + record_size])
+                offset += record_size
+        except (struct.error, UnicodeDecodeError) as exc:
             raise FormatError(f"corrupt index file: {exc}") from exc
+        if offset > len(data):
+            raise FormatError("truncated index file")
         if offset != len(data):
             raise FormatError("trailing bytes in index file")
+        table = np.frombuffer(b"".join(records), dtype="<u8").reshape(len(ids), num_perm + bands)
+        index._user_ids = ids
+        index._values = table[:, :num_perm].astype(np.uint64)
+        index._digests = table[:, num_perm:].astype(np.uint64)
+        index._is_bot = np.array(labels, dtype=bool)
         return index

@@ -3,9 +3,11 @@
 import json
 
 import numpy as np
+from hypothesis import strategies as st
 
 from botdna.encoding import PostRecord, UserTimeline
-from botdna.minhash import ShingleSet
+from botdna.lsh import BandingPlan, LshIndex
+from botdna.minhash import MinHashSignature, ShingleSet
 
 TOKEN_WIDTH = 16
 
@@ -43,6 +45,36 @@ def make_set_pair(exact_jaccard: float, union_size: int, rng: np.random.Generato
 def exact_jaccard(a: ShingleSet, b: ShingleSet) -> float:
     union = a.shingles | b.shingles
     return len(a.shingles & b.shingles) / len(union) if union else 1.0
+
+
+def draw_index_parts(data):
+    """Draw an empty small index, labeled signatures and query signatures.
+
+    ``data`` is hypothesis's ``st.data()``.  Any factorization of num_perm
+    may be drawn, ``rows=1`` and ``bands=1`` included.  Signature values
+    come from an alphabet of one to four symbols, so band digests collide
+    often.  The queries are every signature to insert plus one more.
+    """
+    num_perm = data.draw(st.sampled_from([2, 4, 6, 8, 12]), label="num_perm")
+    bands = data.draw(
+        st.sampled_from([b for b in range(1, num_perm + 1) if num_perm % b == 0]), label="bands"
+    )
+    threshold = data.draw(st.sampled_from([0.25, 0.5, 0.75, 1.0]), label="threshold")
+    symbols = data.draw(st.integers(1, 4), label="symbols")
+    count = data.draw(st.integers(0, 12), label="count")
+    index = LshIndex(BandingPlan(threshold, bands, num_perm // bands), num_perm, seed=5)
+
+    def signature(user_id):
+        values = data.draw(
+            st.lists(st.integers(0, symbols - 1), min_size=num_perm, max_size=num_perm)
+        )
+        return MinHashSignature(user_id, num_perm, 5, np.array(values, dtype=np.uint64))
+
+    entries = [
+        (signature(f"u{i}"), data.draw(st.sampled_from(["human", "bot"]))) for i in range(count)
+    ]
+    probes = [sig for sig, _ in entries] + [signature("probe")]
+    return index, entries, probes
 
 
 # --- synthetic behavioral corpora ------------------------------------------

@@ -4,13 +4,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from botdna.classify import EvaluationReport, NeighborSet, Prediction, classify, score, vote
 from botdna.errors import MissingLabel
 from botdna.lsh import LshIndex, Neighbor, lsh_plan
 from botdna.minhash import MinHashSignature, minhash
 
-from conftest import exact_jaccard, make_set_pair
+from conftest import draw_index_parts, exact_jaccard, make_set_pair
 
 
 def neighbors_from_labels(labels, query_id="q"):
@@ -97,6 +99,24 @@ class TestClassify:
         index = self.build_index([("gt", "bot", a)], threshold=0.9)
         pred = classify(index, minhash(b, 128, 1))
         assert pred.predicted == "bot"  # jaccard 1.0 >= 0.9
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_vote_over_filtered_query(self, data):
+        # classify runs on the index's arrays; it must agree with voting
+        # over the query API's neighbors at and around the floor.  Each
+        # stage classifies before querying, so classify meets the re-sort.
+        index, entries, probes = draw_index_parts(data)
+        split = data.draw(st.integers(0, len(entries)), label="split")
+        for stage in (entries[:split], entries[split:]):
+            for sig, label in stage:
+                index.insert(sig, label)
+            for probe in probes:
+                for floor in (0.0, index.plan.threshold, 1.0):
+                    got = classify(index, probe, floor)
+                    kept = [nb for nb in index.query(probe) if nb.jaccard >= floor]
+                    assert got == vote(NeighborSet(probe.user_id, kept))
+                assert classify(index, probe) == classify(index, probe, index.plan.threshold)
 
     def test_agreement_with_brute_force_oracle(self):
         # 200 mixed-archetype users: classify via the index must agree with

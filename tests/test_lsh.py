@@ -1,11 +1,15 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from botdna.errors import DuplicateUser, FormatError, IncompatibleSignatures
 from botdna.lsh import BandingPlan, LshIndex, Neighbor, lsh_plan
 from botdna.minhash import MinHashSignature, minhash
 
-from conftest import exact_jaccard, make_set_pair
+from conftest import draw_index_parts, exact_jaccard, make_set_pair
 
 
 def sig_of(shingle_set, num_perm=128, seed=1):
@@ -21,7 +25,30 @@ def riemann_scurve_error(threshold, bands, rows, steps=20000):
     return fp + fn
 
 
+# Plans chosen by adaptive quadrature (scipy.integrate.quad, limit=200) of
+# the same cost: for each num_perm, the rows picked at thresholds 0.01,
+# 0.02, ..., 1.00, run-length coded as "rows x count".
+QUAD_PLAN_ROWS = {
+    2: "1x50 2x50",
+    16: "1x19 2x27 4x25 8x15 16x14",
+    64: "1x9 2x21 4x28 8x21 16x11 32x6 64x4",
+    128: "1x6 2x19 4x27 8x23 16x13 32x7 64x3 128x2",
+    256: "1x4 2x16 4x26 8x24 16x16 32x8 64x3 128x2 256x1",
+    512: "1x3 2x13 4x25 8x25 16x17 32x9 64x4 128x2 256x1 512x1",
+}
+
+
 class TestLshPlan:
+    @pytest.mark.parametrize("num_perm", sorted(QUAD_PLAN_ROWS))
+    def test_reproduces_quad_plans(self, num_perm):
+        rows = []
+        for run in QUAD_PLAN_ROWS[num_perm].split():
+            value, count = map(int, run.split("x"))
+            rows += [value] * count
+        assert len(rows) == 100
+        got = [lsh_plan(i / 100, num_perm) for i in range(1, 101)]
+        assert [(p.bands, p.rows) for p in got] == [(num_perm // r, r) for r in rows]
+
     def test_high_threshold_maximizes_rows(self):
         plan = lsh_plan(1.0, 128)
         assert plan.rows == 128 and plan.bands == 1
@@ -178,6 +205,53 @@ class TestQuery:
             }
             assert got == expected
 
+    def test_equal_digests_in_different_bands_are_not_candidates(self):
+        # With rows=1, band b of values v digests to c[b]*v[b] mod p + o[b];
+        # read c and o back through band_digests and solve for a value
+        # whose band-b2 digest equals the all-zero signature's band-b1 one.
+        num_perm, prime = 16, (1 << 61) - 1
+        index = LshIndex(BandingPlan(0.01, num_perm, 1), num_perm, seed=3)
+        offsets = index.band_digests(np.zeros(num_perm, dtype=np.uint64))
+        coeffs = index.band_digests(np.ones(num_perm, dtype=np.uint64)) - offsets
+        gaps = {
+            (b1, b2): (int(offsets[b1]) - int(offsets[b2])) % (1 << 64)
+            for b1 in range(num_perm)
+            for b2 in range(num_perm)
+            if b1 != b2
+        }
+        (b1, b2), gap = next((pair, gap) for pair, gap in gaps.items() if 0 < gap < prime)
+        values = np.ones(num_perm, dtype=np.uint64)
+        values[b2] = gap * pow(int(coeffs[b2]), -1, prime) % prime
+        probe = MinHashSignature("probe", num_perm, 3, values)
+        assert index.band_digests(values)[b2] == offsets[b1]
+        index.insert(MinHashSignature("zeros", num_perm, 3, np.zeros(num_perm, dtype=np.uint64)), "bot")
+        assert index.query(probe) == []
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_candidates_and_jaccard_match_brute_force(self, data):
+        # Candidates are exactly the users sharing a digest in some band,
+        # in insertion order, each with the share of equal positions.
+        # Querying between the two insert stages checks the lazy re-sort.
+        index, entries, probes = draw_index_parts(data)
+        split = data.draw(st.integers(0, len(entries)), label="split")
+        for stage in (entries[:split], entries[split:]):
+            for sig, label in stage:
+                index.insert(sig, label)
+            inserted = entries[: len(index)]
+            for probe in probes:
+                want = index.band_digests(probe.values)
+                expected = [
+                    Neighbor(
+                        sig.user_id,
+                        label,
+                        np.count_nonzero(sig.values == probe.values) / index.num_perm,
+                    )
+                    for sig, label in inserted
+                    if np.any(index.band_digests(sig.values) == want)
+                ]
+                assert index.query(probe) == expected
+
     def test_neighbor_jaccard_matches_estimate(self):
         index = fresh_index()
         rng = np.random.Generator(np.random.Philox(key=13))
@@ -223,6 +297,23 @@ class TestPersistence:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not an index at all")
         with pytest.raises(FormatError):
+            LshIndex.load(path)
+
+    def test_load_rejects_duplicate_user(self, tmp_path):
+        index = fresh_index(num_perm=32)
+        rng = np.random.Generator(np.random.Philox(key=17))
+        for uid in ("aa", "bb"):
+            a, _ = make_set_pair(0.4, 50, rng)
+            index.insert(MinHashSignature(uid, 32, 1, minhash(a, 32, 1).values), "bot")
+        path = tmp_path / "index.bin"
+        index.save(path)
+        blob = bytearray(path.read_bytes())
+        header = struct.calcsize("<4sBdIIIQQ")
+        second_id = header + (3 + 2 + 8 * (32 + index.plan.bands)) + 3
+        assert blob[second_id : second_id + 2] == b"bb"
+        blob[second_id : second_id + 2] = b"aa"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="twice"):
             LshIndex.load(path)
 
     def test_load_rejects_truncation(self, tmp_path):
