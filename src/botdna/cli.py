@@ -324,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet-grid", type=_parse_alphabet_grid,
                    default=list(pipeline.ALPHABET_SUBSETS),
                    metavar="SUBSETS", help="subsets joined by '/', e.g. B3/B5/B3,B5 (default: all 7)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel grid cells (default 1)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the (alphabets, k) groups, capped at the "
+                        "number of groups (default 1)")
     p.add_argument("--csv-out", metavar="PATH", help="also write a flat CSV of the ranking")
 
     p = add("early-detection", _cmd_early_detection, "sweep the per-user post cap on one split")

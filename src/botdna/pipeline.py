@@ -1,5 +1,13 @@
 """End-to-end evaluation protocols: encode, sketch, index, classify, score.
 
+Every protocol sketches its users with ``signature_for`` and hands the
+signatures to one core (``_run``) that indexes the ground truth (or takes
+a given index), classifies the test side and scores it.  A signature
+depends only on (alphabets, k_shingle, num_perm, seed) and the post cap,
+so configs that differ only in threshold, floor or split share one sketch
+pass: ``grid_search`` sketches once per (alphabets, k_shingle) group and
+``gt_sweep`` once for all its fractions.
+
 Every protocol is deterministic for a fixed (dataset, RunConfig): splits,
 hash families, and band digests all derive from the config seed, so reruns
 produce identical classifications.  Wall-clock timings and the peak-memory
@@ -12,13 +20,14 @@ from __future__ import annotations
 import hashlib
 import resource
 import time
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import product
+from itertools import product, repeat
 
-from .classify import EvaluationReport, classify, score
+from .classify import EvaluationReport, Prediction, classify, score
 from .data import Dataset, SplitSpec, cap_tweets, filter_min_length, split
-from .encoding import CANONICAL_ALPHABET_ORDER, DnaSequence, UserTimeline, encode_user
+from .encoding import BOT, CANONICAL_ALPHABET_ORDER, HUMAN, DnaSequence, UserTimeline, encode_user
 from .lsh import LshIndex, lsh_plan
 from .minhash import MinHashSignature, minhash, shingle
 
@@ -110,16 +119,25 @@ def signature_for(timeline: UserTimeline, cfg: RunConfig) -> MinHashSignature:
     return minhash(shingle(seq, cfg.k_shingle), cfg.num_perm, cfg.seed)
 
 
+def _sketch(users: list[UserTimeline], cfg: RunConfig) -> list[MinHashSignature]:
+    return [signature_for(u, cfg) for u in users]
+
+
 def new_index(cfg: RunConfig) -> LshIndex:
     return LshIndex(lsh_plan(cfg.threshold, cfg.num_perm), cfg.num_perm, cfg.seed)
 
 
+def _index(users: list[UserTimeline], sigs: Iterable[MinHashSignature], cfg: RunConfig) -> LshIndex:
+    index = new_index(cfg)
+    for sig, user in zip(sigs, users):
+        index.insert(sig, user.label)
+    return index
+
+
 def build_index(users: list[UserTimeline], cfg: RunConfig) -> LshIndex:
     """Index every labeled user's signature."""
-    index = new_index(cfg)
-    for user in users:
-        index.insert(signature_for(user, cfg), user.label)
-    return index
+    # Sketched lazily, so no more than one signature is held outside the index.
+    return _index(users, (signature_for(u, cfg) for u in users), cfg)
 
 
 def preprocess(ds: Dataset, cfg: RunConfig) -> tuple[Dataset, int]:
@@ -128,44 +146,96 @@ def preprocess(ds: Dataset, cfg: RunConfig) -> tuple[Dataset, int]:
     return filter_min_length(ds, cfg.k_shingle, cfg.alphabets)
 
 
+def _source_counts(datasets, removed: int) -> dict:
+    return {
+        "dataset_users": sum(len(ds) for ds in datasets),
+        "removed_short": removed,
+        "malformed_records": sum(ds.malformed_count for ds in datasets),
+    }
+
+
+def _run(
+    cfg: RunConfig,
+    ground_truth,
+    test_users: list[UserTimeline],
+    test_sigs: list[MinHashSignature],
+    *,
+    counts: dict,
+    echo: dict,
+    preprocess_s: float,
+    scored: bool = True,
+) -> tuple[list[Prediction], EvaluationReport | None]:
+    """Index, classify and score already sketched users: the one protocol core.
+
+    ``ground_truth`` is either a built ``LshIndex`` or a ``(users,
+    signatures)`` pair to index under ``cfg``.  With ``scored`` false no
+    report is made.  ``counts`` gives the dataset-side counts; the index
+    and test sizes are added here.
+    """
+    t0 = _now()
+    index = ground_truth if isinstance(ground_truth, LshIndex) else _index(*ground_truth, cfg)
+    t1 = _now()
+    floor = cfg.effective_floor()
+    predictions = [classify(index, sig, floor) for sig in test_sigs]
+    if not scored:
+        return predictions, None
+    report = score(predictions, {u.user_id: u.label for u in test_users}, config=echo)
+    t2 = _now()
+    report.counts = dict(counts, ground_truth_users=len(index), test_users=len(test_users))
+    report.timings = {
+        "preprocess_s": round(preprocess_s, 3),
+        "build_s": round(t1 - t0, 3),
+        "classify_s": round(t2 - t1, 3),
+    }
+    report.memory = {"peak_rss_mb": _peak_rss_mb(), "note": "approximate"}
+    return predictions, report
+
+
+def _evaluate_shared(ds: Dataset, cfgs: list[RunConfig]) -> list[EvaluationReport]:
+    """Evaluate configs that differ only in threshold, floor and split.
+
+    The dataset is preprocessed once, each distinct split is made once,
+    and each user is sketched once, the first time a split needs them;
+    all later configs reuse those signatures.  A report's ``preprocess_s``
+    is the time that config added (preprocess, split, sketch), so a config
+    that reuses everything reads 0.0.
+    """
+    t0 = _now()
+    filtered, removed = preprocess(ds, cfgs[0])
+    counts = _source_counts([ds], removed)
+    sigs: dict[str, MinHashSignature] = {}
+    sides: dict[SplitSpec, tuple] = {}  # split -> (gt users, gt sigs, test users, test sigs)
+    reports = []
+    for cfg in cfgs:
+        if cfg.split in sides:
+            preprocess_s = 0.0
+        else:
+            gt_ds, test_ds = split(filtered, cfg.split)
+            fresh = [u for u in (*gt_ds.users, *test_ds.users) if u.user_id not in sigs]
+            sigs.update(zip((u.user_id for u in fresh), _sketch(fresh, cfg)))
+            sides[cfg.split] = (
+                gt_ds.users,
+                [sigs[u.user_id] for u in gt_ds.users],
+                test_ds.users,
+                [sigs[u.user_id] for u in test_ds.users],
+            )
+            preprocess_s = _now() - t0
+        gt_users, gt_sigs, test_users, test_sigs = sides[cfg.split]
+        _, report = _run(cfg, (gt_users, gt_sigs), test_users, test_sigs, counts=counts,
+                         echo=config_echo(cfg), preprocess_s=preprocess_s)
+        reports.append(report)
+        t0 = _now()
+    return reports
+
+
 def evaluate(ds: Dataset, cfg: RunConfig) -> EvaluationReport:
     """Full protocol: preprocess, split, build ground-truth index, classify.
 
-    Timings: ``preprocess_s`` covers capping/filtering and signature
-    generation for both sides, ``build_s`` the index construction,
-    ``classify_s`` querying, voting, and scoring.
+    Timings: ``preprocess_s`` covers capping/filtering, the split and
+    signature generation for both sides, ``build_s`` the index
+    construction, ``classify_s`` querying, voting, and scoring.
     """
-    t0 = _now()
-    filtered, removed = preprocess(ds, cfg)
-    gt_ds, test_ds = split(filtered, cfg.split)
-    gt_sigs = [signature_for(u, cfg) for u in gt_ds.users]
-    test_sigs = [signature_for(u, cfg) for u in test_ds.users]
-    t1 = _now()
-
-    index = new_index(cfg)
-    for sig, user in zip(gt_sigs, gt_ds.users):
-        index.insert(sig, user.label)
-    t2 = _now()
-
-    floor = cfg.effective_floor()
-    predictions = [classify(index, sig, floor) for sig in test_sigs]
-    truth = {u.user_id: u.label for u in test_ds.users}
-    report = score(predictions, truth, config=config_echo(cfg))
-    t3 = _now()
-
-    report.counts = {
-        "dataset_users": len(ds),
-        "removed_short": removed,
-        "malformed_records": ds.malformed_count,
-        "ground_truth_users": len(gt_ds),
-        "test_users": len(test_ds),
-    }
-    report.timings = {
-        "preprocess_s": round(t1 - t0, 3),
-        "build_s": round(t2 - t1, 3),
-        "classify_s": round(t3 - t2, 3),
-    }
-    report.memory = {"peak_rss_mb": _peak_rss_mb(), "note": "approximate"}
+    [report] = _evaluate_shared(ds, [cfg])
     return report
 
 
@@ -175,41 +245,17 @@ def cross_dataset(gt_ds: Dataset, test_ds: Dataset, cfg: RunConfig) -> Evaluatio
     gt_filtered, gt_removed = preprocess(gt_ds, cfg)
     test_filtered, test_removed = preprocess(test_ds, cfg)
     gt_users = gt_filtered.labeled()
-    gt_sigs = [signature_for(u, cfg) for u in gt_users]
-    test_sigs = [signature_for(u, cfg) for u in test_filtered.users]
-    t1 = _now()
-
-    index = new_index(cfg)
-    for sig, user in zip(gt_sigs, gt_users):
-        index.insert(sig, user.label)
-    t2 = _now()
-
-    floor = cfg.effective_floor()
-    predictions = [classify(index, sig, floor) for sig in test_sigs]
-    truth = {u.user_id: u.label for u in test_filtered.users}
-    echo = dict(config_echo(cfg), ground_truth_dataset=gt_ds.name, test_dataset=test_ds.name)
-    report = score(predictions, truth, config=echo)
-    t3 = _now()
-
-    report.counts = {
-        "dataset_users": len(gt_ds) + len(test_ds),
-        "removed_short": gt_removed + test_removed,
-        "malformed_records": gt_ds.malformed_count + test_ds.malformed_count,
-        "ground_truth_users": len(gt_users),
-        "test_users": len(test_filtered),
-    }
-    report.timings = {
-        "preprocess_s": round(t1 - t0, 3),
-        "build_s": round(t2 - t1, 3),
-        "classify_s": round(t3 - t2, 3),
-    }
-    report.memory = {"peak_rss_mb": _peak_rss_mb(), "note": "approximate"}
+    gt_sigs, test_sigs = _sketch(gt_users, cfg), _sketch(test_filtered.users, cfg)
+    _, report = _run(
+        cfg,
+        (gt_users, gt_sigs),
+        test_filtered.users,
+        test_sigs,
+        counts=_source_counts([gt_ds, test_ds], gt_removed + test_removed),
+        echo=dict(config_echo(cfg), ground_truth_dataset=gt_ds.name, test_dataset=test_ds.name),
+        preprocess_s=_now() - t0,
+    )
     return report
-
-
-def _grid_cell(args) -> EvaluationReport:
-    ds, cfg = args
-    return evaluate(ds, cfg)
 
 
 def _rank_key(report: EvaluationReport):
@@ -228,21 +274,32 @@ def grid_search(
 ) -> list[EvaluationReport]:
     """Evaluate every grid cell under the shared split seed; rank by F1.
 
+    Cells that share ``(alphabets, k_shingle)`` form one group: the group
+    is preprocessed, split and sketched once, and only the index, classify
+    and score steps run per threshold.  The first cell of a group carries
+    the group's ``preprocess_s``; its other cells read 0.0.  With
+    ``jobs > 1`` the groups run in a process pool of ``min(jobs, groups)``
+    workers, one task per group, so the dataset is pickled once per group.
+    ``jobs < 1`` raises ``ValueError``.
+
     Ties break toward smaller k, then larger threshold.  Cell execution
     order never affects the ranking.
     """
-    cells = [
-        replace(base, alphabets=canonical_alphabets(alphas), k_shingle=k, threshold=t)
-        for alphas, k, t in product(alphabet_subsets, ks, thresholds)
-    ]
-    if not cells:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    groups: dict[tuple, list[RunConfig]] = {}
+    for alphas, k, t in product(alphabet_subsets, ks, thresholds):
+        cfg = replace(base, alphabets=canonical_alphabets(alphas), k_shingle=k, threshold=t)
+        groups.setdefault((cfg.alphabets, k), []).append(cfg)
+    if not groups:
         raise ValueError("empty grid")
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_grid_cell, ((ds, cfg) for cfg in cells)))
+    workers = min(jobs, len(groups))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_evaluate_shared, repeat(ds, len(groups)), groups.values()))
     else:
-        reports = [evaluate(ds, cfg) for cfg in cells]
-    return sorted(reports, key=_rank_key)
+        results = [_evaluate_shared(ds, cfgs) for cfgs in groups.values()]
+    return sorted((r for reports in results for r in reports), key=_rank_key)
 
 
 def early_detection(ds: Dataset, cfg: RunConfig, caps=DEFAULT_EARLY_DETECTION_CAPS) -> list[tuple[int, EvaluationReport]]:
@@ -279,16 +336,16 @@ def gt_sweep(ds: Dataset, cfg: RunConfig, fractions=DEFAULT_GT_FRACTIONS) -> lis
 
     The per-label shuffle is fixed by the seed, so smaller fractions use
     prefixes of the larger ones and the test side shrinks accordingly.
+    Users are sketched once; only the split changes between fractions.
     """
     if cfg.split.mode != "random_fraction":
         raise ValueError("gt_sweep requires a random_fraction split spec")
-    results = []
+    fractions = list(fractions)
     for fraction in fractions:
         if not 0.0 < fraction < 1.0:
             raise ValueError(f"fraction {fraction} outside (0, 1)")
-        run_cfg = replace(cfg, split=replace(cfg.split, gt_fraction=fraction))
-        results.append((fraction, evaluate(ds, run_cfg)))
-    return results
+    cfgs = [replace(cfg, split=replace(cfg.split, gt_fraction=f)) for f in fractions]
+    return list(zip(fractions, _evaluate_shared(ds, cfgs))) if cfgs else []
 
 
 def encode_dataset(ds: Dataset, alphabets) -> list[DnaSequence]:
@@ -302,22 +359,19 @@ def classify_against_index(
     """Classify a query dataset against a persisted index.
 
     Returns per-user predictions, plus a scored report when every query
-    carries a truth label.
+    carries a truth label.  The report's ``build_s`` is 0.0: the index is
+    given.
     """
+    t0 = _now()
     filtered, removed = preprocess(ds, cfg)
-    predictions = []
-    floor = cfg.effective_floor()
-    for user in filtered.users:
-        predictions.append(classify(index, signature_for(user, cfg), floor))
-    report = None
-    if filtered.users and all(u.label in ("human", "bot") for u in filtered.users):
-        truth = {u.user_id: u.label for u in filtered.users}
-        report = score(predictions, truth, config=config_echo(cfg))
-        report.counts = {
-            "dataset_users": len(ds),
-            "removed_short": removed,
-            "malformed_records": ds.malformed_count,
-            "ground_truth_users": len(index),
-            "test_users": len(filtered),
-        }
-    return predictions, report
+    sigs = _sketch(filtered.users, cfg)
+    return _run(
+        cfg,
+        index,
+        filtered.users,
+        sigs,
+        counts=_source_counts([ds], removed),
+        echo=config_echo(cfg),
+        preprocess_s=_now() - t0,
+        scored=bool(filtered.users) and all(u.label in (HUMAN, BOT) for u in filtered.users),
+    )

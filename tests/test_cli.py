@@ -123,6 +123,11 @@ class TestGridSearchCommand:
         )
         assert len(json.loads(out.read_text())["grid"]) == 3
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_is_input_error(self, corpus_file, jobs):
+        assert run("grid-search", corpus_file, "--k-grid", "4", "--threshold-grid", "0.4",
+                   "--alphabet-grid", "B3", "--jobs", jobs) == 2
+
     def test_stepped_range_syntax(self, corpus_file, tmp_path):
         out = tmp_path / "early.json"
         assert run("early-detection", corpus_file, "--caps", "20..60..20", "--out", out) == 0

@@ -1,13 +1,17 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from botdna.data import Dataset, SplitSpec
+from botdna import pipeline
+from botdna.data import Dataset, SplitSpec, split
 from botdna.encoding import PostRecord, UserTimeline
 from botdna.pipeline import (
     ALPHABET_SUBSETS,
     RunConfig,
+    build_index,
     canonical_alphabets,
+    classify_against_index,
     config_echo,
     cross_dataset,
     early_detection,
@@ -15,13 +19,61 @@ from botdna.pipeline import (
     grid_search,
     gt_sweep,
     encode_dataset,
+    preprocess,
 )
 
-from conftest import synthetic_corpus
+from conftest import BOT_KIND_CYCLES, HUMAN_KIND_CYCLES, synthetic_corpus
 
 
 def separable_dataset(n=40, posts=60, seed=5):
     return Dataset("separable", synthetic_corpus(n, posts, seed=seed))
+
+
+def noisy_dataset(n=40, posts=30, seed=7):
+    """Mixed archetypes with noise, plus two users too short for larger k."""
+    users = synthetic_corpus(n, posts, seed=seed, noise=0.3,
+                             bot_cycles=BOT_KIND_CYCLES, human_cycles=HUMAN_KIND_CYCLES)
+    users += [replace(u, user_id=f"short{i}", posts=u.posts[:2]) for i, u in enumerate(users[:2])]
+    return Dataset("noisy", users)
+
+
+class CountingMinhash:
+    """Wraps ``pipeline.minhash`` the way the benchmark's reference pass does."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+        self.keys = set()
+
+    def __call__(self, shingles, num_perm, seed):
+        self.calls += 1
+        self.keys.add((shingles.user_id, shingles.k, shingles.shingles, num_perm, seed))
+        return self.fn(shingles, num_perm, seed)
+
+
+@pytest.fixture
+def minhash_counter(monkeypatch):
+    counter = CountingMinhash(pipeline.minhash)
+    monkeypatch.setattr(pipeline, "minhash", counter)
+    return counter
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        FakePool.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 def base_config(**overrides):
@@ -151,6 +203,61 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search(separable_dataset(n=4), base_config(), ks=[], thresholds=[0.4])
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_cell_matches_evaluate(self, jobs):
+        ds = noisy_dataset()
+        base = base_config()
+        reports = grid_search(ds, base, ks=[3, 5], thresholds=[0.3, 0.6],
+                              alphabet_subsets=[("B3",), ("B9", "B3")], jobs=jobs)
+        assert len(reports) == 8
+        for report in reports:
+            cfg = replace(base, alphabets=tuple(report.config["alphabets"]),
+                          k_shingle=report.config["k_shingle"],
+                          threshold=report.config["threshold"])
+            assert report.to_json(include_timings=False) == evaluate(ds, cfg).to_json(
+                include_timings=False
+            )
+
+    def test_sketches_once_per_alphabets_and_k(self, minhash_counter):
+        ds = noisy_dataset()
+        base = base_config()
+        subsets, ks = [("B3",), ("B3", "B9")], [2, 5]
+        grid_search(ds, base, ks=ks, thresholds=[0.2, 0.4, 0.6], alphabet_subsets=subsets)
+        filtered = [
+            len(preprocess(ds, replace(base, alphabets=a, k_shingle=k))[0])
+            for a in subsets
+            for k in ks
+        ]
+        assert len(set(filtered)) > 1  # the short users drop out of some groups only
+        assert minhash_counter.calls == len(minhash_counter.keys) == sum(filtered)
+
+    def test_shared_preprocess_time_is_on_first_cell_only(self):
+        reports = grid_search(separable_dataset(n=20), base_config(), ks=[4],
+                              thresholds=[0.2, 0.4, 0.6], alphabet_subsets=[("B3",)])
+        by_threshold = {r.config["threshold"]: r.timings for r in reports}
+        assert by_threshold[0.4]["preprocess_s"] == by_threshold[0.6]["preprocess_s"] == 0.0
+        assert all(t["build_s"] >= 0.0 and t["classify_s"] >= 0.0 for t in by_threshold.values())
+
+    def test_pool_never_larger_than_group_count(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(FakePool, "created", [])
+        ds = separable_dataset(n=16, posts=40)
+        kwargs = dict(ks=[2, 4], thresholds=[0.2, 0.4, 0.6], alphabet_subsets=[("B3",)])
+        pooled = grid_search(ds, base_config(), jobs=64, **kwargs)
+        assert FakePool.created == [2]
+        grid_search(ds, base_config(), jobs=8, ks=[4], thresholds=[0.2, 0.4],
+                    alphabet_subsets=[("B3",)])
+        assert FakePool.created == [2]  # one group runs in-process
+        sequential = grid_search(ds, base_config(), jobs=1, **kwargs)
+        assert [r.to_json(include_timings=False) for r in pooled] == [
+            r.to_json(include_timings=False) for r in sequential
+        ]
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_nonpositive_jobs(self, jobs):
+        with pytest.raises(ValueError):
+            grid_search(separable_dataset(n=4), base_config(), ks=[4], thresholds=[0.4], jobs=jobs)
+
     def test_parallel_jobs_match_sequential(self):
         ds = separable_dataset(n=16, posts=40)
         kwargs = dict(ks=[2, 4], thresholds=[0.4], alphabet_subsets=[("B3",)])
@@ -201,6 +308,29 @@ class TestGtSweep:
         direct = evaluate(ds, cfg)
         assert swept.to_json(include_timings=False) == direct.to_json(include_timings=False)
 
+    def test_every_fraction_matches_evaluate(self):
+        ds = noisy_dataset(n=60)
+        cfg = base_config()
+        fractions = [0.1, 0.3, 0.5, 0.7]
+        series = gt_sweep(ds, cfg, fractions=fractions)
+        assert [f for f, _ in series] == fractions
+        for fraction, swept in series:
+            direct = evaluate(ds, replace(cfg, split=replace(cfg.split, gt_fraction=fraction)))
+            assert swept.to_json(include_timings=False) == direct.to_json(include_timings=False)
+
+    def test_sketches_each_user_once(self, minhash_counter):
+        ds = noisy_dataset()
+        cfg = base_config(k_shingle=5)
+        gt_sweep(ds, cfg, fractions=[0.1, 0.2, 0.3])
+        filtered, removed = preprocess(ds, cfg)
+        assert removed > 0
+        assert minhash_counter.calls == len(minhash_counter.keys) == len(filtered)
+
+    def test_validates_every_fraction_before_work(self, minhash_counter):
+        with pytest.raises(ValueError):
+            gt_sweep(separable_dataset(n=10), base_config(), fractions=[0.2, 0.4, 1.5])
+        assert minhash_counter.calls == 0
+
     def test_separable_perfect_at_small_fraction(self):
         ds = separable_dataset(n=60)
         [(_, report)] = gt_sweep(ds, base_config(), fractions=[0.1])
@@ -215,6 +345,29 @@ class TestGtSweep:
     def test_rejects_out_of_range_fraction(self):
         with pytest.raises(ValueError):
             gt_sweep(separable_dataset(n=4), base_config(), fractions=[1.5])
+
+
+class TestClassifyAgainstIndex:
+    def test_matches_evaluate_on_the_same_split(self):
+        ds = noisy_dataset()
+        cfg = base_config()
+        gt, test = split(preprocess(ds, cfg)[0], cfg.split)
+        predictions, report = classify_against_index(build_index(gt.users, cfg), test, cfg)
+        direct = evaluate(ds, cfg)
+        assert [p.query_id for p in predictions] == [u.user_id for u in test.users]
+        assert report.to_dict()["confusion"] == direct.to_dict()["confusion"]
+        assert report.counts["ground_truth_users"] == direct.counts["ground_truth_users"]
+        assert report.timings["build_s"] == 0.0
+        assert report.timings["preprocess_s"] >= 0.0 and report.timings["classify_s"] >= 0.0
+        assert report.memory["peak_rss_mb"] > 0
+
+    def test_unlabeled_queries_get_no_report(self):
+        ds = noisy_dataset()
+        cfg = base_config()
+        index = build_index(preprocess(ds, cfg)[0].labeled(), cfg)
+        queries = Dataset("q", [replace(u, label=None) for u in ds.users[:6]])
+        predictions, report = classify_against_index(index, queries, cfg)
+        assert len(predictions) == 6 and report is None
 
 
 class TestEncodeDataset:
