@@ -10,7 +10,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import pipeline
@@ -57,38 +57,52 @@ def _parse_alphabet_grid(text: str) -> list[tuple[str, ...]]:
     return [_parse_alphabets(subset) for subset in text.split("/") if subset.strip()]
 
 
-def _common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alphabets", type=_parse_alphabets, default=("B3",), metavar="IDS",
-                        help="comma-separated subset of B3,B5,B9 (default B3)")
-    parser.add_argument("--k-shingle", type=int, default=4, metavar="K",
-                        help="shingle window length in symbols (default 4)")
-    parser.add_argument("--threshold", type=float, default=0.4, metavar="T",
-                        help="target Jaccard similarity for the LSH plan (default 0.4)")
-    parser.add_argument("--num-perm", type=int, default=128, metavar="N",
-                        help="MinHash permutations per signature (default 128)")
-    parser.add_argument("--seed", type=int, default=42, metavar="S",
-                        help="seed for hashing and splits (default 42)")
-    parser.add_argument("--gt-fraction", type=float, default=0.70, metavar="F",
-                        help="ground-truth share for random splits (default 0.70)")
-    parser.add_argument("--split-file", metavar="GT,TEST",
-                        help="two comma-separated id-list files for a fixed split")
-    parser.add_argument("--max-tweets", type=int, default=None, metavar="K",
-                        help="keep only each user's first K posts")
-    floor = parser.add_mutually_exclusive_group()
-    floor.add_argument("--jaccard-floor", type=float, default=None, metavar="F",
-                       help="drop candidates below this estimated Jaccard "
-                            "(default: the index threshold)")
-    floor.add_argument("--no-floor", action="store_true",
-                       help="vote over all banding candidates, unfiltered")
-    parser.add_argument("--format", choices=("jsonl", "csv"), default="jsonl",
-                        help="input dataset format (default jsonl)")
-    parser.add_argument("--out", metavar="PATH", help="write the JSON result here")
-    parser.add_argument("--no-timings", action="store_true",
-                        help="omit timing/memory fields for byte-reproducible output")
+_SHARED_OPTIONS = {
+    "--alphabets": dict(type=_parse_alphabets, default=("B3",), metavar="IDS",
+                        help="comma-separated subset of B3,B5,B9 (default B3)"),
+    "--k-shingle": dict(type=int, default=4, metavar="K",
+                        help="shingle window length in symbols (default 4)"),
+    "--threshold": dict(type=float, default=0.4, metavar="T",
+                        help="target Jaccard similarity for the LSH plan (default 0.4)"),
+    "--num-perm": dict(type=int, default=128, metavar="N",
+                       help="MinHash permutations per signature (default 128)"),
+    "--seed": dict(type=int, default=42, metavar="S",
+                   help="seed for hashing and splits, in [0, 2**64) (default 42)"),
+    "--gt-fraction": dict(type=float, default=0.70, metavar="F",
+                          help="ground-truth share for random splits (default 0.70)"),
+    "--split-file": dict(metavar="GT,TEST",
+                         help="two comma-separated id-list files for a fixed split"),
+    "--max-tweets": dict(type=int, default=None, metavar="K",
+                         help="keep only each user's first K posts"),
+    "--jaccard-floor": dict(type=float, default=None, metavar="F",
+                            help="drop candidates below this estimated Jaccard, in [0, 1] "
+                                 "(default: the index threshold)"),
+    "--no-floor": dict(action="store_const", const=0.0, dest="jaccard_floor",
+                       help="vote over all banding candidates, unfiltered (--jaccard-floor 0)"),
+    "--format": dict(choices=("jsonl", "csv"), default="jsonl",
+                     help="input dataset format (default jsonl)"),
+    "--out": dict(metavar="PATH", help="write the JSON result here"),
+    "--no-timings": dict(action="store_true",
+                         help="omit timing/memory fields for byte-reproducible output"),
+}
+_FLOOR = frozenset({"--jaccard-floor", "--no-floor"})
+_SPLIT = frozenset({"--gt-fraction", "--split-file"})
+
+
+def _shared_options(parser: argparse.ArgumentParser, drop: set[str] | frozenset[str]) -> None:
+    """Add every shared option except those in ``drop``, which the subcommand never reads."""
+    floor = parser if _FLOOR <= drop else parser.add_mutually_exclusive_group()
+    for flag, kwargs in _SHARED_OPTIONS.items():
+        if flag not in drop:
+            (floor if flag in _FLOOR else parser).add_argument(flag, **kwargs)
+
+
+def _from_args(args, cls, **extra):
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}, **extra)
 
 
 def _split_spec(args) -> SplitSpec:
-    if args.split_file:
+    if getattr(args, "split_file", None):
         try:
             gt_path, test_path = args.split_file.split(",", 1)
         except ValueError:
@@ -98,21 +112,11 @@ def _split_spec(args) -> SplitSpec:
             gt_ids=read_id_list(gt_path.strip()),
             test_ids=read_id_list(test_path.strip()),
         )
-    return SplitSpec(mode="random_fraction", gt_fraction=args.gt_fraction, seed=args.seed)
+    return _from_args(args, SplitSpec)
 
 
 def _config(args) -> RunConfig:
-    return RunConfig(
-        alphabets=args.alphabets,
-        k_shingle=args.k_shingle,
-        threshold=args.threshold,
-        num_perm=args.num_perm,
-        seed=args.seed,
-        jaccard_floor=args.jaccard_floor,
-        no_floor=args.no_floor,
-        max_tweets=args.max_tweets,
-        split=_split_spec(args),
-    )
+    return _from_args(args, RunConfig, split=_split_spec(args))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -150,6 +154,11 @@ _CSV_METRICS = ("f1", "accuracy", "precision", "recall")
 _CSV_COUNTS = ("tp", "fp", "tn", "fn")
 
 
+def _csv_cells(report) -> tuple:
+    metrics = (getattr(report, m) for m in _CSV_METRICS)
+    return (*("" if v is None else v for v in metrics), *(getattr(report, c) for c in _CSV_COUNTS))
+
+
 def _series_csv(path: str, key: str, series) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -158,8 +167,7 @@ def _series_csv(path: str, key: str, series) -> None:
             writer.writerow(
                 (
                     value,
-                    *(getattr(report, m) if getattr(report, m) is not None else "" for m in _CSV_METRICS),
-                    *(getattr(report, c) for c in _CSV_COUNTS),
+                    *_csv_cells(report),
                     report.counts.get("ground_truth_users"),
                     report.counts.get("test_users"),
                 )
@@ -178,8 +186,7 @@ def _grid_csv(path: str, reports) -> None:
                     "+".join(cfg["alphabets"]),
                     cfg["k_shingle"],
                     cfg["threshold"],
-                    *(getattr(report, m) if getattr(report, m) is not None else "" for m in _CSV_METRICS),
-                    *(getattr(report, c) for c in _CSV_COUNTS),
+                    *_csv_cells(report),
                 )
             )
 
@@ -258,12 +265,12 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_index_build(args) -> int:
+    if not args.out:
+        raise BotDnaError("index-build requires --out PATH")
     ds = load(args.data, args.format)
     cfg = _config(args)
     filtered, removed = pipeline.preprocess(ds, cfg)
     index = pipeline.build_index(filtered.labeled(), cfg)
-    if not args.out:
-        raise BotDnaError("index-build requires --out PATH")
     index.save(args.out)
     print(
         f"indexed {len(index)} users (bands={index.plan.bands}, rows={index.plan.rows}, "
@@ -305,16 +312,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
-        _common_options(p)
+    def add(name, func, help_text, drop=frozenset()):
+        # No abbreviations: grid-search would take --threshold as --threshold-grid.
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        _shared_options(p, drop)
         p.set_defaults(func=func)
         return p
 
     p = add("evaluate", _cmd_evaluate, "split one dataset, build the index, score the test side")
     p.add_argument("data", help="dataset file")
 
-    p = add("grid-search", _cmd_grid_search, "evaluate a hyperparameter grid, ranked by F1")
+    p = add("grid-search", _cmd_grid_search, "evaluate a hyperparameter grid, ranked by F1",
+            drop={"--alphabets", "--k-shingle", "--threshold"})
     p.add_argument("data")
     p.add_argument("--k-grid", type=_parse_int_list, default=list(pipeline.DEFAULT_GRID_K),
                    metavar="KS", help="e.g. 2..15 or 2,4,8 (default 2..15)")
@@ -329,29 +338,33 @@ def build_parser() -> argparse.ArgumentParser:
                         "number of groups (default 1)")
     p.add_argument("--csv-out", metavar="PATH", help="also write a flat CSV of the ranking")
 
-    p = add("early-detection", _cmd_early_detection, "sweep the per-user post cap on one split")
+    p = add("early-detection", _cmd_early_detection, "sweep the per-user post cap on one split",
+            drop={"--max-tweets"})
     p.add_argument("data")
     p.add_argument("--caps", type=_parse_int_list, default=list(pipeline.DEFAULT_EARLY_DETECTION_CAPS),
                    metavar="KS", help="post caps, e.g. 20..200..20 or 20,40,80 (default 20,40,...,200)")
     p.add_argument("--csv-out", metavar="PATH")
 
-    p = add("gt-sweep", _cmd_gt_sweep, "sweep the ground-truth fraction under one seed")
+    p = add("gt-sweep", _cmd_gt_sweep, "sweep the ground-truth fraction under one seed", drop=_SPLIT)
     p.add_argument("data")
     p.add_argument("--fractions", type=_parse_float_list, default=list(pipeline.DEFAULT_GT_FRACTIONS),
                    metavar="FS", help="e.g. 0.1,0.2,0.3 (default)")
     p.add_argument("--csv-out", metavar="PATH")
 
-    p = add("cross-dataset", _cmd_cross_dataset, "index one dataset, classify another")
+    p = add("cross-dataset", _cmd_cross_dataset, "index one dataset, classify another", drop=_SPLIT)
     p.add_argument("gt_data", help="ground-truth dataset file")
     p.add_argument("test_data", help="test dataset file")
 
-    p = add("encode", _cmd_encode, "dump each user's DNA string as JSONL")
+    p = add("encode", _cmd_encode, "dump each user's DNA string as JSONL",
+            drop=frozenset(_SHARED_OPTIONS) - {"--alphabets", "--format", "--out"})
     p.add_argument("data")
 
-    p = add("index-build", _cmd_index_build, "build and persist an index from a labeled dataset")
+    p = add("index-build", _cmd_index_build, "build and persist an index from a labeled dataset",
+            drop=_SPLIT | _FLOOR | {"--no-timings"})
     p.add_argument("data")
 
-    p = add("index-query", _cmd_index_query, "classify users against a persisted index")
+    p = add("index-query", _cmd_index_query, "classify users against a persisted index",
+            drop=_SPLIT | {"--num-perm", "--seed", "--threshold"})
     p.add_argument("index", help="index file from index-build")
     p.add_argument("data", help="query dataset file")
 

@@ -38,7 +38,6 @@ from .errors import EmptySet, FormatError, IncompatibleSignatures, SequenceTooSh
 MERSENNE_61 = np.uint64((1 << 61) - 1)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _MASK29 = np.uint64((1 << 29) - 1)
-_MASK64 = (1 << 64) - 1
 
 SIGNATURE_MAGIC = b"BDSG"
 SIGNATURE_VERSION = 1
@@ -51,7 +50,10 @@ _TAG_BAND_DIGEST = 2
 
 def rng_for(seed: int, tag: int) -> np.random.Generator:
     """Counter-based generator for (seed, purpose) pairs, stable across runs."""
-    key = (int(seed) & _MASK64) | (tag << 64)
+    seed = int(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    key = seed | (tag << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

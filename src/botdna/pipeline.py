@@ -27,7 +27,8 @@ from itertools import product, repeat
 
 from .classify import EvaluationReport, Prediction, classify, score
 from .data import Dataset, SplitSpec, cap_tweets, filter_min_length, split
-from .encoding import BOT, CANONICAL_ALPHABET_ORDER, HUMAN, DnaSequence, UserTimeline, encode_user
+from .encoding import (BOT, CANONICAL_ALPHABET_ORDER, HUMAN, DnaSequence, UserTimeline, encode_user,
+                       resolve_alphabets)
 from .lsh import LshIndex, lsh_plan
 from .minhash import MinHashSignature, minhash, shingle
 
@@ -63,13 +64,15 @@ class RunConfig:
     num_perm: int = 128
     seed: int = 42
     jaccard_floor: float | None = None  # None: follow the index threshold
-    no_floor: bool = False
     max_tweets: int | None = None
     split: SplitSpec = field(default_factory=SplitSpec)
 
+    def __post_init__(self):
+        resolve_alphabets(self.alphabets)
+        if self.jaccard_floor is not None and not 0.0 <= self.jaccard_floor <= 1.0:
+            raise ValueError(f"jaccard_floor must be in [0, 1], got {self.jaccard_floor}")
+
     def effective_floor(self) -> float:
-        if self.no_floor:
-            return 0.0
         return self.threshold if self.jaccard_floor is None else self.jaccard_floor
 
 

@@ -3,8 +3,11 @@ import json
 
 import pytest
 
+from botdna import pipeline
 from botdna.cli import main
 from botdna.data import Dataset
+from botdna.lsh import LshIndex
+from botdna.minhash import minhash
 from botdna.pipeline import RunConfig, evaluate
 
 from conftest import corpus_to_jsonl, synthetic_corpus
@@ -18,6 +21,122 @@ def corpus_file(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+SPLIT = ("--gt-fraction", "--split-file")
+# The shared options each subcommand does not take: every one of them was
+# overwritten or never read when all subcommands took all of them.
+DROPPED = {
+    "evaluate": (),
+    "grid-search": ("--alphabets", "--k-shingle", "--threshold"),
+    "early-detection": ("--max-tweets",),
+    "gt-sweep": SPLIT,
+    "cross-dataset": SPLIT,
+    "encode": ("--k-shingle", "--threshold", "--num-perm", "--seed", *SPLIT, "--max-tweets",
+               "--jaccard-floor", "--no-floor", "--no-timings"),
+    "index-build": (*SPLIT, "--jaccard-floor", "--no-floor", "--no-timings"),
+    "index-query": ("--num-perm", "--seed", "--threshold", *SPLIT),
+}
+POSITIONALS = {"cross-dataset": 2, "index-query": 2}
+# Settings a report echoes: option -> (value, echo key, echoed value).
+SETTINGS = {
+    "--alphabets": ("B9,B3", "alphabets", ["B3", "B9"]),
+    "--k-shingle": ("3", "k_shingle", 3),
+    "--threshold": ("0.2", "threshold", 0.2),
+    "--num-perm": ("64", "num_perm", 64),
+    "--seed": ("7", "seed", 7),
+    "--max-tweets": ("30", "max_tweets", 30),
+    "--jaccard-floor": ("0.1", "jaccard_floor", 0.1),
+}
+FLAG_VALUES = {opt: value for opt, (value, _, _) in SETTINGS.items()} | {
+    "--gt-fraction": "0.5", "--split-file": "gt.txt,test.txt"}
+
+
+def series_reports(doc):
+    return [entry["report"] for entry in doc["series"]]
+
+
+# A small run of each report command, and where its reports sit in the output.
+RUNS = {
+    "evaluate": ((), lambda doc: [doc]),
+    "grid-search": (("--k-grid", "3,4", "--threshold-grid", "0.2,0.5", "--alphabet-grid", "B3/B9"),
+                    lambda doc: doc["grid"]),
+    "early-detection": (("--caps", "20,40"), series_reports),
+    "gt-sweep": (("--fractions", "0.3,0.5"), series_reports),
+    "cross-dataset": ((), lambda doc: [doc]),
+}
+
+
+def run_reports(command, corpus_file, tmp_path, *argv):
+    extra, reports = RUNS[command]
+    out = tmp_path / f"{command}.json"
+    positionals = [corpus_file] * POSITIONALS.get(command, 1)
+    assert run(command, *positionals, *extra, *argv, "--no-timings", "--out", out) == 0
+    return out.read_bytes(), reports(json.loads(out.read_text()))
+
+
+class TestSharedOptions:
+    @pytest.mark.parametrize(
+        "command,option", [(c, o) for c, options in DROPPED.items() for o in options]
+    )
+    def test_dropped_option_is_a_usage_error(self, command, option):
+        value = (FLAG_VALUES[option],) if option in FLAG_VALUES else ()
+        with pytest.raises(SystemExit) as excinfo:
+            run(command, *["missing.jsonl"] * POSITIONALS.get(command, 1), option, *value)
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", ["grid-search", "early-detection", "gt-sweep", "cross-dataset"])
+    def test_kept_settings_reach_every_report(self, command, corpus_file, tmp_path):
+        kept = {opt: v for opt, v in SETTINGS.items() if opt not in DROPPED[command]}
+        argv = [arg for opt, (value, _, _) in kept.items() for arg in (opt, value)]
+        if "--gt-fraction" not in DROPPED[command]:
+            argv += ["--gt-fraction", "0.5"]
+        _, reports = run_reports(command, corpus_file, tmp_path, *argv)
+        assert len(reports) == {"grid-search": 8, "cross-dataset": 1}.get(command, 2)
+        for report in reports:
+            cfg = report["config"]
+            for _, key, echoed in kept.values():
+                assert cfg[key] == echoed
+            if cfg["split"]["mode"] == "random_fraction":  # early-detection freezes its split
+                assert cfg["split"]["seed"] == 7
+            if "--gt-fraction" not in DROPPED[command]:
+                assert report["counts"]["ground_truth_users"] == 20  # half of 40
+
+    @pytest.mark.parametrize("command", ["grid-search", "early-detection"])
+    def test_split_file_reaches_every_report(self, command, corpus_file, tmp_path):
+        users = [json.loads(line)["user_id"] for line in open(corpus_file)]
+        (tmp_path / "gt.txt").write_text("\n".join(users[:30]) + "\n")
+        (tmp_path / "test.txt").write_text("\n".join(users[30:]) + "\n")
+        _, reports = run_reports(command, corpus_file, tmp_path,
+                                 "--split-file", f"{tmp_path / 'gt.txt'},{tmp_path / 'test.txt'}")
+        for report in reports:
+            assert report["config"]["split"]["mode"] == "fixed_lists"
+            assert report["config"]["split"]["gt_count"] == 30
+
+    @pytest.mark.parametrize("command", sorted(RUNS))
+    def test_no_floor_output_equals_floor_zero(self, command, corpus_file, tmp_path):
+        no_floor, reports = run_reports(command, corpus_file, tmp_path, "--no-floor")
+        floor_zero, _ = run_reports(command, corpus_file, tmp_path, "--jaccard-floor", "0")
+        assert no_floor == floor_zero
+        assert all(r["config"]["jaccard_floor"] == 0.0 for r in reports)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("evaluate", "--alphabets", ","),
+            ("evaluate", "--jaccard-floor", "2"),
+            ("evaluate", "--jaccard-floor", "-0.1"),
+            ("evaluate", "--seed", "-1"),
+            ("evaluate", "--seed", str(1 << 64)),
+            ("grid-search", "--alphabet-grid", "B3/,", "--k-grid", "4", "--threshold-grid", "0.4"),
+            ("cross-dataset", "--alphabets", ","),
+        ],
+        ids=["no-alphabet", "floor-above-1", "floor-below-0", "seed-below-0", "seed-2**64",
+             "empty-grid-subset", "cross-no-alphabet"],
+    )
+    def test_bad_setting_is_input_error(self, argv, corpus_file):
+        command, *options = argv
+        assert run(command, *[corpus_file] * POSITIONALS.get(command, 1), *options) == 2
 
 
 class TestEvaluateCommand:
@@ -194,6 +313,50 @@ class TestIndexCommands:
 
     def test_index_build_requires_out(self, corpus_file):
         assert run("index-build", corpus_file) == 2
+
+    def test_index_build_checks_out_before_loading(self, corpus_file, monkeypatch):
+        def no_load(*args, **kwargs):
+            raise AssertionError("index-build loaded its data without --out")
+
+        monkeypatch.setattr("botdna.cli.load", no_load)
+        assert run("index-build", corpus_file) == 2
+
+    def test_index_build_rejects_negative_seed_before_sketching(self, corpus_file, tmp_path, monkeypatch):
+        sketched = []
+
+        def counting_minhash(*args, **kwargs):
+            sig = minhash(*args, **kwargs)
+            sketched.append(sig)
+            return sig
+
+        monkeypatch.setattr(pipeline, "minhash", counting_minhash)
+        index_path = tmp_path / "gt.idx"
+        assert run("index-build", corpus_file, "--seed", "-1", "--out", index_path) == 2
+        assert sketched == []
+        assert not index_path.exists()
+
+    def test_settings_reach_index_and_query(self, corpus_file, tmp_path):
+        index_path = tmp_path / "gt.idx"
+        assert run("index-build", corpus_file, "--alphabets", "B3,B9", "--k-shingle", "3",
+                   "--num-perm", "64", "--seed", "7", "--threshold", "0.3", "--max-tweets", "40",
+                   "--out", index_path) == 0
+        index = LshIndex.load(index_path)
+        assert (index.num_perm, index.seed, index.plan.threshold) == (64, 7, 0.3)
+        out = tmp_path / "preds.json"
+        assert run("index-query", index_path, corpus_file, "--alphabets", "B3,B9", "--k-shingle", "3",
+                   "--max-tweets", "20", "--jaccard-floor", "0.1", "--out", out) == 0
+        cfg = json.loads(out.read_text())["report"]["config"]
+        assert cfg["alphabets"] == ["B3", "B9"]
+        assert (cfg["k_shingle"], cfg["max_tweets"], cfg["jaccard_floor"]) == (3, 20, 0.1)
+        assert (cfg["num_perm"], cfg["seed"], cfg["threshold"]) == (64, 7, 0.3)
+
+    def test_query_no_floor_equals_floor_zero(self, corpus_file, tmp_path):
+        index_path = tmp_path / "gt.idx"
+        assert run("index-build", corpus_file, "--out", index_path) == 0
+        outs = [tmp_path / "no_floor.json", tmp_path / "zero.json"]
+        for out, floor in zip(outs, (["--no-floor"], ["--jaccard-floor", "0"])):
+            assert run("index-query", index_path, corpus_file, *floor, "--no-timings", "--out", out) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_query_against_garbage_index(self, corpus_file, tmp_path):
         bad = tmp_path / "bad.idx"

@@ -86,6 +86,15 @@ class TestMinHash:
         with pytest.raises(EmptySet):
             minhash(ShingleSet("u", 2, frozenset()), 64, 1)
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_outside_u64_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            minhash(shingle(seq("ACTACTTCA"), 2), 64, seed)
+
+    def test_largest_u64_seed_accepted(self):
+        s = shingle(seq("ACTACTTCA"), 2)
+        assert minhash(s, 64, (1 << 64) - 1).seed == (1 << 64) - 1
+
     def test_values_below_prime(self):
         s = shingle(seq("ACTACTTCA" * 3), 3)
         sig = minhash(s, 128, seed=3)

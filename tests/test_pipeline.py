@@ -89,6 +89,26 @@ def base_config(**overrides):
     return RunConfig(**defaults)
 
 
+class TestRunConfig:
+    @pytest.mark.parametrize("alphabets", [(), ("B7",), ("B3", "B3")])
+    def test_rejects_bad_alphabets(self, alphabets):
+        with pytest.raises(ValueError):
+            base_config(alphabets=alphabets)
+
+    @pytest.mark.parametrize("floor", [-0.1, 1.5, float("nan")])
+    def test_rejects_floor_outside_unit_interval(self, floor):
+        with pytest.raises(ValueError):
+            base_config(jaccard_floor=floor)
+
+    def test_replace_checks_again(self):
+        with pytest.raises(ValueError):
+            replace(base_config(), jaccard_floor=2.0)
+
+    @pytest.mark.parametrize("floor", [0.0, 1.0])
+    def test_accepts_closed_interval_ends(self, floor):
+        assert base_config(jaccard_floor=floor).effective_floor() == floor
+
+
 class TestCanonicalAlphabets:
     def test_reorders_to_canonical(self):
         assert canonical_alphabets(("B9", "B3")) == ("B3", "B9")
@@ -137,7 +157,7 @@ class TestEvaluate:
     def test_no_floor_keeps_weak_candidates(self):
         ds = separable_dataset()
         strict = evaluate(ds, base_config(threshold=0.9))
-        loose = evaluate(ds, base_config(threshold=0.9, no_floor=True))
+        loose = evaluate(ds, base_config(threshold=0.9, jaccard_floor=0.0))
         assert loose.config["jaccard_floor"] == 0.0
         assert strict.config["jaccard_floor"] == 0.9
 
@@ -396,4 +416,4 @@ class TestConfigEcho:
     def test_floor_policy_rendering(self):
         assert config_echo(base_config())["jaccard_floor"] == 0.4
         assert config_echo(base_config(jaccard_floor=0.25))["jaccard_floor"] == 0.25
-        assert config_echo(base_config(no_floor=True))["jaccard_floor"] == 0.0
+        assert config_echo(base_config(jaccard_floor=0.0))["jaccard_floor"] == 0.0
