@@ -235,7 +235,10 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
         by_id = ds.by_id()
         for uid in (*spec.gt_ids, *spec.test_ids):
             if uid not in by_id:
-                raise UnknownUser(uid)
+                raise UnknownUser(
+                    f"split user id {uid!r} is not among the dataset's users after the "
+                    "min-length filter: it is absent from the data or too short to shingle"
+                )
         overlap = set(spec.gt_ids) & set(spec.test_ids)
         if overlap:
             raise ValueError(f"ids in both splits: {sorted(overlap)[:5]}")

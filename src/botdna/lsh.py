@@ -12,7 +12,9 @@ matrix and one label array, a row per user in insertion order.  A query
 looks all its band digests up at once in a single sorted table of every
 stored digest (rebuilt by the first query after an insert), keeps the hits
 whose band matches, and counts equal signature positions for the
-candidates with one vectorised compare.
+candidates with one vectorised compare.  When the hits cover over a
+quarter of the table, the candidates come from one compare of the digest
+matrix instead.
 
 Index file layout (all integers little-endian)::
 
@@ -71,9 +73,29 @@ class BandingPlan:
 
 @lru_cache(maxsize=16)
 def _gauss_legendre(num_perm: int) -> tuple[np.ndarray, np.ndarray]:
-    # n nodes integrate polynomials up to degree 2n - 1 exactly; the
-    # collision curve for a plan over num_perm values has degree num_perm.
-    return np.polynomial.legendre.leggauss(num_perm // 2 + 1)
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    n nodes integrate polynomials up to degree 2n - 1 exactly; the
+    collision curve for a plan over num_perm values has degree num_perm.
+    The nodes are the roots of the Legendre polynomial P_n, found by
+    Newton's method on its three-term recurrence from the usual
+    ``cos(pi * (i - 1/4) / (n + 1/2))`` estimates.
+    """
+    n = num_perm // 2 + 1
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p_prev, p = np.ones_like(x), x
+        for k in range(2, n + 1):  # k P_k = (2k - 1) x P_(k-1) - (k - 1) P_(k-2)
+            p_next = x * p
+            p_next *= (2 * k - 1) / k
+            p_next -= p_prev * ((k - 1) / k)
+            p_prev, p = p, p_next
+        slope = n * (x * p - p_prev) / (x * x - 1)  # P_n'(x)
+        step = p / slope
+        x = x - step
+        if np.abs(step).max() <= 1e-15:
+            break
+    return x, 2 / ((1 - x * x) * slope * slope)
 
 
 def lsh_plan(threshold: float, num_perm: int) -> BandingPlan:
@@ -82,7 +104,10 @@ def lsh_plan(threshold: float, num_perm: int) -> BandingPlan:
     Minimizes the equal-weight false-positive area below the threshold plus
     false-negative area above it under the collision curve
     ``1 - (1 - s**rows)**bands``; ties resolve to fewer rows.  Both areas
-    are integrated exactly by Gauss-Legendre quadrature.
+    are integrated exactly by Gauss-Legendre quadrature, so errors within
+    a relative 1e-12 of each other count as ties: exact ties exist (a
+    prime num_perm at threshold 0.5 has two mirror-image plans), and the
+    rounding of the quadrature must not pick between them.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
@@ -91,18 +116,17 @@ def lsh_plan(threshold: float, num_perm: int) -> BandingPlan:
     nodes, weights = _gauss_legendre(num_perm)
     below = threshold / 2 * (nodes + 1)  # nodes mapped onto [0, threshold]
     above = threshold + (1 - threshold) / 2 * (nodes + 1)  # ... onto [threshold, 1]
-    best: tuple[float, int, int] | None = None
-    for bands in range(1, num_perm + 1):
+    best: tuple[float, int] | None = None
+    for bands in range(1, num_perm + 1):  # rows fall as bands rise
         if num_perm % bands:
             continue
         rows = num_perm // bands
         fp = threshold / 2 * np.dot(weights, 1.0 - (1.0 - below**rows) ** bands)
         fn = (1 - threshold) / 2 * np.dot(weights, (1.0 - above**rows) ** bands)
-        key = (fp + fn, rows)
-        if best is None or key < (best[0], best[2]):
-            best = (fp + fn, bands, rows)
+        if best is None or fp + fn <= best[0] * (1 + 1e-12):
+            best = (fp + fn, bands)
     assert best is not None
-    return BandingPlan(threshold, best[1], best[2])
+    return BandingPlan(threshold, best[1], num_perm // best[1])
 
 
 class Neighbor(NamedTuple):
@@ -138,6 +162,8 @@ class LshIndex:
             raise ValueError(
                 f"plan {plan.bands}x{plan.rows} does not factor num_perm={num_perm}"
             )
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
         self.plan = plan
         self.num_perm = num_perm
         self.seed = seed
@@ -224,12 +250,18 @@ class LshIndex:
         total = int(counts.sum())
         if total == 0:
             return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-        # Table positions of every hit, grouped by the query band it matched.
-        starts = lo - (np.cumsum(counts) - counts)
-        hits = np.arange(total) + np.repeat(starts, counts)
-        same_band = entry_bands[hits] == np.repeat(np.arange(self.plan.bands), counts)
-        is_candidate = np.zeros(n, dtype=bool)
-        is_candidate[owners[hits[same_band]]] = True
+        if 4 * total > n * self.plan.bands:
+            # Over a quarter of the table matched (a dense corpus): one
+            # band-aligned compare of the digest matrix is cheaper than
+            # expanding every hit.
+            is_candidate = (self._digests[:n] == query).any(axis=1)
+        else:
+            # Table positions of every hit, grouped by the query band it matched.
+            starts = lo - (np.cumsum(counts) - counts)
+            hits = np.arange(total) + np.repeat(starts, counts)
+            same_band = entry_bands[hits] == np.repeat(np.arange(self.plan.bands), counts)
+            is_candidate = np.zeros(n, dtype=bool)
+            is_candidate[owners[hits[same_band]]] = True
         values = self._values[:n]
         if is_candidate.all():
             ordinals = np.arange(n)
@@ -258,24 +290,29 @@ class LshIndex:
 
     def save(self, path) -> None:
         n = len(self)
+        # Everything but the signature values is packed before the file is
+        # opened, so a header or an id that cannot be written leaves no
+        # file behind.
+        header = _HEADER.pack(
+            INDEX_MAGIC,
+            INDEX_VERSION,
+            self.plan.threshold,
+            self.plan.bands,
+            self.plan.rows,
+            self.num_perm,
+            self.seed,
+            n,
+        )
+        raw_ids = [uid.encode("utf-8") for uid in self._user_ids]
+        prefixes = [
+            struct.pack("<HB", len(raw), bot) + raw
+            for raw, bot in zip(raw_ids, self._is_bot.tolist())
+        ]
         records = np.hstack([self._values[:n], self._digests[:n]]).astype("<u8")
         with open(path, "wb") as fh:
-            fh.write(
-                _HEADER.pack(
-                    INDEX_MAGIC,
-                    INDEX_VERSION,
-                    self.plan.threshold,
-                    self.plan.bands,
-                    self.plan.rows,
-                    self.num_perm,
-                    self.seed,
-                    n,
-                )
-            )
-            for uid, bot, record in zip(self._user_ids, self._is_bot.tolist(), records):
-                raw = uid.encode("utf-8")
-                fh.write(struct.pack("<HB", len(raw), bot))
-                fh.write(raw)
+            fh.write(header)
+            for prefix, record in zip(prefixes, records):
+                fh.write(prefix)
                 fh.write(record.tobytes())
 
     @classmethod

@@ -7,7 +7,8 @@ resulting set is compressed into ``num_perm`` minimum hash values.  Each
 deterministically from a counter-based PRNG keyed by ``seed``.  Two
 signatures built with the same ``(num_perm, seed)`` estimate the Jaccard
 similarity of the underlying shingle sets as the fraction of equal
-positions.
+positions.  A shingle's permuted values (its row) are kept in a bounded
+process-wide cache, so shingles shared across users are hashed once.
 
 Binary signature layout (all integers little-endian)::
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,6 +40,12 @@ from .errors import EmptySet, FormatError, IncompatibleSignatures, SequenceTooSh
 MERSENNE_61 = np.uint64((1 << 61) - 1)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _MASK29 = np.uint64((1 << 29) - 1)
+
+# The row cache's block size: 1024 rows at 128 permutations.  Shingles
+# shared across users (a small alphabet and k) are computed once per
+# process; a vocabulary far larger than the block (a sparse corpus) keeps
+# emptying it and gains nothing, so the bound keeps its memory small.
+ROW_CACHE_BYTES = 1 << 20
 
 SIGNATURE_MAGIC = b"BDSG"
 SIGNATURE_VERSION = 1
@@ -57,10 +65,41 @@ def rng_for(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def fold_m61(x: np.ndarray) -> np.ndarray:
-    """Reduce u64 values modulo 2**61 - 1."""
-    x = (x >> np.uint64(61)) + (x & MERSENNE_61)
-    return np.where(x >= MERSENNE_61, x - MERSENNE_61, x)
+def fold_m61(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Reduce u64 values modulo 2**61 - 1, into ``out`` when given."""
+    high = x >> np.uint64(61)
+    out = np.bitwise_and(x, MERSENNE_61, out=out)
+    out += high  # below 2 * (2**61 - 1) for any u64 input
+    # One conditional subtraction is exact below twice the prime: x - p
+    # wraps above x exactly when x < p.
+    return np.minimum(out, np.subtract(out, MERSENNE_61, out=high), out=out)
+
+
+def _mulmod_limbs(
+    a_hi: np.ndarray, a_lo: np.ndarray, x: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """A value below 2**63 congruent to ``a * x`` modulo 2**61 - 1.
+
+    ``a`` comes split into its 32-bit limbs; both operands are below 2**61.
+    The result is left unreduced so that a caller can add one more term
+    below 2**61 before its single ``fold_m61``.
+    """
+    x_hi = x >> np.uint64(32)
+    x_lo = x & _MASK32
+    out = np.multiply(a_hi, x_hi, out=out)  # < 2**58
+    out <<= np.uint64(3)  # 2**64 = 8 (mod p)
+    mid = a_hi * x_lo
+    tmp = np.multiply(a_lo, x_hi, out=np.empty_like(mid))
+    mid += tmp  # < 2**62
+    out += np.right_shift(mid, np.uint64(29), out=tmp)  # 2**61 = 1 (mod p)
+    mid &= _MASK29
+    mid <<= np.uint64(32)
+    out += mid
+    lo = np.multiply(a_lo, x_lo, out=mid)  # < 2**64
+    out += np.right_shift(lo, np.uint64(61), out=tmp)
+    lo &= MERSENNE_61
+    out += lo
+    return out
 
 
 def mulmod_m61(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -69,15 +108,8 @@ def mulmod_m61(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     Splits both operands into 32-bit limbs so every intermediate stays
     inside u64; 2**64 = 8 and 2**61 = 1 modulo the prime.
     """
-    a_hi = a >> np.uint64(32)
-    a_lo = a & _MASK32
-    x_hi = x >> np.uint64(32)
-    x_lo = x & _MASK32
-    hi = a_hi * x_hi  # < 2**58
-    mid = a_hi * x_lo + a_lo * x_hi  # < 2**62
-    lo = fold_m61(a_lo * x_lo)
-    mid = (mid >> np.uint64(29)) + ((mid & _MASK29) << np.uint64(32))
-    return fold_m61((hi << np.uint64(3)) + mid + lo)
+    out = _mulmod_limbs(a >> np.uint64(32), a & _MASK32, x)
+    return fold_m61(out, out=out)
 
 
 @lru_cache(maxsize=1 << 20)
@@ -86,12 +118,56 @@ def shingle_hash(shingle: str) -> int:
     return int.from_bytes(hashlib.blake2b(shingle.encode("utf-8"), digest_size=8).digest(), "little")
 
 
-@lru_cache(maxsize=64)
 def _hash_family(seed: int, num_perm: int) -> tuple[np.ndarray, np.ndarray]:
     rng = rng_for(seed, _TAG_HASH_FAMILY)
     a = rng.integers(1, int(MERSENNE_61), size=num_perm, dtype=np.uint64)
     b = rng.integers(0, int(MERSENNE_61), size=num_perm, dtype=np.uint64)
     return a, b
+
+
+class _RowCache:
+    """The permuted rows of recently sketched shingles under one hash family.
+
+    Row ``i`` of ``block`` holds ``(a*x + b) mod p`` over all ``num_perm``
+    permutations for the shingle whose slot is ``i``.  The block holds at
+    most ``ROW_CACHE_BYTES``; when a user's missing shingles do not fit,
+    every slot is dropped and filling starts again from row 0.
+    """
+
+    def __init__(self, seed: int, num_perm: int):
+        a, self.b = _hash_family(seed, num_perm)
+        self.family = (seed, num_perm)
+        self.a_hi, self.a_lo = a >> np.uint64(32), a & _MASK32
+        self.block = np.empty((ROW_CACHE_BYTES // (8 * num_perm), num_perm), dtype=np.uint64)
+        self.slots: dict[str, int] = {}
+
+    def permuted(self, members, out: np.ndarray | None = None) -> np.ndarray:
+        """One permuted row per shingle, computed (not looked up)."""
+        xs = np.fromiter(map(shingle_hash, members), dtype=np.uint64, count=len(members))
+        out = _mulmod_limbs(self.a_hi, self.a_lo, fold_m61(xs)[:, None], out=out)
+        out += self.b  # < 2**64
+        return fold_m61(out, out=out)
+
+    def rows(self, members: frozenset[str]) -> np.ndarray:
+        """The rows of a shingle set, as a new array."""
+        if len(members) > len(self.block):
+            return self.permuted(members)
+        slots = self.slots
+        ids = [slots.get(s, -1) for s in members]
+        if -1 in ids:
+            missing = [s for s in members if s not in slots]
+            if len(slots) + len(missing) > len(self.block):
+                slots.clear()
+                missing = list(members)
+            start = len(slots)
+            self.permuted(missing, out=self.block[start : start + len(missing)])
+            slots.update(zip(missing, range(start, start + len(missing))))
+            ids = [slots[s] for s in members]
+        return self.block[ids]
+
+
+_row_cache: _RowCache | None = None
+_row_cache_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -193,18 +269,22 @@ def shingle(seq: DnaSequence, k: int) -> ShingleSet:
 
 
 def minhash(shingles: ShingleSet, num_perm: int, seed: int) -> MinHashSignature:
-    """MinHash signature of a shingle set under the seeded hash family."""
+    """MinHash signature of a shingle set under the seeded hash family.
+
+    Each shingle's permuted row comes from a process-wide cache that keeps
+    the most recent ``(seed, num_perm)`` family; the values do not depend
+    on what the cache holds.
+    """
+    global _row_cache
     if num_perm < 1:
         raise ValueError(f"num_perm must be positive, got {num_perm}")
     if not shingles.shingles:
         raise EmptySet(f"user {shingles.user_id!r} has an empty shingle set")
-    a, b = _hash_family(seed, num_perm)
-    xs = np.fromiter(
-        (shingle_hash(s) for s in shingles.shingles), dtype=np.uint64, count=len(shingles.shingles)
-    )
-    xs = fold_m61(xs)
-    hashed = fold_m61(mulmod_m61(a[:, None], xs[None, :]) + b[:, None])
-    return MinHashSignature(shingles.user_id, num_perm, seed, hashed.min(axis=1))
+    with _row_cache_lock:
+        if _row_cache is None or _row_cache.family != (seed, num_perm):
+            _row_cache = _RowCache(seed, num_perm)
+        rows = _row_cache.rows(shingles.shingles)
+    return MinHashSignature(shingles.user_id, num_perm, seed, rows.min(axis=0))
 
 
 def check_compatible(a: MinHashSignature, b: MinHashSignature) -> None:

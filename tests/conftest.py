@@ -52,8 +52,10 @@ def draw_index_parts(data):
 
     ``data`` is hypothesis's ``st.data()``.  Any factorization of num_perm
     may be drawn, ``rows=1`` and ``bands=1`` included.  Signature values
-    come from an alphabet of one to four symbols, so band digests collide
-    often.  The queries are every signature to insert plus one more.
+    come from an alphabet of one to four symbols, and a signature may
+    repeat an earlier one's values, so band digests collide often and a
+    query can match most of the index.  The queries are every signature
+    to insert plus one more.
     """
     num_perm = data.draw(st.sampled_from([2, 4, 6, 8, 12]), label="num_perm")
     bands = data.draw(
@@ -64,10 +66,16 @@ def draw_index_parts(data):
     count = data.draw(st.integers(0, 12), label="count")
     index = LshIndex(BandingPlan(threshold, bands, num_perm // bands), num_perm, seed=5)
 
+    drawn = []
+
     def signature(user_id):
-        values = data.draw(
-            st.lists(st.integers(0, symbols - 1), min_size=num_perm, max_size=num_perm)
-        )
+        if drawn and data.draw(st.booleans(), label="repeat"):
+            values = data.draw(st.sampled_from(drawn), label="repeated values")
+        else:
+            values = data.draw(
+                st.lists(st.integers(0, symbols - 1), min_size=num_perm, max_size=num_perm)
+            )
+            drawn.append(values)
         return MinHashSignature(user_id, num_perm, 5, np.array(values, dtype=np.uint64))
 
     entries = [

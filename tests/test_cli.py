@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -203,6 +204,13 @@ class TestEvaluateCommand:
         assert doc["config"]["split"]["mode"] == "fixed_lists"
         assert doc["counts"]["test_users"] == 10
 
+    def test_evaluate_names_an_unknown_split_id(self, corpus_file, tmp_path, capsys):
+        (tmp_path / "gt.txt").write_text("bot00000\nhum00001\n")
+        (tmp_path / "test.txt").write_text("zz\n")
+        split_file = f"{tmp_path / 'gt.txt'},{tmp_path / 'test.txt'}"
+        assert run("evaluate", corpus_file, "--split-file", split_file) == 2
+        assert "'zz' is not among the dataset's users" in capsys.readouterr().err
+
     def test_bad_split_file_argument(self, corpus_file):
         assert run("evaluate", corpus_file, "--split-file", "only-one-path.txt") == 2
 
@@ -333,6 +341,15 @@ class TestIndexCommands:
         index_path = tmp_path / "gt.idx"
         assert run("index-build", corpus_file, "--seed", "-1", "--out", index_path) == 2
         assert sketched == []
+        assert not index_path.exists()
+
+    def test_index_build_rejects_negative_seed_without_labeled_users(self, tmp_path, capsys):
+        # No user is sketched, so the seed reaches only the index header.
+        users = [replace(user, label=None) for user in synthetic_corpus(4, 60, seed=5)]
+        corpus = corpus_to_jsonl(users, tmp_path / "unlabeled.jsonl")
+        index_path = tmp_path / "gt.idx"
+        assert run("index-build", corpus, "--seed", "-1", "--out", index_path) == 2
+        assert "seed" in capsys.readouterr().err
         assert not index_path.exists()
 
     def test_settings_reach_index_and_query(self, corpus_file, tmp_path):

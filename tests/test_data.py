@@ -261,8 +261,12 @@ class TestSplit:
     def test_fixed_lists_unknown_id(self):
         ds = corpus_dataset(n=4)
         spec = SplitSpec(mode="fixed_lists", gt_ids=("ghost",), test_ids=())
-        with pytest.raises(UnknownUser):
+        with pytest.raises(UnknownUser) as err:
             split(ds, spec)
+        message = str(err.value)
+        assert "'ghost'" in message
+        assert "not among the dataset's users after the min-length filter" in message
+        assert "absent" in message and "too short" in message
 
     def test_fixed_lists_overlap_rejected(self):
         ds = corpus_dataset(n=4)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from botdna.errors import DuplicateUser, FormatError, IncompatibleSignatures
-from botdna.lsh import BandingPlan, LshIndex, Neighbor, lsh_plan
+from botdna.lsh import BandingPlan, LshIndex, Neighbor, _gauss_legendre, lsh_plan
 from botdna.minhash import MinHashSignature, minhash
 
 from conftest import draw_index_parts, exact_jaccard, make_set_pair
@@ -74,6 +74,27 @@ class TestLshPlan:
         # Frozen from the brute-force oracle above.
         plan = lsh_plan(0.4, 128)
         assert (plan.bands, plan.rows) == (32, 4)
+
+    @pytest.mark.parametrize("num_perm", [19, 41, 47, 151])
+    def test_mirror_image_plans_tie_to_fewer_rows(self, num_perm):
+        # A prime num_perm has only the plans 1 x num_perm and num_perm x 1;
+        # at threshold 0.5 their curves mirror each other (s -> 1 - s), so
+        # their errors are equal and the tie rule picks one row per band.
+        assert lsh_plan(0.5, num_perm) == BandingPlan(0.5, num_perm, 1)
+
+    @pytest.mark.parametrize("num_perm", [2, 3, 16, 128, 512])
+    def test_gauss_legendre_rule(self, num_perm):
+        nodes, weights = _gauss_legendre(num_perm)
+        n = num_perm // 2 + 1
+        assert np.all(np.diff(nodes) > 0)
+        # Exact for every monomial up to degree 2n - 1 ...
+        for degree in range(2 * n):
+            exact = 2 / (degree + 1) if degree % 2 == 0 else 0.0
+            assert np.dot(weights, nodes**degree) == pytest.approx(exact, abs=1e-13)
+        # ... and the same rule as numpy's eigenvalue-based one.
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-13)
 
     def test_prime_num_perm_never_fails(self):
         plan = lsh_plan(0.5, 127)
@@ -205,11 +226,16 @@ class TestQuery:
             }
             assert got == expected
 
-    def test_equal_digests_in_different_bands_are_not_candidates(self):
-        # With rows=1, band b of values v digests to c[b]*v[b] mod p + o[b];
-        # read c and o back through band_digests and solve for a value
-        # whose band-b2 digest equals the all-zero signature's band-b1 one.
-        num_perm, prime = 16, (1 << 61) - 1
+    @staticmethod
+    def cross_band_collision(num_perm):
+        """An index holding the all-zero signature, and a probe whose digest
+        in one band equals the stored digest of another band.
+
+        With rows=1, band b of values v digests to c[b]*v[b] mod p + o[b];
+        read c and o back through band_digests and solve for a value whose
+        band-b2 digest equals the all-zero signature's band-b1 one.
+        """
+        prime = (1 << 61) - 1
         index = LshIndex(BandingPlan(0.01, num_perm, 1), num_perm, seed=3)
         offsets = index.band_digests(np.zeros(num_perm, dtype=np.uint64))
         coeffs = index.band_digests(np.ones(num_perm, dtype=np.uint64)) - offsets
@@ -225,32 +251,57 @@ class TestQuery:
         probe = MinHashSignature("probe", num_perm, 3, values)
         assert index.band_digests(values)[b2] == offsets[b1]
         index.insert(MinHashSignature("zeros", num_perm, 3, np.zeros(num_perm, dtype=np.uint64)), "bot")
+        return index, probe
+
+    def test_equal_digests_in_different_bands_are_not_candidates(self):
+        # One hit among 16 table entries: the hit expansion.
+        index, probe = self.cross_band_collision(16)
         assert index.query(probe) == []
 
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_candidates_and_jaccard_match_brute_force(self, data):
+    def test_dense_scan_ignores_equal_digests_in_different_bands(self):
+        # One hit among 3 table entries, over a quarter: the dense scan.
+        index, probe = self.cross_band_collision(3)
+        assert index.query(probe) == []
+
+    def test_candidates_and_jaccard_match_brute_force(self):
         # Candidates are exactly the users sharing a digest in some band,
         # in insertion order, each with the share of equal positions.
         # Querying between the two insert stages checks the lazy re-sort.
-        index, entries, probes = draw_index_parts(data)
-        split = data.draw(st.integers(0, len(entries)), label="split")
-        for stage in (entries[:split], entries[split:]):
-            for sig, label in stage:
-                index.insert(sig, label)
-            inserted = entries[: len(index)]
-            for probe in probes:
-                want = index.band_digests(probe.values)
-                expected = [
-                    Neighbor(
-                        sig.user_id,
-                        label,
-                        np.count_nonzero(sig.values == probe.values) / index.num_perm,
-                    )
-                    for sig, label in inserted
-                    if np.any(index.band_digests(sig.values) == want)
-                ]
-                assert index.query(probe) == expected
+        # A query whose digests hit more than a quarter of the lookup
+        # table takes the dense scan, any other the hit expansion; the
+        # drawn indexes must reach both.
+        scans = set()
+
+        @given(st.data())
+        @settings(max_examples=200, deadline=None)
+        def check(data):
+            index, entries, probes = draw_index_parts(data)
+            split = data.draw(st.integers(0, len(entries)), label="split")
+            for stage in (entries[:split], entries[split:]):
+                for sig, label in stage:
+                    index.insert(sig, label)
+                inserted = entries[: len(index)]
+                table = np.array(
+                    [index.band_digests(sig.values) for sig, _ in inserted], dtype=np.uint64
+                ).ravel()
+                for probe in probes:
+                    want = index.band_digests(probe.values)
+                    hits = sum(int(np.count_nonzero(table == d)) for d in want)
+                    if hits:
+                        scans.add("dense" if 4 * hits > table.size else "expand")
+                    expected = [
+                        Neighbor(
+                            sig.user_id,
+                            label,
+                            np.count_nonzero(sig.values == probe.values) / index.num_perm,
+                        )
+                        for sig, label in inserted
+                        if np.any(index.band_digests(sig.values) == want)
+                    ]
+                    assert index.query(probe) == expected
+
+        check()
+        assert scans == {"dense", "expand"}
 
     def test_neighbor_jaccard_matches_estimate(self):
         index = fresh_index()
@@ -265,6 +316,29 @@ class TestQuery:
 
 
 class TestPersistence:
+    def test_seed_outside_u64_rejected(self):
+        for seed in (-1, 1 << 64):
+            with pytest.raises(ValueError, match="seed"):
+                LshIndex(BandingPlan(0.5, 4, 2), 8, seed)
+
+    def test_failed_save_leaves_no_file(self, tmp_path):
+        index = fresh_index()
+        index.seed = -1  # cannot be packed as u64
+        path = tmp_path / "bad.idx"
+        with pytest.raises(struct.error):
+            index.save(path)
+        assert not path.exists()
+
+    def test_save_of_unstorable_id_leaves_no_file(self, tmp_path):
+        index = fresh_index(num_perm=8)
+        values = np.arange(8, dtype=np.uint64)
+        index.insert(MinHashSignature("short", 8, 1, values), "bot")
+        index.insert(MinHashSignature("x" * 70_000, 8, 1, values), "bot")  # id length is a u16
+        path = tmp_path / "bad.idx"
+        with pytest.raises(struct.error):
+            index.save(path)
+        assert not path.exists()
+
     def test_round_trip_queries_identical(self, tmp_path):
         index = fresh_index(threshold=0.3, num_perm=64, seed=9)
         rng = np.random.Generator(np.random.Philox(key=14))

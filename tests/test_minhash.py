@@ -1,23 +1,41 @@
+import hashlib
+import importlib
+import sys
+import threading
+from functools import lru_cache
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from botdna.encoding import DnaSequence
+from botdna.encoding import DnaSequence, encode_user
 from botdna.errors import EmptySet, FormatError, IncompatibleSignatures, SequenceTooShort
 from botdna.minhash import (
     MERSENNE_61,
+    ROW_CACHE_BYTES,
     MinHashSignature,
     ShingleSet,
     estimate_jaccard,
     fold_m61,
     minhash,
     mulmod_m61,
+    _hash_family,
     shingle,
     shingle_hash,
 )
 
-from conftest import exact_jaccard, make_set_pair
+from conftest import (
+    BOT_KIND_CYCLES,
+    HUMAN_KIND_CYCLES,
+    exact_jaccard,
+    make_set_pair,
+    synthetic_corpus,
+)
+
+# The module itself: the package re-exports ``minhash`` the function under
+# the same name.
+minhash_module = importlib.import_module("botdna.minhash")
 
 M61 = int(MERSENNE_61)
 
@@ -221,3 +239,168 @@ class TestSerialization:
         # Frozen value: guards the on-disk format against accidental
         # changes to the base hash function.
         assert shingle_hash("AC") == 15533233518106170712
+
+
+# SHA-256 over the binary signatures of a fixed corpus, one per
+# (alphabets, k, num_perm, seed), recorded before the row cache existed.
+# At 2048 permutations the block holds 64 rows, fewer than the 81 B3
+# 4-shingles, so it fills and empties; at 16384 it holds 8, fewer than any
+# user's shingles, so every set bypasses it.
+GOLDEN_SIGNATURES = {
+    (("B3",), 4, 128, 1): "64e364e4aae07715584f9ef2c3175484cfc28ce9d3f73a64cea30e4df2e4102e",
+    (("B3", "B5", "B9"), 6, 64, 7): "a7067073e9cae3a8dbdae0119b0c6e4c74cbb075bfcd5ba26dafc87e50e65316",
+    (("B3",), 4, 2048, 2): "6a401fb21623baaecc216cfe2aac201f1308d688a4213ecfa4d4353c3a7780c3",
+    (("B3", "B9"), 3, 16384, 3): "54c71390c431d127cbf5dc66695eabd7316f7f28ef1ca26e73e43e236bf1ac63",
+}
+
+
+@pytest.mark.parametrize("setting", sorted(GOLDEN_SIGNATURES))
+def test_golden_signatures(setting):
+    alphabets, k, num_perm, seed = setting
+    users = synthetic_corpus(
+        40, 120, seed=5, noise=0.3, bot_cycles=BOT_KIND_CYCLES, human_cycles=HUMAN_KIND_CYCLES
+    )
+    digest = hashlib.sha256()
+    for user in users:
+        sig = minhash(shingle(encode_user(user, alphabets), k), num_perm, seed)
+        digest.update(sig.to_bytes())
+    assert digest.hexdigest() == GOLDEN_SIGNATURES[setting]
+
+
+@lru_cache(maxsize=None)
+def oracle_row(seed, num_perm, member):
+    """Plain-Python permuted values of one shingle."""
+    a, b = _hash_family(seed, num_perm)
+    x = shingle_hash(member)
+    return [(ai * (x % M61) + bi) % M61 for ai, bi in zip(a.tolist(), b.tolist())]
+
+
+def oracle_minhash(members, num_perm, seed):
+    rows = [oracle_row(seed, num_perm, m) for m in members]
+    return [min(column) for column in zip(*rows)]
+
+
+def capacity(num_perm):
+    return ROW_CACHE_BYTES // (8 * num_perm)
+
+
+# Blocks of 64, 64 and 32 rows: small enough that sets drawn from a
+# 100-shingle universe fill them and overflow them.
+CACHE_FAMILIES = [(2048, 5), (2048, 6), (4096, 5)]
+UNIVERSE = [f"s{i:03d}" for i in range(100)]
+
+
+class TestRowCache:
+    def test_block_is_at_most_one_mebibyte(self):
+        assert ROW_CACHE_BYTES == 1 << 20
+        for num_perm in (1, 64, 128, 1000, 200_000):
+            minhash(ShingleSet("u", 2, frozenset({"AC"})), num_perm, 1)
+            block = minhash_module._row_cache.block
+            assert block.shape == (capacity(num_perm), num_perm)
+            assert block.nbytes <= ROW_CACHE_BYTES
+        assert capacity(128) == 1024
+
+    def test_call_sequence_matches_plain_python_oracle(self):
+        # A model of the cache's rules says what each call should do to
+        # it; the cache's slots must follow the model, every signature must
+        # equal the oracle's, and the run must see every kind of call.
+        seen = set()
+
+        @given(
+            pool=st.lists(
+                st.frozensets(st.sampled_from(UNIVERSE), min_size=1, max_size=80),
+                min_size=1,
+                max_size=4,
+            ),
+            calls=st.lists(
+                st.tuples(st.sampled_from(CACHE_FAMILIES), st.integers(0, 3)),
+                min_size=1,
+                max_size=8,
+            ),
+        )
+        @example(
+            pool=[frozenset(UNIVERSE[:30]), frozenset(UNIVERSE[30:70]), frozenset(UNIVERSE[:70])],
+            calls=[
+                (CACHE_FAMILIES[0], 0),  # miss
+                (CACHE_FAMILIES[0], 0),  # hit
+                (CACHE_FAMILIES[0], 1),  # 30 + 40 rows > 64: reset
+                (CACHE_FAMILIES[0], 2),  # 70 rows > 64: bypass
+                (CACHE_FAMILIES[1], 0),  # new seed
+                (CACHE_FAMILIES[2], 0),  # new num_perm
+                (CACHE_FAMILIES[0], 1),
+            ],
+        )
+        @settings(max_examples=40, deadline=None)
+        def check(pool, calls):
+            # A family used nowhere else replaces whatever the cache held.
+            minhash(ShingleSet("reset", 1, frozenset({"x"})), 8, 99)
+            family, slots = None, set()
+            for (num_perm, seed), i in calls:
+                members = pool[i % len(pool)]
+                if (num_perm, seed) != family:
+                    if family is not None:
+                        seen.add("new family")
+                    family, slots = (num_perm, seed), set()
+                if len(members) > capacity(num_perm):
+                    seen.add("bypass")
+                elif members <= slots:
+                    seen.add("hit")
+                elif len(slots | members) > capacity(num_perm):
+                    seen.add("reset")
+                    slots = set(members)
+                else:
+                    seen.add("miss")
+                    slots |= members
+                sig = minhash(ShingleSet("u", 4, members), num_perm, seed)
+                assert sig.values.tolist() == oracle_minhash(members, num_perm, seed)
+                cache = minhash_module._row_cache
+                assert cache.family == (seed, num_perm)
+                assert set(cache.slots) == slots
+
+        check()
+        assert seen == {"miss", "hit", "reset", "bypass", "new family"}
+
+    @pytest.mark.parametrize("size", [3, 2000])  # cached, and larger than the block
+    def test_signature_never_shares_memory_with_cache(self, size):
+        members = frozenset(f"m{i}" for i in range(size))
+        sig = minhash(ShingleSet("u", 3, members), 128, 1)
+        assert not np.shares_memory(sig.values, minhash_module._row_cache.block)
+        expected = sig.values.copy()
+        sig.values[:] = 0
+        assert np.array_equal(minhash(ShingleSet("u", 3, members), 128, 1).values, expected)
+
+    def test_threads_share_the_cache_safely(self):
+        # Four threads over two families whose 16-row blocks fill and empty
+        # every few calls: a call that gathered rows another thread had
+        # just replaced would return a different signature.
+        families = [(8192, 1), (8192, 2)]
+        sets = [frozenset(UNIVERSE[i : i + 7]) for i in range(0, 90, 6)]
+        expected = {
+            (family, members): minhash(ShingleSet("u", 4, members), *family).values
+            for family in families
+            for members in sets
+        }
+        keys = list(expected)
+        wrong, done = [], []
+
+        def work(offset):
+            for i in range(150):
+                family, members = keys[(offset + 7 * i) % len(keys)]
+                sig = minhash(ShingleSet("u", 4, members), *family)
+                if not np.array_equal(sig.values, expected[family, members]):
+                    wrong.append((family, members))
+            done.append(offset)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(done) == [0, 1, 2, 3]
+        assert wrong == []
