@@ -61,6 +61,15 @@ INDEX_VERSION = 1
 
 _HEADER = struct.Struct("<4sBdIIIQQ")
 
+# Share of the digest table a query must hit before its candidates are
+# marked by one compare of the whole users x bands digest matrix instead of
+# by expanding each hit.  The compare costs about the same at any share,
+# while the expansion grows with the hits.  On a 2-vCPU VM they cost the
+# same at a share of ~0.2 with 1k users and ~0.25-0.27 with 10k and 100k.  Far below
+# it the expansion wins (100k users, one hit: ~65 us against 7-10 ms per
+# query), far above it the compare (every entry hit: 5-6 ms against ~54 ms).
+_DENSE_SCAN_SHARE = 0.25
+
 
 @dataclass(frozen=True)
 class BandingPlan:
@@ -79,11 +88,15 @@ def _gauss_legendre(num_perm: int) -> tuple[np.ndarray, np.ndarray]:
     collision curve for a plan over num_perm values has degree num_perm.
     The nodes are the roots of the Legendre polynomial P_n, found by
     Newton's method on its three-term recurrence from the usual
-    ``cos(pi * (i - 1/4) / (n + 1/2))`` estimates.
+    ``cos(pi * (i - 1/4) / (n + 1/2))`` estimates.  From these, Newton's
+    quadratic convergence reaches a step below 1e-15 within 5 iterations
+    (checked at every num_perm up to 1024 and at 2048, 4096 and 8192; the
+    step then stays at rounding, ~6e-17), so 8 leave room, and a rule that
+    has not converged by then raises rather than returning rough nodes.
     """
     n = num_perm // 2 + 1
     x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
-    for _ in range(100):
+    for _ in range(8):
         p_prev, p = np.ones_like(x), x
         for k in range(2, n + 1):  # k P_k = (2k - 1) x P_(k-1) - (k - 1) P_(k-2)
             p_next = x * p
@@ -94,8 +107,8 @@ def _gauss_legendre(num_perm: int) -> tuple[np.ndarray, np.ndarray]:
         step = p / slope
         x = x - step
         if np.abs(step).max() <= 1e-15:
-            break
-    return x, 2 / ((1 - x * x) * slope * slope)
+            return x, 2 / ((1 - x * x) * slope * slope)
+    raise ArithmeticError(f"Gauss-Legendre nodes for n={n} did not converge")
 
 
 def lsh_plan(threshold: float, num_perm: int) -> BandingPlan:
@@ -250,10 +263,9 @@ class LshIndex:
         total = int(counts.sum())
         if total == 0:
             return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-        if 4 * total > n * self.plan.bands:
-            # Over a quarter of the table matched (a dense corpus): one
-            # band-aligned compare of the digest matrix is cheaper than
-            # expanding every hit.
+        if total > _DENSE_SCAN_SHARE * n * self.plan.bands:
+            # A dense corpus: one band-aligned compare of the digest matrix
+            # is cheaper than expanding every hit.
             is_candidate = (self._digests[:n] == query).any(axis=1)
         else:
             # Table positions of every hit, grouped by the query band it matched.

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from botdna.errors import DuplicateUser, FormatError, IncompatibleSignatures
-from botdna.lsh import BandingPlan, LshIndex, Neighbor, _gauss_legendre, lsh_plan
+from botdna.lsh import (
+    _DENSE_SCAN_SHARE,
+    BandingPlan,
+    LshIndex,
+    Neighbor,
+    _gauss_legendre,
+    lsh_plan,
+)
 from botdna.minhash import MinHashSignature, minhash
 
 from conftest import draw_index_parts, exact_jaccard, make_set_pair
@@ -75,15 +82,26 @@ class TestLshPlan:
         plan = lsh_plan(0.4, 128)
         assert (plan.bands, plan.rows) == (32, 4)
 
-    @pytest.mark.parametrize("num_perm", [19, 41, 47, 151])
+    @pytest.mark.parametrize("num_perm", [2, 19, 41, 47, 151])
     def test_mirror_image_plans_tie_to_fewer_rows(self, num_perm):
         # A prime num_perm has only the plans 1 x num_perm and num_perm x 1;
         # at threshold 0.5 their curves mirror each other (s -> 1 - s), so
-        # their errors are equal and the tie rule picks one row per band.
+        # their errors agree to rounding, which falls either way, and the
+        # tie rule picks one row per band.
+        nodes, weights = _gauss_legendre(num_perm)
+        below, above = (nodes + 1) / 4, (nodes + 3) / 4
+
+        def error(bands, rows):
+            fp = np.dot(weights, 1.0 - (1.0 - below**rows) ** bands)
+            fn = np.dot(weights, (1.0 - above**rows) ** bands)
+            return (fp + fn) / 4
+
+        assert error(1, num_perm) == pytest.approx(error(num_perm, 1), rel=1e-14)
         assert lsh_plan(0.5, num_perm) == BandingPlan(0.5, num_perm, 1)
 
-    @pytest.mark.parametrize("num_perm", [2, 3, 16, 128, 512])
+    @pytest.mark.parametrize("num_perm", [2, 3, 16, 128, 512, 4096])
     def test_gauss_legendre_rule(self, num_perm):
+        # 4096 checks that the Newton iteration converges well inside its cap.
         nodes, weights = _gauss_legendre(num_perm)
         n = num_perm // 2 + 1
         assert np.all(np.diff(nodes) > 0)
@@ -91,6 +109,8 @@ class TestLshPlan:
         for degree in range(2 * n):
             exact = 2 / (degree + 1) if degree % 2 == 0 else 0.0
             assert np.dot(weights, nodes**degree) == pytest.approx(exact, abs=1e-13)
+        if num_perm > 512:
+            return  # numpy's eigenvalue solve grows as n**3
         # ... and the same rule as numpy's eigenvalue-based one.
         ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
         np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=1e-15)
@@ -288,7 +308,7 @@ class TestQuery:
                     want = index.band_digests(probe.values)
                     hits = sum(int(np.count_nonzero(table == d)) for d in want)
                     if hits:
-                        scans.add("dense" if 4 * hits > table.size else "expand")
+                        scans.add("dense" if hits > _DENSE_SCAN_SHARE * table.size else "expand")
                     expected = [
                         Neighbor(
                             sig.user_id,
