@@ -6,7 +6,7 @@ and classify unknown users by majority vote over approximate nearest
 neighbors.
 """
 
-from .classify import EvaluationReport, NeighborSet, Prediction, classify, score, vote
+from .classify import EvaluationReport, NeighborSet, Prediction, classify, classify_many, score, vote
 from .data import Dataset, SplitSpec, cap_tweets, filter_min_length, load, read_id_list, split
 from .encoding import (
     ALPHABETS,
@@ -82,6 +82,7 @@ __all__ = [
     "build_index",
     "cap_tweets",
     "classify",
+    "classify_many",
     "cross_dataset",
     "early_detection",
     "encode_b3",

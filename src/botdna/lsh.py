@@ -8,13 +8,18 @@ probability ``1 - (1 - s**rows)**bands`` for true similarity ``s``.
 similarity threshold.
 
 In memory the index is columnar: one signature matrix, one band-digest
-matrix and one label array, a row per user in insertion order.  A query
-looks all its band digests up at once in a single sorted table of every
-stored digest (rebuilt by the first query after an insert), keeps the hits
-whose band matches, and counts equal signature positions for the
-candidates with one vectorised compare.  When the hits cover over a
-quarter of the table, the candidates come from one compare of the digest
-matrix instead.
+matrix and one label array, a row per user in insertion order.
+``band_digests`` digests one signature or a whole block of them in one
+vectorised call, so ``insert_many`` stores a block with one digest call
+and slice writes; ``insert`` is its one-row case.  A query looks all its
+band digests up at once in a single sorted table of every stored digest
+(rebuilt by the first query after an insert), keeps the hits whose band
+matches, and counts equal signature positions for the candidates with one
+vectorised compare.  The table keeps, beside each sorted digest, only its
+flat position ``ordinal * bands + band`` (int32 while the table has
+fewer than 2**31 entries), and splits the positions of the hits alone
+back into ordinal and band.  When the hits cover over a quarter of the
+table, the candidates come from one compare of the digest matrix instead.
 
 Index file layout (all integers little-endian)::
 
@@ -34,12 +39,15 @@ Index file layout (all integers little-endian)::
 This is the only file layout (version 1); the columnar memory layout does
 not change it.  Loading restores the stored users in order, so a
 round-tripped index reproduces the original's query results exactly, and
-a user id stored twice is rejected as a format error.
+a user id stored twice is rejected as a format error.  The u16 id length
+caps an id at 65,535 UTF-8 bytes, so inserting a longer one raises
+``ValueError``.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -51,8 +59,8 @@ from .errors import DuplicateUser, FormatError, IncompatibleSignatures
 from .minhash import (
     _TAG_BAND_DIGEST,
     MinHashSignature,
+    _mulmod_limbs,
     fold_m61,
-    mulmod_m61,
     rng_for,
 )
 
@@ -60,6 +68,7 @@ INDEX_MAGIC = b"BDIX"
 INDEX_VERSION = 1
 
 _HEADER = struct.Struct("<4sBdIIIQQ")
+MAX_ID_BYTES = 0xFFFF  # the file stores an id's length as a u16
 
 # Share of the digest table a query must hit before its candidates are
 # marked by one compare of the whole users x bands digest matrix instead of
@@ -149,12 +158,18 @@ class Neighbor(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _digest_params(seed: int, bands: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+def _digest_params(seed: int, bands: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """High and low 32-bit limbs of the digest coefficients, and the offsets.
+
+    The limbs are ``(1, bands, rows)`` and the offsets ``(1, bands)``: with
+    a leading axis of one, a one-row block skips broadcasting, which costs
+    numpy about a microsecond per operation.
+    """
     rng = rng_for(seed, _TAG_BAND_DIGEST)
     prime = (1 << 61) - 1
-    coeffs = rng.integers(1, prime, size=(bands, rows), dtype=np.uint64)
-    offsets = rng.integers(0, 1 << 64, size=bands, dtype=np.uint64)
-    return coeffs, offsets
+    coeffs = rng.integers(1, prime, size=(1, bands, rows), dtype=np.uint64)
+    offsets = rng.integers(0, 1 << 64, size=(1, bands), dtype=np.uint64)
+    return coeffs >> np.uint64(32), coeffs & np.uint64(0xFFFFFFFF), offsets
 
 
 class LshIndex:
@@ -165,9 +180,10 @@ class LshIndex:
     matrix, an ``N x bands`` u64 band-digest matrix and a bot-label array,
     beside the list of user ids.  The columns grow by doubling their
     capacity.  Lookups use one flat table of all ``N * bands`` digests,
-    sorted, with each entry's owner ordinal and band.  The table is built
-    by the first query after an insert, so a query following inserts pays
-    one re-sort; inserts and queries may otherwise be mixed freely.
+    sorted, with each entry's flat position in the digest matrix.  The
+    table is built by the first query after an insert, so a query
+    following inserts pays one re-sort; inserts and queries may otherwise
+    be mixed freely.
     """
 
     def __init__(self, plan: BandingPlan, num_perm: int, seed: int):
@@ -185,9 +201,9 @@ class LshIndex:
         self._values = np.empty((0, num_perm), dtype=np.uint64)
         self._digests = np.empty((0, plan.bands), dtype=np.uint64)
         self._is_bot = np.empty(0, dtype=bool)
-        # (sorted digests, owner ordinal, band) for the first len(self)
-        # rows; None when an insert has happened since it was built.
-        self._table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # (sorted digests, flat position) for the first len(self) rows;
+        # None when an insert has happened since it was built.
+        self._table: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self._user_ids)
@@ -201,11 +217,19 @@ class LshIndex:
         return dict(zip(self._user_ids, names))
 
     def band_digests(self, values: np.ndarray) -> np.ndarray:
-        """One 64-bit digest per band of a signature's value vector."""
-        coeffs, offsets = _digest_params(self.seed, self.plan.bands, self.plan.rows)
-        grid = fold_m61(values.reshape(self.plan.bands, self.plan.rows))
-        terms = mulmod_m61(coeffs, grid)
-        return terms.sum(axis=1, dtype=np.uint64) + offsets  # u64 wraparound intended
+        """One 64-bit digest per band of a signature's value vector.
+
+        ``values`` is one signature's ``num_perm`` values, giving ``bands``
+        digests, or an ``(n, num_perm)`` matrix of them, giving an
+        ``(n, bands)`` matrix whose row ``i`` digests row ``i``.
+        """
+        bands, rows = self.plan.bands, self.plan.rows
+        a_hi, a_lo, offsets = _digest_params(self.seed, bands, rows)
+        grid = fold_m61(values.reshape(-1, bands, rows))
+        terms = fold_m61(_mulmod_limbs(a_hi, a_lo, grid, out=grid))
+        digests = terms.sum(axis=-1, dtype=np.uint64)
+        digests += offsets  # u64 wraparound intended
+        return digests.reshape(values.shape[:-1] + (bands,))
 
     def _check_compatible(self, sig: MinHashSignature) -> None:
         if sig.num_perm != self.num_perm or sig.seed != self.seed:
@@ -223,47 +247,91 @@ class LshIndex:
             setattr(self, name, new)
 
     def insert(self, sig: MinHashSignature, label: str) -> None:
-        if label not in (HUMAN, BOT):
-            raise ValueError(f"label must be {HUMAN!r} or {BOT!r}, got {label!r}")
-        self._check_compatible(sig)
-        if sig.user_id in self._ordinals:
-            raise DuplicateUser(sig.user_id)
-        digests = self.band_digests(sig.values)
-        ordinal = len(self)
-        if ordinal == len(self._is_bot):
-            self._resize(max(16, 2 * ordinal))
-        self._values[ordinal] = sig.values
-        self._digests[ordinal] = digests
-        self._is_bot[ordinal] = label == BOT
-        self._user_ids.append(sig.user_id)
-        self._ordinals[sig.user_id] = ordinal
+        """Store one labeled signature: ``insert_many`` of one row."""
+        self._append([sig], [label])
+
+    def insert_many(self, sigs: Iterable[MinHashSignature], labels: Iterable[str]) -> None:
+        """Store a block of labeled signatures, in order, with one digest call.
+
+        The whole block is checked first (labels, compatibility, ids too
+        long to store, duplicates against the index and within the block),
+        so a bad block raises and leaves the index unchanged.  The result
+        equals inserting the signatures one at a time.
+        """
+        self._append(list(sigs), list(labels))
+
+    def _append(self, sigs: list[MinHashSignature], labels: list[str]) -> None:
+        if len(sigs) != len(labels):
+            raise ValueError(f"{len(sigs)} signatures but {len(labels)} labels")
+        for label in labels:
+            if label not in (HUMAN, BOT):
+                raise ValueError(f"label must be {HUMAN!r} or {BOT!r}, got {label!r}")
+        ids: dict[str, None] = {}  # the block's ids, in order
+        for sig in sigs:
+            self._check_compatible(sig)
+            uid = sig.user_id
+            if uid in self._ordinals or uid in ids:
+                raise DuplicateUser(uid)
+            size = len(uid.encode("utf-8"))
+            if size > MAX_ID_BYTES:
+                raise ValueError(
+                    f"user id of {size} UTF-8 bytes is longer than the index's "
+                    f"limit of {MAX_ID_BYTES}"
+                )
+            ids[uid] = None
+        if not ids:
+            return
+        # Rows past len(self) are free capacity, so nothing below shows
+        # until the ids are committed.
+        n, end = len(self), len(self) + len(sigs)
+        if end > len(self._is_bot):
+            self._resize(max(16, 2 * len(self._is_bot), end))
+        values = self._values[n:end]
+        values[:] = [sig.values for sig in sigs]
+        self._digests[n:end] = self.band_digests(values)
+        self._is_bot[n:end] = [label == BOT for label in labels]
+        self._ordinals.update(zip(ids, range(n, end)))
+        self._user_ids += ids
         self._table = None
 
-    def _lookup_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _lookup_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every stored digest, sorted, and its flat position in the digest matrix.
+
+        A position is ``ordinal * bands + band``; int32 holds it unless the
+        table has 2**31 entries or more.
+        """
         if self._table is None:
             flat = self._digests[: len(self)].ravel()
             order = np.argsort(flat)
-            owners, bands = np.divmod(order, self.plan.bands)
-            self._table = flat[order], owners, bands
+            if flat.size < 1 << 31:
+                order = order.astype(np.int32)
+            self._table = flat[order], order
         return self._table
 
-    def _candidates(self, sig: MinHashSignature) -> tuple[np.ndarray, np.ndarray]:
+    def _query_digests(self, sigs: list[MinHashSignature]) -> np.ndarray:
+        """The ``(len(sigs), bands)`` digests of compatible query signatures."""
+        for sig in sigs:
+            self._check_compatible(sig)
+        values = np.empty((len(sigs), self.num_perm), dtype=np.uint64)
+        values[:] = [sig.values for sig in sigs]
+        return self.band_digests(values)
+
+    def _candidates(self, values: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Candidate ordinals (ascending) and their equal-position counts.
 
-        A user is a candidate when its digest equals the query's in at
-        least one band; the same digest value in two different bands does
-        not count.
+        ``values`` is a compatible query signature's values and ``query``
+        its band digests.  A user is a candidate when its digest equals the
+        query's in at least one band; the same digest value in two
+        different bands does not count.
         """
-        self._check_compatible(sig)
-        n = len(self)
-        digests, owners, entry_bands = self._lookup_table()
-        query = self.band_digests(sig.values)
+        n, bands = len(self), self.plan.bands
+        digests, positions = self._lookup_table()
         lo = np.searchsorted(digests, query, side="left")
         counts = np.searchsorted(digests, query, side="right") - lo
         total = int(counts.sum())
         if total == 0:
             return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-        if total > _DENSE_SCAN_SHARE * n * self.plan.bands:
+        if total > _DENSE_SCAN_SHARE * n * bands:
             # A dense corpus: one band-aligned compare of the digest matrix
             # is cheaper than expanding every hit.
             is_candidate = (self._digests[:n] == query).any(axis=1)
@@ -271,23 +339,25 @@ class LshIndex:
             # Table positions of every hit, grouped by the query band it matched.
             starts = lo - (np.cumsum(counts) - counts)
             hits = np.arange(total) + np.repeat(starts, counts)
-            same_band = entry_bands[hits] == np.repeat(np.arange(self.plan.bands), counts)
+            owners, entry_bands = np.divmod(positions[hits], bands)
+            same_band = entry_bands == np.repeat(np.arange(bands), counts)
             is_candidate = np.zeros(n, dtype=bool)
-            is_candidate[owners[hits[same_band]]] = True
-        values = self._values[:n]
+            is_candidate[owners[same_band]] = True
+        stored = self._values[:n]
         if is_candidate.all():
             ordinals = np.arange(n)
         else:
             ordinals = np.flatnonzero(is_candidate)
-            values = values[ordinals]
-        return ordinals, np.count_nonzero(values == sig.values, axis=1)
+            stored = stored[ordinals]
+        return ordinals, np.count_nonzero(stored == values, axis=1)
 
     def query(self, sig: MinHashSignature) -> list[Neighbor]:
         """Users sharing at least one band digest, with estimated Jaccard.
 
         Neighbors come in insertion order.
         """
-        ordinals, matches = self._candidates(sig)
+        [digests] = self._query_digests([sig])
+        ordinals, matches = self._candidates(sig.values, digests)
         ids, is_bot = self._user_ids, self._is_bot
         return [
             Neighbor(ids[i], BOT if is_bot[i] else HUMAN, float(m) / self.num_perm)

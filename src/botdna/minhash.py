@@ -38,8 +38,11 @@ from .encoding import DnaSequence
 from .errors import EmptySet, FormatError, IncompatibleSignatures, SequenceTooShort
 
 MERSENNE_61 = np.uint64((1 << 61) - 1)
-_MASK32 = np.uint64(0xFFFFFFFF)
-_MASK29 = np.uint64((1 << 29) - 1)
+# 0-d arrays rather than numpy scalars: a ufunc takes them ~0.4 us faster.
+_P61 = np.array(MERSENNE_61)
+_MASK32 = np.array(0xFFFFFFFF, dtype=np.uint64)
+_MASK29 = np.array((1 << 29) - 1, dtype=np.uint64)
+_S3, _S29, _S32, _S61 = (np.array(s, dtype=np.uint64) for s in (3, 29, 32, 61))
 
 # The row cache's block size: 1024 rows at 128 permutations.  Shingles
 # shared across users (a small alphabet and k) are computed once per
@@ -67,12 +70,12 @@ def rng_for(seed: int, tag: int) -> np.random.Generator:
 
 def fold_m61(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Reduce u64 values modulo 2**61 - 1, into ``out`` when given."""
-    high = x >> np.uint64(61)
-    out = np.bitwise_and(x, MERSENNE_61, out=out)
+    high = x >> _S61
+    out = np.bitwise_and(x, _P61, out=out)
     out += high  # below 2 * (2**61 - 1) for any u64 input
     # One conditional subtraction is exact below twice the prime: x - p
     # wraps above x exactly when x < p.
-    return np.minimum(out, np.subtract(out, MERSENNE_61, out=high), out=out)
+    return np.minimum(out, np.subtract(out, _P61, out=high), out=out)
 
 
 def _mulmod_limbs(
@@ -84,20 +87,20 @@ def _mulmod_limbs(
     The result is left unreduced so that a caller can add one more term
     below 2**61 before its single ``fold_m61``.
     """
-    x_hi = x >> np.uint64(32)
+    x_hi = x >> _S32
     x_lo = x & _MASK32
     out = np.multiply(a_hi, x_hi, out=out)  # < 2**58
-    out <<= np.uint64(3)  # 2**64 = 8 (mod p)
+    out <<= _S3  # 2**64 = 8 (mod p)
     mid = a_hi * x_lo
     tmp = np.multiply(a_lo, x_hi, out=np.empty_like(mid))
     mid += tmp  # < 2**62
-    out += np.right_shift(mid, np.uint64(29), out=tmp)  # 2**61 = 1 (mod p)
+    out += np.right_shift(mid, _S29, out=tmp)  # 2**61 = 1 (mod p)
     mid &= _MASK29
-    mid <<= np.uint64(32)
+    mid <<= _S32
     out += mid
     lo = np.multiply(a_lo, x_lo, out=mid)  # < 2**64
-    out += np.right_shift(lo, np.uint64(61), out=tmp)
-    lo &= MERSENNE_61
+    out += np.right_shift(lo, _S61, out=tmp)
+    lo &= _P61
     out += lo
     return out
 
@@ -108,7 +111,7 @@ def mulmod_m61(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     Splits both operands into 32-bit limbs so every intermediate stays
     inside u64; 2**64 = 8 and 2**61 = 1 modulo the prime.
     """
-    out = _mulmod_limbs(a >> np.uint64(32), a & _MASK32, x)
+    out = _mulmod_limbs(a >> _S32, a & _MASK32, x)
     return fold_m61(out, out=out)
 
 

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from botdna.classify import EvaluationReport, NeighborSet, Prediction, classify, score, vote
-from botdna.errors import MissingLabel
-from botdna.lsh import LshIndex, Neighbor, lsh_plan
+from botdna.classify import (EvaluationReport, NeighborSet, Prediction, classify, classify_many, score,
+                             vote)
+from botdna.errors import IncompatibleSignatures, MissingLabel
+from botdna.lsh import _DENSE_SCAN_SHARE, LshIndex, Neighbor, lsh_plan
 from botdna.minhash import MinHashSignature, minhash
 
 from conftest import draw_index_parts, exact_jaccard, make_set_pair
@@ -117,6 +118,38 @@ class TestClassify:
                     kept = [nb for nb in index.query(probe) if nb.jaccard >= floor]
                     assert got == vote(NeighborSet(probe.user_id, kept))
                 assert classify(index, probe) == classify(index, probe, index.plan.threshold)
+
+    def test_classify_many_equals_classify_each(self):
+        # One block of every probe, the index's own signatures among them;
+        # a probe hitting over a quarter of the digest table takes the
+        # dense scan, any other hit the expansion, and both must be met.
+        scans = set()
+
+        @given(st.data())
+        @settings(max_examples=200, deadline=None)
+        def check(data):
+            index, entries, probes = draw_index_parts(data)
+            index.insert_many([sig for sig, _ in entries], [label for _, label in entries])
+            table = index._digests[: len(index)].ravel()
+            for probe in probes:
+                hits = sum(int(np.count_nonzero(table == d)) for d in index.band_digests(probe.values))
+                if hits:
+                    scans.add("dense" if hits > _DENSE_SCAN_SHARE * table.size else "expand")
+            for floor in (None, 0.0, 1.0):
+                assert classify_many(index, probes, floor) == [
+                    classify(index, probe, floor) for probe in probes
+                ]
+
+        check()
+        assert scans == {"dense", "expand"}
+
+    def test_classify_many_checks_every_signature_first(self):
+        index = self.build_index([])
+        good = MinHashSignature("good", 128, 1, np.zeros(128, dtype=np.uint64))
+        bad = MinHashSignature("bad", 128, 2, np.zeros(128, dtype=np.uint64))
+        assert classify_many(index, []) == []
+        with pytest.raises(IncompatibleSignatures):
+            classify_many(index, [good, bad])
 
     def test_agreement_with_brute_force_oracle(self):
         # 200 mixed-archetype users: classify via the index must agree with

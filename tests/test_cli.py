@@ -352,6 +352,15 @@ class TestIndexCommands:
         assert "seed" in capsys.readouterr().err
         assert not index_path.exists()
 
+    def test_index_build_rejects_unstorable_id(self, tmp_path, capsys):
+        users = synthetic_corpus(4, 60, seed=5)
+        users[2] = replace(users[2], user_id="x" * 65_536)
+        corpus = corpus_to_jsonl(users, tmp_path / "long_id.jsonl")
+        index_path = tmp_path / "gt.idx"
+        assert run("index-build", corpus, "--out", index_path) == 2
+        assert "65536 UTF-8 bytes" in capsys.readouterr().err
+        assert not index_path.exists()
+
     def test_settings_reach_index_and_query(self, corpus_file, tmp_path):
         index_path = tmp_path / "gt.idx"
         assert run("index-build", corpus_file, "--alphabets", "B3,B9", "--k-shingle", "3",

@@ -190,9 +190,147 @@ class TestInsert:
         with pytest.raises(ValueError):
             index.insert(sig_of(a), "cyborg")
 
+    def test_insert_rejects_unstorable_id(self, tmp_path):
+        # The file stores an id's UTF-8 length as a u16: 65,535 bytes fit,
+        # one more does not, counted in bytes rather than characters.
+        index = fresh_index(num_perm=8)
+        values = np.arange(8, dtype=np.uint64)
+        index.insert(MinHashSignature("short", 8, 1, values), "bot")
+        before = snapshot(index)
+        for uid in ("x" * 65_536, "\u00e9" * 32_768):
+            with pytest.raises(ValueError, match="65536 UTF-8 bytes.*65535"):
+                index.insert(MinHashSignature(uid, 8, 1, values), "bot")
+            assert snapshot(index) == before
+        index.insert(MinHashSignature("x" * 65_535, 8, 1, values), "human")
+        path = tmp_path / "long.idx"
+        index.save(path)
+        assert LshIndex.load(path).labels == index.labels
+
     def test_plan_must_factor_num_perm(self):
         with pytest.raises(ValueError):
             LshIndex(BandingPlan(0.4, 3, 5), 128, 1)
+
+
+def snapshot(index):
+    """Everything an index shows: ids, labels, columns and the ordinal map."""
+    n = len(index)
+    return (
+        list(index._user_ids),
+        index.labels,
+        dict(index._ordinals),
+        index._values[:n].tobytes(),
+        index._digests[:n].tobytes(),
+    )
+
+
+def renamed(entries, copies):
+    """``copies`` copies of the drawn entries under distinct ids."""
+    return [
+        (MinHashSignature(f"{sig.user_id}.{c}", sig.num_perm, sig.seed, sig.values), label)
+        for c in range(copies)
+        for sig, label in entries
+    ]
+
+
+def draw_blocks(data, entries):
+    """Split entries into consecutive blocks at drawn cuts; blocks may be empty."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(entries)), max_size=4), label="cuts"))
+    bounds = [0, *cuts, len(entries)]
+    return [entries[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+class TestInsertMany:
+    def test_equals_sequential_insert(self, tmp_path):
+        # Up to 48 entries, so blocks cross the 16 -> 32 -> 64 capacity
+        # doublings, whole or in their middle.
+        seen = set()
+
+        @given(st.data())
+        @settings(max_examples=150, deadline=None)
+        def check(data):
+            one_by_one, entries, probes = draw_index_parts(data)
+            entries = renamed(entries, data.draw(st.integers(1, 4), label="copies"))
+            blocked = LshIndex(one_by_one.plan, one_by_one.num_perm, one_by_one.seed)
+            for block in draw_blocks(data, entries):
+                n, capacity = len(blocked), len(blocked._is_bot)
+                blocked.insert_many([sig for sig, _ in block], [label for _, label in block])
+                if not block:
+                    seen.add("empty")
+                elif n < capacity < len(blocked):
+                    seen.add("crossed a doubling")
+            for sig, label in entries:
+                one_by_one.insert(sig, label)
+            assert snapshot(blocked) == snapshot(one_by_one)
+            for probe in probes:
+                assert blocked.query(probe) == one_by_one.query(probe)
+            a, b = tmp_path / "blocked.idx", tmp_path / "one_by_one.idx"
+            blocked.save(a)
+            one_by_one.save(b)
+            assert a.read_bytes() == b.read_bytes()
+
+        check()
+        assert seen == {"empty", "crossed a doubling"}
+
+    def test_bad_block_leaves_index_unchanged(self):
+        @given(st.data())
+        @settings(max_examples=100, deadline=None)
+        def check(data):
+            index, entries, probes = draw_index_parts(data)
+            split = data.draw(st.integers(0, len(entries)), label="split")
+            index.insert_many([sig for sig, _ in entries[:split]], [label for _, label in entries[:split]])
+            rest = entries[split:]
+            before = snapshot(index)
+            answers = [index.query(probe) for probe in probes]
+            values = np.zeros(index.num_perm, dtype=np.uint64)
+            bad = {
+                "label": (MinHashSignature("new", index.num_perm, 5, values), "cyborg", ValueError),
+                "too long": (MinHashSignature("x" * 65_536, index.num_perm, 5, values), "bot", ValueError),
+                "incompatible": (MinHashSignature("new", index.num_perm, 6, values), "bot",
+                                 IncompatibleSignatures),
+            }
+            if rest:
+                sig, label = rest[0]
+                bad["duplicate in block"] = (sig, label, DuplicateUser)
+            if split:
+                sig, label = entries[0]
+                bad["duplicate of indexed"] = (sig, label, DuplicateUser)
+            for sig, label, error in bad.values():
+                at = data.draw(st.integers(0, len(rest)), label="position")
+                block = rest[:at] + [(sig, label)] + rest[at:]
+                with pytest.raises(error):
+                    index.insert_many([s for s, _ in block], [l for _, l in block])
+                assert snapshot(index) == before
+                assert [index.query(probe) for probe in probes] == answers
+            # The failed blocks leave nothing behind for a good one to meet.
+            index.insert_many([sig for sig, _ in rest], [label for _, label in rest])
+            assert list(index._user_ids) == [sig.user_id for sig, _ in entries]
+
+        check()
+
+    def test_label_count_must_match(self):
+        index = fresh_index(num_perm=8)
+        sig = MinHashSignature("a", 8, 1, np.zeros(8, dtype=np.uint64))
+        with pytest.raises(ValueError, match="1 signatures but 2 labels"):
+            index.insert_many([sig], ["bot", "human"])
+        assert len(index) == 0
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_band_digests_of_a_matrix_are_its_rows_digests(self, data):
+        num_perm = data.draw(st.sampled_from([1, 2, 6, 8, 12, 128]), label="num_perm")
+        bands = data.draw(
+            st.sampled_from([b for b in range(1, num_perm + 1) if num_perm % b == 0]), label="bands"
+        )
+        index = LshIndex(BandingPlan(0.5, bands, num_perm // bands), num_perm, seed=5)
+        n = data.draw(st.integers(0, 5), label="n")
+        # Full u64 range, so the fold below 2**61 - 1 is exercised too.
+        rows = st.lists(st.integers(0, (1 << 64) - 1), min_size=num_perm, max_size=num_perm)
+        matrix = np.array(data.draw(st.lists(rows, min_size=n, max_size=n)), dtype=np.uint64)
+        matrix = matrix.reshape(n, num_perm)
+        got = index.band_digests(matrix)
+        assert got.shape == (n, bands) and got.dtype == np.uint64
+        for row, digests in zip(matrix, got):
+            np.testing.assert_array_equal(digests, index.band_digests(row))
 
 
 class TestQuery:
@@ -344,16 +482,6 @@ class TestPersistence:
     def test_failed_save_leaves_no_file(self, tmp_path):
         index = fresh_index()
         index.seed = -1  # cannot be packed as u64
-        path = tmp_path / "bad.idx"
-        with pytest.raises(struct.error):
-            index.save(path)
-        assert not path.exists()
-
-    def test_save_of_unstorable_id_leaves_no_file(self, tmp_path):
-        index = fresh_index(num_perm=8)
-        values = np.arange(8, dtype=np.uint64)
-        index.insert(MinHashSignature("short", 8, 1, values), "bot")
-        index.insert(MinHashSignature("x" * 70_000, 8, 1, values), "bot")  # id length is a u16
         path = tmp_path / "bad.idx"
         with pytest.raises(struct.error):
             index.save(path)

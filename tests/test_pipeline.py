@@ -367,6 +367,43 @@ class TestGtSweep:
             gt_sweep(separable_dataset(n=4), base_config(), fractions=[1.5])
 
 
+class TestBlocks:
+    def test_block_is_one_mebibyte_of_signatures(self):
+        sizes = [len(block) for block in pipeline._blocks(range(2500), RunConfig(num_perm=128))]
+        assert sizes == [1024, 1024, 452]
+        assert [len(b) for b in pipeline._blocks(range(3), RunConfig(num_perm=1 << 20))] == [1, 1, 1]
+
+    def test_build_index_holds_at_most_one_block_outside_the_index(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "ROW_CACHE_BYTES", 10 * 8 * 128)  # 10 signatures
+        cfg = RunConfig(num_perm=128)
+        users = synthetic_corpus(35, 20, seed=3)
+        indexes, outside = [], []
+        new_index, signature_for = pipeline.new_index, pipeline.signature_for
+
+        def capture(cfg):
+            indexes.append(new_index(cfg))
+            return indexes[-1]
+
+        def counting(user, cfg):
+            # Signatures sketched so far, this one included, minus those indexed.
+            outside.append(len(outside) + 1 - len(indexes[0]))
+            return signature_for(user, cfg)
+
+        monkeypatch.setattr(pipeline, "new_index", capture)
+        monkeypatch.setattr(pipeline, "signature_for", counting)
+        index = build_index(users, cfg)
+        assert len(outside) == len(index) == 35
+        assert max(outside) == 10
+        assert outside[:11] == [*range(1, 11), 1]
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        ds = noisy_dataset(60)
+        cfg = RunConfig(alphabets=("B3", "B9"), k_shingle=3, threshold=0.3)
+        whole = evaluate(ds, cfg).to_json(include_timings=False)
+        monkeypatch.setattr(pipeline, "ROW_CACHE_BYTES", 7 * 8 * 128)
+        assert evaluate(ds, cfg).to_json(include_timings=False) == whole
+
+
 class TestClassifyAgainstIndex:
     def test_matches_evaluate_on_the_same_split(self):
         ds = noisy_dataset()
