@@ -282,9 +282,13 @@ def _cmd_index_build(args) -> int:
 
 def _cmd_index_query(args) -> int:
     index = LshIndex.load(args.index)
+    if index.recipe is None:
+        raise BotDnaError(f"{args.index} records no alphabets or k_shingle; "
+                          "rebuild it with index-build")
     ds = load(args.data, args.format)
-    cfg = replace(_config(args), num_perm=index.num_perm, seed=index.seed,
-                  threshold=index.plan.threshold)
+    alphabets, k_shingle = index.recipe
+    cfg = replace(_config(args), alphabets=alphabets, k_shingle=k_shingle,
+                  num_perm=index.num_perm, seed=index.seed, threshold=index.plan.threshold)
     predictions, report = pipeline.classify_against_index(index, ds, cfg)
     doc = {
         "predictions": [
@@ -364,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data")
 
     p = add("index-query", _cmd_index_query, "classify users against a persisted index",
-            drop=_SPLIT | {"--num-perm", "--seed", "--threshold"})
+            drop=_SPLIT | {"--alphabets", "--k-shingle", "--num-perm", "--seed", "--threshold"})
     p.add_argument("index", help="index file from index-build")
     p.add_argument("data", help="query dataset file")
 

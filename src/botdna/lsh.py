@@ -21,31 +21,33 @@ fewer than 2**31 entries), and splits the positions of the hits alone
 back into ordinal and band.  When the hits cover over a quarter of the
 table, the candidates come from one compare of the digest matrix instead.
 
-Index file layout (all integers little-endian)::
+Index file layout, version 2 (integers little-endian)::
 
     bytes 0-3   magic b"BDIX"
-    byte  4     format version (1)
-    bytes 5-12  plan threshold, f64
-    bytes 13-16 bands, u32
-    bytes 17-20 rows, u32
-    bytes 21-24 num_perm, u32
-    bytes 25-32 seed, u64
-    bytes 33-40 user count, u64
-    per user, in insertion order:
-        u16 id length, u8 label (0 human / 1 bot), UTF-8 id,
-        num_perm signature values (u64 each),
-        bands band digests (u64 each)
+    byte  4     format version (2)
+    bytes 5-8   header length H, u32
+    H bytes     header, a JSON object with sorted keys: threshold, bands,
+                rows, num_perm, seed, users (N), the encoding recipe
+                (alphabets and k_shingle, both null when unknown) and
+                checksum (16-byte blake2b, in hex, of the other fields
+                as sorted-key JSON followed by the body)
+    body, whole arrays in insertion order:
+        N + 1 id offsets, u64: id i is blob[offsets[i]:offsets[i + 1]]
+        the id blob, UTF-8, offsets[N] bytes
+        N label codes, u8 (0 human / 1 bot)
+        N x num_perm signature values, u64, row by row
 
-This is the only file layout (version 1); the columnar memory layout does
-not change it.  Loading restores the stored users in order, so a
-round-tripped index reproduces the original's query results exactly, and
-a user id stored twice is rejected as a format error.  The u16 id length
-caps an id at 65,535 UTF-8 bytes, so inserting a longer one raises
-``ValueError``.
+``load`` recomputes the band digests and fills the columns through the
+same step as ``insert_many``, so a round-tripped index answers queries
+exactly as the original.  Any other version (a version 1 file must be
+rebuilt), a bad header field or a body failing its checksum is a
+``FormatError``.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -54,21 +56,26 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoding import BOT, HUMAN
-from .errors import DuplicateUser, FormatError, IncompatibleSignatures
+from .encoding import BOT, HUMAN, resolve_alphabets
+from .errors import DuplicateUser, FormatError
 from .minhash import (
     _TAG_BAND_DIGEST,
+    ROW_CACHE_BYTES,
     MinHashSignature,
     _mulmod_limbs,
+    check_compatible,
     fold_m61,
     rng_for,
 )
 
 INDEX_MAGIC = b"BDIX"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
-_HEADER = struct.Struct("<4sBdIIIQQ")
-MAX_ID_BYTES = 0xFFFF  # the file stores an id's length as a u16
+_PREFIX = struct.Struct("<4sBI")  # magic, version, header length
+_HEADER_TYPES = {  # the header's fields beside its checksum; a bool is not an int here
+    "alphabets": (list, type(None)), "bands": (int,), "k_shingle": (int, type(None)),
+    "num_perm": (int,), "rows": (int,), "seed": (int,), "threshold": (float,), "users": (int,),
+}
 
 # Share of the digest table a query must hit before its candidates are
 # marked by one compare of the whole users x bands digest matrix instead of
@@ -151,6 +158,9 @@ def lsh_plan(threshold: float, num_perm: int) -> BandingPlan:
     return BandingPlan(threshold, best[1], num_perm // best[1])
 
 
+Recipe = tuple[tuple[str, ...], int]  # (alphabets, k_shingle)
+
+
 class Neighbor(NamedTuple):
     user_id: str
     label: str
@@ -184,18 +194,27 @@ class LshIndex:
     table is built by the first query after an insert, so a query
     following inserts pays one re-sort; inserts and queries may otherwise
     be mixed freely.
+
+    ``recipe`` is the ``(alphabets, k_shingle)`` the signatures were
+    sketched with, or None if unknown (an index built by hand); the index
+    file keeps it, so queries can be sketched the same way.
     """
 
-    def __init__(self, plan: BandingPlan, num_perm: int, seed: int):
-        if plan.bands * plan.rows != num_perm:
-            raise ValueError(
-                f"plan {plan.bands}x{plan.rows} does not factor num_perm={num_perm}"
-            )
+    def __init__(self, plan: BandingPlan, num_perm: int, seed: int, recipe: Recipe | None = None):
+        if not 0.0 < plan.threshold <= 1.0:
+            raise ValueError(f"threshold must be in (0, 1], got {plan.threshold}")
+        if min(plan.bands, plan.rows) < 1 or plan.bands * plan.rows != num_perm:
+            raise ValueError(f"plan {plan.bands}x{plan.rows} does not factor num_perm={num_perm}")
         if not 0 <= seed < 1 << 64:
             raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        if recipe is not None:
+            resolve_alphabets(recipe[0])
+            if recipe[1] < 1:
+                raise ValueError(f"k_shingle must be positive, got {recipe[1]}")
         self.plan = plan
         self.num_perm = num_perm
         self.seed = seed
+        self.recipe = recipe
         self._user_ids: list[str] = []
         self._ordinals: dict[str, int] = {}
         self._values = np.empty((0, num_perm), dtype=np.uint64)
@@ -231,13 +250,6 @@ class LshIndex:
         digests += offsets  # u64 wraparound intended
         return digests.reshape(values.shape[:-1] + (bands,))
 
-    def _check_compatible(self, sig: MinHashSignature) -> None:
-        if sig.num_perm != self.num_perm or sig.seed != self.seed:
-            raise IncompatibleSignatures(
-                f"signature (num_perm={sig.num_perm}, seed={sig.seed}) vs "
-                f"index (num_perm={self.num_perm}, seed={self.seed})"
-            )
-
     def _resize(self, capacity: int) -> None:
         n = len(self)
         for name in ("_values", "_digests", "_is_bot"):
@@ -251,12 +263,12 @@ class LshIndex:
         self._append([sig], [label])
 
     def insert_many(self, sigs: Iterable[MinHashSignature], labels: Iterable[str]) -> None:
-        """Store a block of labeled signatures, in order, with one digest call.
+        """Store a block of labeled signatures, in order.
 
-        The whole block is checked first (labels, compatibility, ids too
-        long to store, duplicates against the index and within the block),
-        so a bad block raises and leaves the index unchanged.  The result
-        equals inserting the signatures one at a time.
+        The whole block is checked first (labels, compatibility, duplicates
+        against the index and within the block), so a bad block raises and
+        leaves the index unchanged.  The result equals inserting the
+        signatures one at a time.
         """
         self._append(list(sigs), list(labels))
 
@@ -268,28 +280,28 @@ class LshIndex:
                 raise ValueError(f"label must be {HUMAN!r} or {BOT!r}, got {label!r}")
         ids: dict[str, None] = {}  # the block's ids, in order
         for sig in sigs:
-            self._check_compatible(sig)
+            check_compatible(sig, self.num_perm, self.seed)
             uid = sig.user_id
             if uid in self._ordinals or uid in ids:
                 raise DuplicateUser(uid)
-            size = len(uid.encode("utf-8"))
-            if size > MAX_ID_BYTES:
-                raise ValueError(
-                    f"user id of {size} UTF-8 bytes is longer than the index's "
-                    f"limit of {MAX_ID_BYTES}"
-                )
             ids[uid] = None
+        self._commit(list(ids), [sig.values for sig in sigs], [label == BOT for label in labels])
+
+    def _commit(self, ids: list[str], values, is_bot) -> None:
+        """Append checked rows to every column, digesting 1 MiB of signatures per call."""
         if not ids:
             return
         # Rows past len(self) are free capacity, so nothing below shows
         # until the ids are committed.
-        n, end = len(self), len(self) + len(sigs)
+        n, end = len(self), len(self) + len(ids)
         if end > len(self._is_bot):
             self._resize(max(16, 2 * len(self._is_bot), end))
-        values = self._values[n:end]
-        values[:] = [sig.values for sig in sigs]
-        self._digests[n:end] = self.band_digests(values)
-        self._is_bot[n:end] = [label == BOT for label in labels]
+        self._values[n:end] = values
+        step = max(1, ROW_CACHE_BYTES // (8 * self.num_perm))
+        for start in range(n, end, step):
+            stop = min(start + step, end)
+            self._digests[start:stop] = self.band_digests(self._values[start:stop])
+        self._is_bot[n:end] = is_bot
         self._ordinals.update(zip(ids, range(n, end)))
         self._user_ids += ids
         self._table = None
@@ -311,7 +323,7 @@ class LshIndex:
     def _query_digests(self, sigs: list[MinHashSignature]) -> np.ndarray:
         """The ``(len(sigs), bands)`` digests of compatible query signatures."""
         for sig in sigs:
-            self._check_compatible(sig)
+            check_compatible(sig, self.num_perm, self.seed)
         values = np.empty((len(sigs), self.num_perm), dtype=np.uint64)
         values[:] = [sig.values for sig in sigs]
         return self.band_digests(values)
@@ -364,79 +376,90 @@ class LshIndex:
             for i, m in zip(ordinals.tolist(), matches.tolist())
         ]
 
-    def bucket_entry_count(self) -> int:
-        """Entries over all band buckets: one per user and band."""
-        return len(self) * self.plan.bands
-
     # --- persistence ---------------------------------------------------
 
     def save(self, path) -> None:
+        """Write the index file.
+
+        Everything is packed before the file is opened, so an index that
+        cannot be written leaves no file behind.
+        """
         n = len(self)
-        # Everything but the signature values is packed before the file is
-        # opened, so a header or an id that cannot be written leaves no
-        # file behind.
-        header = _HEADER.pack(
-            INDEX_MAGIC,
-            INDEX_VERSION,
-            self.plan.threshold,
-            self.plan.bands,
-            self.plan.rows,
-            self.num_perm,
-            self.seed,
-            n,
-        )
         raw_ids = [uid.encode("utf-8") for uid in self._user_ids]
-        prefixes = [
-            struct.pack("<HB", len(raw), bot) + raw
-            for raw, bot in zip(raw_ids, self._is_bot.tolist())
-        ]
-        records = np.hstack([self._values[:n], self._digests[:n]]).astype("<u8")
+        offsets = np.cumsum([0] + [len(raw) for raw in raw_ids], dtype="<u8")
+        body = (offsets, b"".join(raw_ids), self._is_bot[:n].astype("u1"),
+                self._values[:n].astype("<u8", copy=False))
+        alphabets, k_shingle = self.recipe or (None, None)
+        fields = {"alphabets": alphabets and list(alphabets), "bands": self.plan.bands,
+                  "k_shingle": k_shingle, "num_perm": self.num_perm, "rows": self.plan.rows,
+                  "seed": self.seed, "threshold": float(self.plan.threshold), "users": n}
+        fields["checksum"] = _checksum(fields, body)
+        header = json.dumps(fields, sort_keys=True).encode("ascii")
         with open(path, "wb") as fh:
-            fh.write(header)
-            for prefix, record in zip(prefixes, records):
-                fh.write(prefix)
-                fh.write(record.tobytes())
+            fh.write(_PREFIX.pack(INDEX_MAGIC, INDEX_VERSION, len(header)) + header)
+            for part in body:
+                fh.write(part)
 
     @classmethod
     def load(cls, path) -> "LshIndex":
+        """Read an index file written by ``save``; any fault raises ``FormatError``."""
         with open(path, "rb") as fh:
             data = fh.read()
-        if len(data) < _HEADER.size or data[:4] != INDEX_MAGIC:
+        if len(data) < _PREFIX.size or data[:4] != INDEX_MAGIC:
             raise FormatError(f"not an index file: {path}")
-        _, version, threshold, bands, rows, num_perm, seed, count = _HEADER.unpack_from(data)
+        _, version, size = _PREFIX.unpack_from(data)
         if version != INDEX_VERSION:
-            raise FormatError(f"unsupported index version {version}")
+            raise FormatError(f"index file version {version} is not {INDEX_VERSION}; "
+                              "rebuild the index with index-build")
         try:
-            index = cls(BandingPlan(threshold, bands, rows), num_perm, seed)
-        except ValueError as exc:
+            header = json.loads(data[_PREFIX.size : _PREFIX.size + size])
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
             raise FormatError(f"corrupt index header: {exc}") from exc
-        record_size = 8 * (num_perm + bands)
-        ids, labels, records = [], [], []
-        offset = _HEADER.size
+        fields = sorted(_HEADER_TYPES.keys() | {"checksum"})
+        if not isinstance(header, dict) or sorted(header) != fields:
+            raise FormatError(f"corrupt index header: the fields must be {fields}")
+        body = memoryview(data)[_PREFIX.size + size :]
+        if header.pop("checksum") != _checksum(header, [body]):
+            raise FormatError("index file does not match its checksum")
+        wrong = [name for name, kinds in _HEADER_TYPES.items() if type(header[name]) not in kinds]
+        if wrong:
+            raise FormatError(f"corrupt index header: wrong type for {', '.join(wrong)}")
+        n, num_perm = header["users"], header["num_perm"]
+        alphabets, k_shingle = header["alphabets"], header["k_shingle"]
+        try:  # a TypeError is a recipe with one half null
+            no_recipe = alphabets is None and k_shingle is None
+            recipe = None if no_recipe else (tuple(alphabets), k_shingle)
+            plan = BandingPlan(header["threshold"], header["bands"], header["rows"])
+            index = cls(plan, num_perm, header["seed"], recipe)
+        except (ValueError, TypeError) as exc:
+            raise FormatError(f"corrupt index header: {exc}") from exc
+        if not 0 <= n < len(body) // 8:
+            raise FormatError(f"index body of {len(body)} bytes cannot hold {n} users")
+        offsets = np.frombuffer(body, "<u8", n + 1).tolist()
+        ids_at = 8 * (n + 1)
+        labels_at = ids_at + offsets[-1]
+        values_at = labels_at + n
+        size_ok = len(body) == values_at + 8 * n * num_perm
+        if offsets[0] != 0 or offsets != sorted(offsets) or not size_ok:
+            raise FormatError(f"index body of {len(body)} bytes does not fit its header")
+        blob = body[ids_at:labels_at].tobytes()
         try:
-            for _ in range(count):
-                id_len, label_code = struct.unpack_from("<HB", data, offset)
-                offset += 3
-                uid = data[offset : offset + id_len].decode("utf-8")
-                offset += id_len
-                if label_code > 1:
-                    raise FormatError(f"bad label code {label_code} for user {uid!r}")
-                if uid in index._ordinals:
-                    raise FormatError(f"user {uid!r} appears twice in index file")
-                index._ordinals[uid] = len(ids)
-                ids.append(uid)
-                labels.append(label_code)
-                records.append(data[offset : offset + record_size])
-                offset += record_size
-        except (struct.error, UnicodeDecodeError) as exc:
-            raise FormatError(f"corrupt index file: {exc}") from exc
-        if offset > len(data):
-            raise FormatError("truncated index file")
-        if offset != len(data):
-            raise FormatError("trailing bytes in index file")
-        table = np.frombuffer(b"".join(records), dtype="<u8").reshape(len(ids), num_perm + bands)
-        index._user_ids = ids
-        index._values = table[:, :num_perm].astype(np.uint64)
-        index._digests = table[:, num_perm:].astype(np.uint64)
-        index._is_bot = np.array(labels, dtype=bool)
+            ids = [blob[a:b].decode("utf-8") for a, b in zip(offsets, offsets[1:])]
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"corrupt user id in index file: {exc}") from exc
+        codes = np.frombuffer(body, "u1", n, labels_at)
+        if np.any(codes > 1):
+            raise FormatError(f"bad label code {codes.max()} in index file")
+        values = np.frombuffer(body, "<u8", n * num_perm, values_at).reshape(n, num_perm)
+        index._commit(ids, values, codes == 1)
+        if len(index._ordinals) != n:
+            raise FormatError("a user id appears twice in index file")
         return index
+
+
+def _checksum(fields: dict, body) -> str:
+    """blake2b of the header's other fields (sorted-key JSON) and then the body's parts."""
+    digest = hashlib.blake2b(json.dumps(fields, sort_keys=True).encode("ascii"), digest_size=16)
+    for part in body:
+        digest.update(part)
+    return digest.hexdigest()

@@ -225,10 +225,15 @@ class MinHashSignature:
             raise FormatError(f"bad signature magic {magic!r}")
         if version != SIGNATURE_VERSION:
             raise FormatError(f"unsupported signature version {version}")
+        if num_perm < 1:
+            raise FormatError("signature blob has no permutations")
         expected = header_size + uid_len + 8 * num_perm
         if len(data) != expected:
             raise FormatError(f"signature blob has {len(data)} bytes, expected {expected}")
-        uid = data[header_size : header_size + uid_len].decode("utf-8")
+        try:
+            uid = data[header_size : header_size + uid_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"signature user id is not UTF-8: {exc}") from exc
         values = np.frombuffer(data, dtype="<u8", count=num_perm, offset=header_size + uid_len)
         return cls(uid, num_perm, seed, values.astype(np.uint64))
 
@@ -245,13 +250,22 @@ class MinHashSignature:
 
     @classmethod
     def from_debug_json(cls, text: str) -> "MinHashSignature":
-        doc = json.loads(text)
-        if doc.get("format") != "minhash-signature":
+        try:
+            doc = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"signature document is not JSON: {exc}") from exc
+        if not isinstance(doc, dict) or doc.get("format") != "minhash-signature":
             raise FormatError("not a minhash-signature document")
         if doc.get("version") != SIGNATURE_VERSION:
             raise FormatError(f"unsupported signature version {doc.get('version')}")
-        values = np.array(doc["values"], dtype=np.uint64)
-        return cls(doc["user_id"], doc["num_perm"], doc["seed"], values)
+        user_id, num_perm, seed, values = map(doc.get, ("user_id", "num_perm", "seed", "values"))
+        if not (isinstance(user_id, str) and type(num_perm) is int and num_perm > 0
+                and type(seed) is int and 0 <= seed < 1 << 64
+                and isinstance(values, list) and len(values) == num_perm
+                and all(type(v) is int and 0 <= v < 1 << 64 for v in values)):
+            raise FormatError("a signature document needs a string user_id, a positive int "
+                              "num_perm, a seed and num_perm values, each in [0, 2**64)")
+        return cls(user_id, num_perm, seed, np.array(values, dtype=np.uint64))
 
 
 def shingle(seq: DnaSequence, k: int) -> ShingleSet:
@@ -290,14 +304,16 @@ def minhash(shingles: ShingleSet, num_perm: int, seed: int) -> MinHashSignature:
     return MinHashSignature(shingles.user_id, num_perm, seed, rows.min(axis=0))
 
 
-def check_compatible(a: MinHashSignature, b: MinHashSignature) -> None:
-    if a.num_perm != b.num_perm or a.seed != b.seed:
+def check_compatible(sig: MinHashSignature, num_perm: int, seed: int) -> None:
+    """Raise unless ``sig`` was sketched with ``num_perm`` permutations under ``seed``."""
+    if sig.num_perm != num_perm or sig.seed != seed:
         raise IncompatibleSignatures(
-            f"(num_perm={a.num_perm}, seed={a.seed}) vs (num_perm={b.num_perm}, seed={b.seed})"
+            f"signature {sig.user_id!r} (num_perm={sig.num_perm}, seed={sig.seed}) "
+            f"vs (num_perm={num_perm}, seed={seed})"
         )
 
 
 def estimate_jaccard(a: MinHashSignature, b: MinHashSignature) -> float:
     """Fraction of equal signature positions; estimates set Jaccard."""
-    check_compatible(a, b)
+    check_compatible(b, a.num_perm, a.seed)
     return float(np.count_nonzero(a.values == b.values)) / a.num_perm

@@ -127,7 +127,9 @@ def _sketch(users: list[UserTimeline], cfg: RunConfig) -> list[MinHashSignature]
 
 
 def new_index(cfg: RunConfig) -> LshIndex:
-    return LshIndex(lsh_plan(cfg.threshold, cfg.num_perm), cfg.num_perm, cfg.seed)
+    """An empty index for ``cfg``'s signatures, recording its encoding recipe."""
+    plan = lsh_plan(cfg.threshold, cfg.num_perm)
+    return LshIndex(plan, cfg.num_perm, cfg.seed, (cfg.alphabets, cfg.k_shingle))
 
 
 def _blocks(items: Iterable, cfg: RunConfig) -> Iterator[list]:

@@ -7,9 +7,12 @@ import pytest
 from botdna import pipeline
 from botdna.cli import main
 from botdna.data import Dataset
-from botdna.lsh import LshIndex
-from botdna.minhash import minhash
-from botdna.pipeline import RunConfig, evaluate
+from botdna.classify import classify_many
+from botdna.data import load
+from botdna.encoding import encode_user
+from botdna.lsh import LshIndex, lsh_plan
+from botdna.minhash import minhash, shingle
+from botdna.pipeline import RunConfig, _sketch, build_index, evaluate
 
 from conftest import corpus_to_jsonl, synthetic_corpus
 
@@ -36,7 +39,7 @@ DROPPED = {
     "encode": ("--k-shingle", "--threshold", "--num-perm", "--seed", *SPLIT, "--max-tweets",
                "--jaccard-floor", "--no-floor", "--no-timings"),
     "index-build": (*SPLIT, "--jaccard-floor", "--no-floor", "--no-timings"),
-    "index-query": ("--num-perm", "--seed", "--threshold", *SPLIT),
+    "index-query": ("--alphabets", "--k-shingle", "--num-perm", "--seed", "--threshold", *SPLIT),
 }
 POSITIONALS = {"cross-dataset": 2, "index-query": 2}
 # Settings a report echoes: option -> (value, echo key, echoed value).
@@ -352,24 +355,28 @@ class TestIndexCommands:
         assert "seed" in capsys.readouterr().err
         assert not index_path.exists()
 
-    def test_index_build_rejects_unstorable_id(self, tmp_path, capsys):
+    def test_long_id_round_trips_through_index_commands(self, tmp_path):
         users = synthetic_corpus(4, 60, seed=5)
-        users[2] = replace(users[2], user_id="x" * 65_536)
+        long_id = "\u00e9" * 35_000  # 70,000 UTF-8 bytes
+        users[2] = replace(users[2], user_id=long_id)
         corpus = corpus_to_jsonl(users, tmp_path / "long_id.jsonl")
-        index_path = tmp_path / "gt.idx"
-        assert run("index-build", corpus, "--out", index_path) == 2
-        assert "65536 UTF-8 bytes" in capsys.readouterr().err
-        assert not index_path.exists()
+        index_path, out = tmp_path / "gt.idx", tmp_path / "preds.json"
+        assert run("index-build", corpus, "--out", index_path) == 0
+        assert long_id in LshIndex.load(index_path).labels
+        assert run("index-query", index_path, corpus, "--out", out) == 0
+        assert long_id in {p["user_id"] for p in json.loads(out.read_text())["predictions"]}
 
     def test_settings_reach_index_and_query(self, corpus_file, tmp_path):
         index_path = tmp_path / "gt.idx"
-        assert run("index-build", corpus_file, "--alphabets", "B3,B9", "--k-shingle", "3",
+        assert run("index-build", corpus_file, "--alphabets", "B9,B3", "--k-shingle", "3",
                    "--num-perm", "64", "--seed", "7", "--threshold", "0.3", "--max-tweets", "40",
                    "--out", index_path) == 0
         index = LshIndex.load(index_path)
         assert (index.num_perm, index.seed, index.plan.threshold) == (64, 7, 0.3)
+        assert index.recipe == (("B3", "B9"), 3)
         out = tmp_path / "preds.json"
-        assert run("index-query", index_path, corpus_file, "--alphabets", "B3,B9", "--k-shingle", "3",
+        # The recipe comes from the index; only the query-time settings are given.
+        assert run("index-query", index_path, corpus_file,
                    "--max-tweets", "20", "--jaccard-floor", "0.1", "--out", out) == 0
         cfg = json.loads(out.read_text())["report"]["config"]
         assert cfg["alphabets"] == ["B3", "B9"]
@@ -388,6 +395,45 @@ class TestIndexCommands:
         bad = tmp_path / "bad.idx"
         bad.write_bytes(b"nope")
         assert run("index-query", bad, corpus_file) == 2
+
+    def test_query_predictions_equal_library_classify(self, corpus_file, tmp_path):
+        index_path, out = tmp_path / "gt.idx", tmp_path / "preds.json"
+        assert run("index-build", corpus_file, "--alphabets", "B5", "--k-shingle", "2",
+                   "--out", index_path) == 0
+        assert run("index-query", index_path, corpus_file, "--out", out) == 0
+        cfg = RunConfig(alphabets=("B5",), k_shingle=2)
+        index = build_index(load(corpus_file).labeled(), cfg)
+        want = [(p.query_id, p.predicted, p.neighbor_count)
+                for p in classify_many(index, _sketch(load(corpus_file).users, cfg))]
+        got = [(p["user_id"], p["predicted"], p["neighbor_count"])
+               for p in json.loads(out.read_text())["predictions"]]
+        assert got == want
+
+    @pytest.mark.parametrize("fault", ["version 1", "no recipe", "corrupt header", "checksum"])
+    def test_query_rejects_unusable_index(self, fault, corpus_file, tmp_path, capsys):
+        index_path = tmp_path / "gt.idx"
+        if fault == "no recipe":
+            index = LshIndex(lsh_plan(0.4, 128), 128, 42)
+            index.insert(minhash(shingle(encode_user(synthetic_corpus(1, 60, seed=1)[0], ("B3",)), 4),
+                                 128, 42), "bot")
+            index.save(index_path)
+        else:
+            assert run("index-build", corpus_file, "--out", index_path) == 0
+            blob = bytearray(index_path.read_bytes())
+            if fault == "version 1":
+                blob[4] = 1
+            elif fault == "corrupt header":
+                blob[9] = ord("[")
+            else:
+                blob[-1] ^= 1
+            index_path.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert run("index-query", index_path, corpus_file) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        message = {"version 1": "rebuild the index with index-build", "no recipe": "rebuild it with index-build",
+                   "corrupt header": "corrupt index header", "checksum": "checksum"}[fault]
+        assert message in err
 
 
 class TestCliMatchesLibrary:

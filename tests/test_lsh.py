@@ -1,3 +1,5 @@
+import hashlib
+import json
 import struct
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from botdna.classify import classify_many
 from botdna.errors import DuplicateUser, FormatError, IncompatibleSignatures
 from botdna.lsh import (
     _DENSE_SCAN_SHARE,
@@ -164,7 +167,8 @@ class TestInsert:
             index.insert(
                 MinHashSignature(f"u{i}", 128, 1, sig_of(a).values), "human" if i % 2 else "bot"
             )
-        assert index.bucket_entry_count() == n * index.plan.bands
+        assert len(index) == n
+        assert index._digests[: len(index)].shape == (n, index.plan.bands)
 
     def test_duplicate_user_rejected(self):
         index = fresh_index()
@@ -190,25 +194,11 @@ class TestInsert:
         with pytest.raises(ValueError):
             index.insert(sig_of(a), "cyborg")
 
-    def test_insert_rejects_unstorable_id(self, tmp_path):
-        # The file stores an id's UTF-8 length as a u16: 65,535 bytes fit,
-        # one more does not, counted in bytes rather than characters.
-        index = fresh_index(num_perm=8)
-        values = np.arange(8, dtype=np.uint64)
-        index.insert(MinHashSignature("short", 8, 1, values), "bot")
-        before = snapshot(index)
-        for uid in ("x" * 65_536, "\u00e9" * 32_768):
-            with pytest.raises(ValueError, match="65536 UTF-8 bytes.*65535"):
-                index.insert(MinHashSignature(uid, 8, 1, values), "bot")
-            assert snapshot(index) == before
-        index.insert(MinHashSignature("x" * 65_535, 8, 1, values), "human")
-        path = tmp_path / "long.idx"
-        index.save(path)
-        assert LshIndex.load(path).labels == index.labels
-
     def test_plan_must_factor_num_perm(self):
-        with pytest.raises(ValueError):
-            LshIndex(BandingPlan(0.4, 3, 5), 128, 1)
+        for plan, num_perm in ((BandingPlan(0.4, 3, 5), 128), (BandingPlan(0.4, 0, 0), 0),
+                               (BandingPlan(0.4, -2, -4), 8)):
+            with pytest.raises(ValueError, match="does not factor"):
+                LshIndex(plan, num_perm, 1)
 
 
 def snapshot(index):
@@ -284,7 +274,6 @@ class TestInsertMany:
             values = np.zeros(index.num_perm, dtype=np.uint64)
             bad = {
                 "label": (MinHashSignature("new", index.num_perm, 5, values), "cyborg", ValueError),
-                "too long": (MinHashSignature("x" * 65_536, index.num_perm, 5, values), "bot", ValueError),
                 "incompatible": (MinHashSignature("new", index.num_perm, 6, values), "bot",
                                  IncompatibleSignatures),
             }
@@ -473,6 +462,37 @@ class TestQuery:
             assert got[0].jaccard == pytest.approx(estimate_jaccard(sig_of(a), sig_of(b)))
 
 
+def read_index_file(path):
+    """The header fields and the body of an index file."""
+    blob = path.read_bytes()
+    magic, version, size = struct.unpack_from("<4sBI", blob)
+    assert (magic, version) == (b"BDIX", 2)
+    return json.loads(blob[9 : 9 + size]), blob[9 + size :]
+
+
+def write_index_file(path, fields, body):
+    """Write an index file from header fields and a body, with a fresh checksum.
+
+    Follows the documented layout on its own, so it also pins the format.
+    """
+    fields = {name: value for name, value in fields.items() if name != "checksum"}
+    digest = hashlib.blake2b(json.dumps(fields, sort_keys=True).encode(), digest_size=16)
+    digest.update(body)
+    header = json.dumps(dict(fields, checksum=digest.hexdigest()), sort_keys=True).encode()
+    path.write_bytes(struct.pack("<4sBI", b"BDIX", 2, len(header)) + header + body)
+
+
+def small_index(tmp_path, ids=("aa", "bb", "cc"), recipe=(("B3", "B9"), 3)):
+    """A saved 8-permutation index over ``ids``, and the path it was saved to."""
+    index = LshIndex(BandingPlan(0.5, 4, 2), 8, 11, recipe)
+    for i, uid in enumerate(ids):
+        values = np.arange(i, i + 8, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15 >> 3)
+        index.insert(MinHashSignature(uid, 8, 11, values), "bot" if i % 2 else "human")
+    path = tmp_path / "small.idx"
+    index.save(path)
+    return index, path
+
+
 class TestPersistence:
     def test_seed_outside_u64_rejected(self):
         for seed in (-1, 1 << 64):
@@ -480,12 +500,71 @@ class TestPersistence:
                 LshIndex(BandingPlan(0.5, 4, 2), 8, seed)
 
     def test_failed_save_leaves_no_file(self, tmp_path):
-        index = fresh_index()
-        index.seed = -1  # cannot be packed as u64
+        index = fresh_index(num_perm=8)
+        index.insert(MinHashSignature("\ud800", 8, 1, np.zeros(8, dtype=np.uint64)), "bot")
         path = tmp_path / "bad.idx"
-        with pytest.raises(struct.error):
+        with pytest.raises(UnicodeEncodeError):  # a lone surrogate is not UTF-8
             index.save(path)
         assert not path.exists()
+
+    def test_file_follows_documented_layout(self, tmp_path):
+        ids = ("aa", "été", "", "z" * 300)
+        index, path = small_index(tmp_path, ids)
+        fields, body = read_index_file(path)
+        assert fields.pop("checksum")
+        assert fields == {"alphabets": ["B3", "B9"], "bands": 4, "k_shingle": 3, "num_perm": 8,
+                          "rows": 2, "seed": 11, "threshold": 0.5, "users": 4}
+        raw = [uid.encode("utf-8") for uid in ids]
+        offsets = np.cumsum([0] + [len(r) for r in raw]).astype("<u8")
+        labels = np.array([0, 1, 0, 1], dtype=np.uint8)
+        values = index._values[:4].astype("<u8")
+        assert body == offsets.tobytes() + b"".join(raw) + labels.tobytes() + values.tobytes()
+        # No band digests are stored.
+        assert len(body) == 8 * 5 + sum(map(len, raw)) + 4 + 4 * 8 * 8
+
+    def test_round_trip_restores_every_column(self, tmp_path):
+        @given(st.data())
+        @settings(max_examples=60, deadline=None)
+        def check(data):
+            index, entries, probes = draw_index_parts(data)
+            index.insert_many([sig for sig, _ in entries], [label for _, label in entries])
+            index.recipe = data.draw(st.sampled_from([None, (("B3",), 4), (("B5", "B9"), 7)]))
+            path = tmp_path / "drawn.idx"
+            index.save(path)
+            loaded = LshIndex.load(path)
+            assert (loaded.plan, loaded.num_perm, loaded.seed) == (index.plan, index.num_perm, index.seed)
+            assert loaded.recipe == index.recipe
+            assert snapshot(loaded) == snapshot(index)
+            for probe in probes:
+                assert loaded.query(probe) == index.query(probe)
+            for floor in (None, 0.0, 0.5):
+                assert classify_many(loaded, probes, floor) == classify_many(index, probes, floor)
+
+        check()
+
+    def test_load_digests_in_blocks(self, tmp_path, monkeypatch):
+        # Three signatures per band-digest call: the blocks must line up.
+        index = fresh_index(num_perm=8)
+        rng = np.random.Generator(np.random.Philox(key=18))
+        for i in range(10):
+            index.insert(MinHashSignature(f"u{i}", 8, 1, rng.integers(0, 1 << 61, 8, dtype=np.uint64)),
+                         "bot")
+        path = tmp_path / "index.bin"
+        index.save(path)
+        monkeypatch.setattr("botdna.lsh.ROW_CACHE_BYTES", 3 * 8 * 8)
+        calls = []
+        band_digests = LshIndex.band_digests
+        monkeypatch.setattr(LshIndex, "band_digests",
+                            lambda self, values: calls.append(len(values)) or band_digests(self, values))
+        loaded = LshIndex.load(path)
+        assert calls == [3, 3, 3, 1]
+        np.testing.assert_array_equal(loaded._digests[:10], index.band_digests(index._values[:10]))
+
+    def test_long_id_round_trips(self, tmp_path):
+        uid = "é" * 35_000  # 70,000 UTF-8 bytes
+        index, path = small_index(tmp_path, ("short", uid, "end"))
+        loaded = LshIndex.load(path)
+        assert loaded.labels == index.labels == {"short": "human", uid: "bot", "end": "human"}
 
     def test_round_trip_queries_identical(self, tmp_path):
         index = fresh_index(threshold=0.3, num_perm=64, seed=9)
@@ -521,31 +600,144 @@ class TestPersistence:
         with pytest.raises(FormatError):
             LshIndex.load(path)
 
+    def test_version_1_file_asks_for_rebuild(self, tmp_path):
+        path = tmp_path / "v1.idx"
+        path.write_bytes(struct.pack("<4sBdIIIQQ", b"BDIX", 1, 0.4, 32, 4, 128, 42, 0))
+        with pytest.raises(FormatError, match="version 1 .*rebuild the index with index-build"):
+            LshIndex.load(path)
+
     def test_load_rejects_duplicate_user(self, tmp_path):
-        index = fresh_index(num_perm=32)
-        rng = np.random.Generator(np.random.Philox(key=17))
-        for uid in ("aa", "bb"):
-            a, _ = make_set_pair(0.4, 50, rng)
-            index.insert(MinHashSignature(uid, 32, 1, minhash(a, 32, 1).values), "bot")
-        path = tmp_path / "index.bin"
-        index.save(path)
-        blob = bytearray(path.read_bytes())
-        header = struct.calcsize("<4sBdIIIQQ")
-        second_id = header + (3 + 2 + 8 * (32 + index.plan.bands)) + 3
-        assert blob[second_id : second_id + 2] == b"bb"
-        blob[second_id : second_id + 2] = b"aa"
-        path.write_bytes(bytes(blob))
+        _, path = small_index(tmp_path, ("aa", "bb"))
+        fields, body = read_index_file(path)
+        second_id = 8 * 3 + 2
+        assert body[second_id : second_id + 2] == b"bb"
+        write_index_file(path, fields, body[:second_id] + b"aa" + body[second_id + 2 :])
         with pytest.raises(FormatError, match="twice"):
             LshIndex.load(path)
 
     def test_load_rejects_truncation(self, tmp_path):
-        index = fresh_index(num_perm=32)
-        rng = np.random.Generator(np.random.Philox(key=16))
-        a, _ = make_set_pair(0.4, 50, rng)
-        index.insert(MinHashSignature("u0", 32, 1, minhash(a, 32, 1).values), "bot")
-        path = tmp_path / "index.bin"
-        index.save(path)
+        # Cut at every byte, a file raises FormatError and nothing else.
+        _, path = small_index(tmp_path, ("aa", "été"))
         blob = path.read_bytes()
-        path.write_bytes(blob[:-5])
+        cut = tmp_path / "cut.idx"
+        for end in range(len(blob)):
+            cut.write_bytes(blob[:end])
+            with pytest.raises(FormatError):
+                LshIndex.load(cut)
+
+    def test_flipped_byte_fails_checksum(self, tmp_path):
+        _, path = small_index(tmp_path)
+        blob = path.read_bytes()
+        body_at = len(blob) - len(read_index_file(path)[1])
+        bad = tmp_path / "bad.idx"
+
+        @given(st.integers(0, len(blob) - 1), st.integers(0, 7))
+        @settings(max_examples=200, deadline=None)
+        def check(at, bit):
+            flipped = bytearray(blob)
+            flipped[at] ^= 1 << bit
+            bad.write_bytes(bytes(flipped))
+            if at < body_at:  # the header may then fail to parse first
+                with pytest.raises(FormatError):
+                    LshIndex.load(bad)
+            else:
+                with pytest.raises(FormatError, match="checksum"):
+                    LshIndex.load(bad)
+
+        check()
+
+    def test_checksum_covers_the_header_fields(self, tmp_path):
+        # A seed changed in place still parses, but would sketch every
+        # query under the wrong hash family.
+        _, path = small_index(tmp_path)
+        blob = path.read_bytes()
+        assert blob.count(b'"seed": 11') == 1
+        path.write_bytes(blob.replace(b'"seed": 11', b'"seed": 12'))
+        with pytest.raises(FormatError, match="checksum"):
+            LshIndex.load(path)
+
+    @pytest.mark.parametrize(
+        "name,kind",
+        [(name, kind) for name in ("bands", "rows", "num_perm", "seed", "users", "k_shingle")
+         for kind in (float, bool)]
+        + [("threshold", kind) for kind in (bool, int, str)] + [("alphabets", str)],
+    )
+    def test_header_field_of_wrong_type(self, tmp_path, name, kind):
+        # e.g. "bands": 4.0, "seed": true, "threshold": 0
+        _, path = small_index(tmp_path)
+        fields, body = read_index_file(path)
+        fields[name] = kind(fields[name])
+        write_index_file(path, fields, body)
+        with pytest.raises(FormatError, match=f"wrong type for {name}"):
+            LshIndex.load(path)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"threshold": 0.0},
+            {"threshold": 2.0},
+            {"threshold": float("nan")},
+            {"bands": 3},
+            {"bands": 8, "rows": 2},
+            {"bands": 0, "rows": 0, "num_perm": 0},
+            {"seed": -1},
+            {"seed": 1 << 64},
+            {"users": -1},
+            {"users": 2},
+            {"users": 1 << 62},
+            {"alphabets": None},
+            {"k_shingle": None},
+            {"k_shingle": 0},
+            {"alphabets": []},
+            {"alphabets": ["B7"]},
+            {"alphabets": ["B3", "B3"]},
+            {"alphabets": [3]},
+            {"alphabets": [["B3"]]},
+        ],
+        ids=repr,
+    )
+    def test_bad_header_value_raises_format_error(self, tmp_path, changes):
+        _, path = small_index(tmp_path)
+        fields, body = read_index_file(path)
+        write_index_file(path, fields | changes, body)
         with pytest.raises(FormatError):
             LshIndex.load(path)
+
+    @pytest.mark.parametrize("change", ["drop", "add"])
+    def test_header_must_hold_exactly_its_fields(self, tmp_path, change):
+        _, path = small_index(tmp_path)
+        fields, body = read_index_file(path)
+        if change == "drop":
+            del fields["users"]
+        else:
+            fields["max_tweets"] = 40
+        write_index_file(path, fields, body)
+        with pytest.raises(FormatError, match="fields must be"):
+            LshIndex.load(path)
+
+    def test_header_that_is_not_a_json_object(self, tmp_path):
+        path = tmp_path / "bad.idx"
+        for header in (b"[1, 2]", b"{", b"\xff\xfe", b"[" * 100_000):
+            path.write_bytes(struct.pack("<4sBI", b"BDIX", 2, len(header)) + header)
+            with pytest.raises(FormatError, match="corrupt index header"):
+                LshIndex.load(path)
+
+    def test_body_that_does_not_fit_its_offsets(self, tmp_path):
+        # Each body below carries a valid checksum: the checks after it
+        # must still catch it.
+        _, path = small_index(tmp_path, ("aa", "bb"))
+        fields, body = read_index_file(path)
+        offsets = np.frombuffer(body[:24], "<u8")
+        rest = body[24:]
+        bad_bodies = {
+            "first offset": np.array([1, 2, 4], "<u8").tobytes() + rest,
+            "falling offsets": np.array([0, 5, 4], "<u8").tobytes() + rest,
+            "offsets past the body": np.array([0, 2, 1 << 40], "<u8").tobytes() + rest,
+            "id not UTF-8": offsets.tobytes() + b"\xff" + rest[1:],
+            "label code 2": body[: 24 + 4] + b"\x02" + body[24 + 5 :],
+            "trailing byte": body + b"\x00",
+        }
+        for name, bad in bad_bodies.items():
+            write_index_file(path, fields, bad)
+            with pytest.raises(FormatError):
+                LshIndex.load(path)

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import json
 import sys
 import threading
 from functools import lru_cache
@@ -234,6 +235,75 @@ class TestSerialization:
         blob = minhash(shingle(seq("ACTA"), 2), 8, 1).to_bytes()
         with pytest.raises(FormatError):
             MinHashSignature.from_bytes(blob[:-3])
+
+    def test_no_permutations_is_format_error(self):
+        blob = MinHashSignature("u", 0, 5, np.empty(0, dtype=np.uint64)).to_bytes()
+        with pytest.raises(FormatError, match="no permutations"):
+            MinHashSignature.from_bytes(blob)
+
+    def test_id_not_utf8_is_format_error(self):
+        blob = bytearray(MinHashSignature("ab", 4, 1, np.arange(4, dtype=np.uint64)).to_bytes())
+        blob[19] = 0xFF  # the first id byte
+        with pytest.raises(FormatError, match="not UTF-8"):
+            MinHashSignature.from_bytes(bytes(blob))
+
+    @given(signature_params, st.data())
+    @settings(max_examples=200)
+    def test_corrupt_blob_raises_format_error_only(self, params, data):
+        # Truncated at any byte, or with any id byte replaced, a blob either
+        # fails with FormatError or is still a valid blob.
+        user_id, num_perm, seed = params
+        values = np.array(data.draw(st.lists(st.integers(0, M61 - 1), min_size=num_perm,
+                                             max_size=num_perm)), dtype=np.uint64)
+        blob = MinHashSignature(user_id, num_perm, seed, values).to_bytes()
+        with pytest.raises(FormatError):
+            MinHashSignature.from_bytes(blob[: data.draw(st.integers(0, len(blob) - 1), label="cut")])
+        id_size = len(user_id.encode("utf-8"))
+        if id_size:
+            at = 19 + data.draw(st.integers(0, id_size - 1), label="id byte")
+            bad = blob[:at] + bytes([data.draw(st.integers(0, 255), label="byte")]) + blob[at + 1 :]
+            try:
+                back = MinHashSignature.from_bytes(bad)
+            except FormatError:
+                return
+            assert back.to_bytes() == bad
+
+    @pytest.mark.parametrize("field", ["format", "version", "seed", "num_perm", "user_id", "values"])
+    def test_debug_json_missing_field(self, field):
+        doc = json.loads(MinHashSignature("u", 3, 1, np.arange(3, dtype=np.uint64)).to_debug_json())
+        del doc[field]
+        with pytest.raises(FormatError):
+            MinHashSignature.from_debug_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"num_perm": 8},  # three values for eight permutations
+            {"num_perm": 3.0},
+            {"num_perm": True},
+            {"seed": 1.0},
+            {"seed": True},
+            {"seed": "1"},
+            {"seed": -1},
+            {"num_perm": 0, "values": []},
+            {"user_id": 7},
+            {"values": [0, 1, 2.5]},
+            {"values": [0, 1, -1]},
+            {"values": [0, 1, 1 << 64]},
+            {"values": "012"},
+        ],
+        ids=repr,
+    )
+    def test_debug_json_bad_field(self, changes):
+        doc = json.loads(MinHashSignature("u", 3, 1, np.arange(3, dtype=np.uint64)).to_debug_json())
+        with pytest.raises(FormatError):
+            MinHashSignature.from_debug_json(json.dumps(doc | changes))
+
+    @pytest.mark.parametrize("text", ["{", "[1]", "null", "[" * 100_000],
+                             ids=["cut short", "array", "null", "deeply nested"])
+    def test_debug_json_that_is_not_an_object(self, text):
+        with pytest.raises(FormatError):
+            MinHashSignature.from_debug_json(text)
 
     def test_base_hash_is_stable(self):
         # Frozen value: guards the on-disk format against accidental
