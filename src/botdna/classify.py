@@ -11,8 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .encoding import BOT, HUMAN
 from .errors import MissingLabel
 from .lsh import LshIndex, Neighbor
@@ -51,8 +49,7 @@ def classify(index: LshIndex, sig: MinHashSignature, jaccard_floor: float | None
     ``jaccard_floor`` defaults to the index's plan threshold; pass 0.0 to
     keep every banding candidate.  Gives the same prediction as ``vote``
     over the ``index.query`` neighbors whose ``jaccard`` reaches the floor,
-    but works on the index's arrays and builds no ``Neighbor``.  This is
-    ``classify_many`` of one signature.
+    but builds no ``Neighbor``.  This is ``classify_many`` of one signature.
     """
     [prediction] = classify_many(index, [sig], jaccard_floor)
     return prediction
@@ -61,23 +58,13 @@ def classify(index: LshIndex, sig: MinHashSignature, jaccard_floor: float | None
 def classify_many(
     index: LshIndex, sigs: list[MinHashSignature], jaccard_floor: float | None = None
 ) -> list[Prediction]:
-    """``classify`` each signature of a block, in order.
+    """``classify`` each signature, in order, from ``index.neighbor_votes``.
 
-    The block's band digests come from one call; each query then marks
-    its candidates and votes on its own.  A signature that does not match
-    the index raises before any is classified.
+    A signature not matching the index raises before any is classified.
     """
-    if not sigs:
-        return []
     floor = index.plan.threshold if jaccard_floor is None else jaccard_floor
-    predictions = []
-    for sig, digests in zip(sigs, index._query_digests(sigs)):
-        ordinals, matches = index._candidates(sig.values, digests)
-        # Same IEEE division as Neighbor.jaccard, so the floor cuts identically.
-        kept = ordinals[matches / index.num_perm >= floor]
-        bot_votes = int(np.count_nonzero(index._is_bot[kept]))
-        predictions.append(_majority(sig.user_id, len(kept), bot_votes))
-    return predictions
+    votes = index.neighbor_votes(sigs, floor)
+    return [_majority(sig.user_id, n, bot_votes) for sig, (n, bot_votes) in zip(sigs, votes)]
 
 
 @dataclass

@@ -108,8 +108,9 @@ def _load_jsonl(path: Path) -> Dataset:
                 user_id = doc["user_id"]
                 if not isinstance(user_id, str) or not user_id or user_id in seen:
                     raise ValueError(f"bad or duplicate user_id {user_id!r}")
+                user_id.encode("utf-8")  # a lone surrogate ("\ud800") cannot be saved
                 label = _coerce_label(doc.get("label"))
-                raw_tweets = doc["tweets"]
+                raw_tweets = iter(doc["tweets"])  # a TypeError for null or a number
             except (ValueError, KeyError, TypeError):
                 malformed += 1
                 continue
@@ -126,7 +127,7 @@ def _load_jsonl(path: Path) -> Dataset:
                             tweet.get("mentions", 0),
                         )
                     )
-                except (ValueError, KeyError, TypeError):
+                except (ValueError, KeyError, TypeError, OverflowError):  # int(1e400) overflows
                     malformed += 1
             if not posts:
                 malformed += 1

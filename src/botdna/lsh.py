@@ -10,9 +10,9 @@ similarity threshold.
 In memory the index is columnar: one signature matrix, one band-digest
 matrix and one label array, a row per user in insertion order.
 ``band_digests`` digests one signature or a whole block of them in one
-vectorised call, so ``insert_many`` stores a block with one digest call
-and slice writes; ``insert`` is its one-row case.  A query looks all its
-band digests up at once in a single sorted table of every stored digest
+vectorised call; ``insert_many`` and ``neighbor_votes`` make one call per
+block of 1 MiB of signatures (1024 at 128 permutations).  A query looks all
+its band digests up at once in a single sorted table of every stored digest
 (rebuilt by the first query after an insert), keeps the hits whose band
 matches, and counts equal signature positions for the candidates with one
 vectorised compare.  The table keeps, beside each sorted digest, only its
@@ -52,6 +52,7 @@ import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -71,6 +72,7 @@ from .minhash import (
 INDEX_MAGIC = b"BDIX"
 INDEX_VERSION = 2
 
+_MISSING = object()  # zip_longest's fill past the shorter of insert_many's inputs
 _PREFIX = struct.Struct("<4sBI")  # magic, version, header length
 _HEADER_TYPES = {  # the header's fields beside its checksum; a bool is not an int here
     "alphabets": (list, type(None)), "bands": (int,), "k_shingle": (int, type(None)),
@@ -220,6 +222,8 @@ class LshIndex:
         self._values = np.empty((0, num_perm), dtype=np.uint64)
         self._digests = np.empty((0, plan.bands), dtype=np.uint64)
         self._is_bot = np.empty(0, dtype=bool)
+        # Signatures per band-digest call: 1 MiB of them.
+        self._block = max(1, ROW_CACHE_BYTES // (8 * num_perm))
         # (sorted digests, flat position) for the first len(self) rows;
         # None when an insert has happened since it was built.
         self._table: tuple[np.ndarray, np.ndarray] | None = None
@@ -251,60 +255,68 @@ class LshIndex:
         return digests.reshape(values.shape[:-1] + (bands,))
 
     def _resize(self, capacity: int) -> None:
-        n = len(self)
         for name in ("_values", "_digests", "_is_bot"):
             old = getattr(self, name)
             new = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
-            new[:n] = old[:n]
+            new[: len(old)] = old  # staged rows too
             setattr(self, name, new)
+
+    def _stage(self, at: int, values, is_bot) -> None:
+        """Write rows from ``at`` on, past ``len(self)``, where no query sees them."""
+        end = at + len(is_bot)
+        if end > len(self._is_bot):
+            self._resize(max(16, 2 * len(self._is_bot), end))
+        self._values[at:end] = values
+        self._is_bot[at:end] = is_bot
+
+    def _commit(self, ids: list[str]) -> None:
+        """Digest the rows staged for ``ids``, a block per call, then publish them."""
+        if not ids:
+            return
+        n, end = len(self), len(self) + len(ids)
+        for start in range(n, end, self._block):
+            stop = min(start + self._block, end)
+            self._digests[start:stop] = self.band_digests(self._values[start:stop])
+        self._ordinals.update(zip(ids, range(n, end)))
+        self._user_ids += ids
+        self._table = None
 
     def insert(self, sig: MinHashSignature, label: str) -> None:
         """Store one labeled signature: ``insert_many`` of one row."""
-        self._append([sig], [label])
+        self.insert_many([sig], [label])
 
     def insert_many(self, sigs: Iterable[MinHashSignature], labels: Iterable[str]) -> None:
-        """Store a block of labeled signatures, in order.
+        """Store labeled signatures from any iterables, in order.
 
-        The whole block is checked first (labels, compatibility, duplicates
-        against the index and within the block), so a bad block raises and
-        leaves the index unchanged.  The result equals inserting the
-        signatures one at a time.
+        Each is checked (label, compatibility, duplicates against the index
+        and within the call), then staged past the stored rows a block at a
+        time.  The ids are published last, so a bad signature raises and
+        leaves the index unchanged.
         """
-        self._append(list(sigs), list(labels))
-
-    def _append(self, sigs: list[MinHashSignature], labels: list[str]) -> None:
-        if len(sigs) != len(labels):
-            raise ValueError(f"{len(sigs)} signatures but {len(labels)} labels")
-        for label in labels:
+        ids: dict[str, None] = {}  # the call's ids, in order
+        values, is_bot, at = [], [], len(self)  # the block being filled, and its first row
+        pairs = zip_longest(sigs, labels, fillvalue=_MISSING)
+        for sig, label in pairs:
+            if sig is _MISSING or label is _MISSING:
+                longer = len(ids) + 1 + sum(1 for _ in pairs)
+                n_sigs, n_labels = (len(ids), longer) if sig is _MISSING else (longer, len(ids))
+                raise ValueError(f"{n_sigs} signatures but {n_labels} labels")
             if label not in (HUMAN, BOT):
                 raise ValueError(f"label must be {HUMAN!r} or {BOT!r}, got {label!r}")
-        ids: dict[str, None] = {}  # the block's ids, in order
-        for sig in sigs:
             check_compatible(sig, self.num_perm, self.seed)
             uid = sig.user_id
             if uid in self._ordinals or uid in ids:
                 raise DuplicateUser(uid)
             ids[uid] = None
-        self._commit(list(ids), [sig.values for sig in sigs], [label == BOT for label in labels])
-
-    def _commit(self, ids: list[str], values, is_bot) -> None:
-        """Append checked rows to every column, digesting 1 MiB of signatures per call."""
-        if not ids:
-            return
-        # Rows past len(self) are free capacity, so nothing below shows
-        # until the ids are committed.
-        n, end = len(self), len(self) + len(ids)
-        if end > len(self._is_bot):
-            self._resize(max(16, 2 * len(self._is_bot), end))
-        self._values[n:end] = values
-        step = max(1, ROW_CACHE_BYTES // (8 * self.num_perm))
-        for start in range(n, end, step):
-            stop = min(start + step, end)
-            self._digests[start:stop] = self.band_digests(self._values[start:stop])
-        self._is_bot[n:end] = is_bot
-        self._ordinals.update(zip(ids, range(n, end)))
-        self._user_ids += ids
-        self._table = None
+            values.append(sig.values)
+            is_bot.append(label == BOT)
+            if len(is_bot) == self._block:
+                self._stage(at, values, is_bot)
+                at += len(is_bot)
+                values, is_bot = [], []
+        if is_bot:
+            self._stage(at, values, is_bot)
+        self._commit(list(ids))
 
     def _lookup_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Every stored digest, sorted, and its flat position in the digest matrix.
@@ -319,14 +331,6 @@ class LshIndex:
                 order = order.astype(np.int32)
             self._table = flat[order], order
         return self._table
-
-    def _query_digests(self, sigs: list[MinHashSignature]) -> np.ndarray:
-        """The ``(len(sigs), bands)`` digests of compatible query signatures."""
-        for sig in sigs:
-            check_compatible(sig, self.num_perm, self.seed)
-        values = np.empty((len(sigs), self.num_perm), dtype=np.uint64)
-        values[:] = [sig.values for sig in sigs]
-        return self.band_digests(values)
 
     def _candidates(self, values: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Candidate ordinals (ascending) and their equal-position counts.
@@ -368,13 +372,32 @@ class LshIndex:
 
         Neighbors come in insertion order.
         """
-        [digests] = self._query_digests([sig])
-        ordinals, matches = self._candidates(sig.values, digests)
+        check_compatible(sig, self.num_perm, self.seed)
+        values = np.asarray(sig.values, dtype=np.uint64)
+        ordinals, matches = self._candidates(values, self.band_digests(values))
         ids, is_bot = self._user_ids, self._is_bot
         return [
             Neighbor(ids[i], BOT if is_bot[i] else HUMAN, float(m) / self.num_perm)
             for i, m in zip(ordinals.tolist(), matches.tolist())
         ]
+
+    def neighbor_votes(self, sigs: Iterable[MinHashSignature], floor: float) -> list[tuple[int, int]]:
+        """(neighbors, bot votes) per signature, checking all of them first.
+
+        The neighbors are the ``query`` candidates whose ``jaccard`` (the
+        same division, ``matches / num_perm``) reaches ``floor``.
+        """
+        sigs = list(sigs)
+        for sig in sigs:
+            check_compatible(sig, self.num_perm, self.seed)
+        votes = []
+        for start in range(0, len(sigs), self._block):
+            values = np.array([sig.values for sig in sigs[start : start + self._block]], np.uint64)
+            for row, digests in zip(values, self.band_digests(values)):
+                ordinals, matches = self._candidates(row, digests)
+                kept = ordinals[matches / self.num_perm >= floor]
+                votes.append((len(kept), int(np.count_nonzero(self._is_bot[kept]))))
+        return votes
 
     # --- persistence ---------------------------------------------------
 
@@ -450,8 +473,9 @@ class LshIndex:
         codes = np.frombuffer(body, "u1", n, labels_at)
         if np.any(codes > 1):
             raise FormatError(f"bad label code {codes.max()} in index file")
-        values = np.frombuffer(body, "<u8", n * num_perm, values_at).reshape(n, num_perm)
-        index._commit(ids, values, codes == 1)
+        index._stage(0, np.frombuffer(body, "<u8", n * num_perm, values_at).reshape(n, num_perm),
+                     codes == 1)
+        index._commit(ids)
         if len(index._ordinals) != n:
             raise FormatError("a user id appears twice in index file")
         return index

@@ -212,6 +212,8 @@ class MinHashSignature:
 
     def to_bytes(self) -> bytes:
         uid = self.user_id.encode("utf-8")
+        if len(uid) > 0xFFFF:  # the blob stores its length as a u16
+            raise ValueError(f"user id of {len(uid)} UTF-8 bytes is over the limit of 65535")
         header = struct.pack("<4sBQIH", SIGNATURE_MAGIC, SIGNATURE_VERSION, self.seed, self.num_perm, len(uid))
         return header + uid + self.values.astype("<u8").tobytes()
 

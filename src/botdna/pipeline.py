@@ -20,17 +20,17 @@ from __future__ import annotations
 import hashlib
 import resource
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import islice, product, repeat
+from itertools import product, repeat
 
 from .classify import EvaluationReport, Prediction, classify_many, score
 from .data import Dataset, SplitSpec, cap_tweets, filter_min_length, split
 from .encoding import (BOT, CANONICAL_ALPHABET_ORDER, HUMAN, DnaSequence, UserTimeline, encode_user,
                        resolve_alphabets)
 from .lsh import LshIndex, lsh_plan
-from .minhash import ROW_CACHE_BYTES, MinHashSignature, minhash, shingle
+from .minhash import MinHashSignature, minhash, shingle
 
 ALPHABET_SUBSETS = (
     ("B3",),
@@ -49,11 +49,10 @@ DEFAULT_GT_FRACTIONS = (0.1, 0.2, 0.3)
 
 
 def canonical_alphabets(ids) -> tuple[str, ...]:
-    ordered = tuple(a for a in CANONICAL_ALPHABET_ORDER if a in ids)
-    if len(ordered) != len(set(ids)):
-        unknown = set(ids) - set(CANONICAL_ALPHABET_ORDER)
-        raise ValueError(f"unknown alphabet ids: {sorted(unknown)}")
-    return ordered
+    """``ids`` in canonical order; an unknown or repeated id raises ``ValueError``."""
+    if ids:  # none at all is left for RunConfig to reject
+        resolve_alphabets(ids)
+    return tuple(a for a in CANONICAL_ALPHABET_ORDER if a in ids)
 
 
 @dataclass(frozen=True)
@@ -132,28 +131,15 @@ def new_index(cfg: RunConfig) -> LshIndex:
     return LshIndex(plan, cfg.num_perm, cfg.seed, (cfg.alphabets, cfg.k_shingle))
 
 
-def _blocks(items: Iterable, cfg: RunConfig) -> Iterator[list]:
-    """Consecutive lists of ``ROW_CACHE_BYTES // (8 * num_perm)`` items.
-
-    That many signatures fill 1 MiB: 1024 at 128 permutations.  Indexing
-    and classifying make one band-digest call per block.
-    """
-    items, size = iter(items), max(1, ROW_CACHE_BYTES // (8 * cfg.num_perm))
-    while block := list(islice(items, size)):
-        yield block
-
-
 def _index(users: list[UserTimeline], sigs: Iterable[MinHashSignature], cfg: RunConfig) -> LshIndex:
     index = new_index(cfg)
-    for block in _blocks(zip(sigs, users), cfg):
-        index.insert_many([sig for sig, _ in block], [user.label for _, user in block])
+    index.insert_many(sigs, (user.label for user in users))
     return index
 
 
 def build_index(users: list[UserTimeline], cfg: RunConfig) -> LshIndex:
     """Index every labeled user's signature."""
-    # Sketched lazily, so no more than one block of signatures is held
-    # outside the index.
+    # Sketched lazily: insert_many holds no more than a block outside the index.
     return _index(users, (signature_for(u, cfg) for u in users), cfg)
 
 
@@ -192,8 +178,7 @@ def _run(
     t0 = _now()
     index = ground_truth if isinstance(ground_truth, LshIndex) else _index(*ground_truth, cfg)
     t1 = _now()
-    floor = cfg.effective_floor()
-    predictions = [p for block in _blocks(test_sigs, cfg) for p in classify_many(index, block, floor)]
+    predictions = classify_many(index, test_sigs, cfg.effective_floor())
     if not scored:
         return predictions, None
     report = score(predictions, {u.user_id: u.label for u in test_users}, config=echo)

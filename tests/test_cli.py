@@ -108,7 +108,7 @@ class TestSharedOptions:
 
     @pytest.mark.parametrize("command", ["grid-search", "early-detection"])
     def test_split_file_reaches_every_report(self, command, corpus_file, tmp_path):
-        users = [json.loads(line)["user_id"] for line in open(corpus_file)]
+        users = [json.loads(line)["user_id"] for line in corpus_file.read_text().splitlines()]
         (tmp_path / "gt.txt").write_text("\n".join(users[:30]) + "\n")
         (tmp_path / "test.txt").write_text("\n".join(users[30:]) + "\n")
         _, reports = run_reports(command, corpus_file, tmp_path,
@@ -141,6 +141,14 @@ class TestSharedOptions:
     def test_bad_setting_is_input_error(self, argv, corpus_file):
         command, *options = argv
         assert run(command, *[corpus_file] * POSITIONALS.get(command, 1), *options) == 2
+
+    @pytest.mark.parametrize("option,value", [("--alphabets", "B3,B3"), ("--alphabet-grid", "B3,B3/B5")])
+    def test_repeated_alphabet_is_a_usage_error(self, option, value, corpus_file):
+        # As RunConfig(alphabets=("B3", "B3")) raises, the option does not collapse the repeat.
+        command = "evaluate" if option == "--alphabets" else "grid-search"
+        with pytest.raises(SystemExit) as excinfo:
+            run(command, corpus_file, option, value)
+        assert excinfo.value.code == 2
 
 
 class TestEvaluateCommand:
@@ -195,8 +203,19 @@ class TestEvaluateCommand:
         path.write_text(good + "\n" + "{broken\n" * 10)
         assert run("evaluate", path) == 3
 
+    def test_odd_tweets_fields_are_malformed_records(self, corpus_file, tmp_path):
+        odd = ['{"user_id": "null", "label": "bot", "tweets": null}\n',
+               '{"user_id": "number", "label": "bot", "tweets": 5}\n',
+               '{"user_id": "overflow", "label": "bot", "tweets": [{"ts": 1e400, "kind": "plain"}]}\n']
+        path = tmp_path / "odd.jsonl"
+        path.write_text(corpus_file.read_text() + "".join(odd))
+        out = tmp_path / "report.json"
+        assert run("evaluate", path, "--out", out) == 0
+        # The overflowing user's only tweet is malformed, and so is the user left without posts.
+        assert json.loads(out.read_text())["counts"]["malformed_records"] == 4
+
     def test_split_file_fixed_lists(self, corpus_file, tmp_path):
-        users = [json.loads(line)["user_id"] for line in open(corpus_file)]
+        users = [json.loads(line)["user_id"] for line in corpus_file.read_text().splitlines()]
         gt_file = tmp_path / "gt.txt"
         test_file = tmp_path / "test.txt"
         gt_file.write_text("\n".join(users[:30]) + "\n")
@@ -235,7 +254,7 @@ class TestGridSearchCommand:
         )
         doc = json.loads(out.read_text())
         assert len(doc["grid"]) == 8
-        rows = list(csv.DictReader(open(csv_out)))
+        rows = list(csv.DictReader(csv_out.read_text().splitlines()))
         assert len(rows) == 8
         assert rows[0]["rank"] == "1"
 
@@ -275,7 +294,7 @@ class TestSweepCommands:
         )
         doc = json.loads(out.read_text())
         assert [entry["max_tweets"] for entry in doc["series"]] == [20, 40]
-        rows = list(csv.DictReader(open(csv_out)))
+        rows = list(csv.DictReader(csv_out.read_text().splitlines()))
         assert [r["max_tweets"] for r in rows] == ["20", "40"]
 
     def test_gt_sweep_series(self, corpus_file, tmp_path):
@@ -365,6 +384,15 @@ class TestIndexCommands:
         assert long_id in LshIndex.load(index_path).labels
         assert run("index-query", index_path, corpus, "--out", out) == 0
         assert long_id in {p["user_id"] for p in json.loads(out.read_text())["predictions"]}
+
+    def test_lone_surrogate_user_id_is_a_malformed_record(self, tmp_path):
+        users = synthetic_corpus(20, 60, seed=5)
+        users[3] = replace(users[3], user_id="\ud800")
+        corpus = corpus_to_jsonl(users, tmp_path / "surrogate.jsonl")
+        index_path = tmp_path / "gt.idx"
+        assert run("index-build", corpus, "--out", index_path) == 0
+        assert load(corpus).malformed_count == 1
+        assert len(LshIndex.load(index_path)) == 19
 
     def test_settings_reach_index_and_query(self, corpus_file, tmp_path):
         index_path = tmp_path / "gt.idx"

@@ -93,6 +93,21 @@ class TestLoadJsonl:
         assert ds.malformed_count == 2
         assert len(ds.by_id()["u1"].posts) == 1
 
+    @pytest.mark.parametrize(
+        "odd",
+        ['"user_id": "odd", "tweets": null', '"user_id": "odd", "tweets": 5',
+         '"user_id": "odd", "tweets": [{"ts": 100, "kind": "plain"}, {"ts": 1e400, "kind": "plain"}]',
+         '"user_id": "\\ud800", "tweets": [{"ts": 100, "kind": "plain"}]'],
+        ids=["null-tweets", "number-tweets", "overflowing-ts", "lone-surrogate-id"],
+    )
+    def test_odd_record_is_malformed(self, tmp_path, odd):
+        lines = [json.dumps(user_doc(f"u{i}")) for i in range(200)] + ["{%s}" % odd]
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        ds = load(path)
+        assert ds.malformed_count == 1
+        assert len(ds) == 200 + ("1e400" in odd)  # that user keeps its good tweet
+
     def test_duplicate_user_id_is_malformed(self, tmp_path):
         docs = [user_doc(f"u{i}") for i in range(300)] + [user_doc("u0")]
         ds = load(write_jsonl(tmp_path / "d.jsonl", docs))

@@ -213,6 +213,14 @@ def snapshot(index):
     )
 
 
+def sequential(parts, entries):
+    """A fresh index like ``parts`` holding ``entries``, inserted one at a time."""
+    index = LshIndex(parts.plan, parts.num_perm, parts.seed)
+    for sig, label in entries:
+        index.insert(sig, label)
+    return index
+
+
 def renamed(entries, copies):
     """``copies`` copies of the drawn entries under distinct ids."""
     return [
@@ -261,11 +269,18 @@ class TestInsertMany:
         check()
         assert seen == {"empty", "crossed a doubling"}
 
-    def test_bad_block_leaves_index_unchanged(self):
+    def test_bad_block_leaves_index_unchanged(self, monkeypatch):
+        # The inputs come as generators through blocks of one to three
+        # rows, so a bad signature may follow whole blocks already staged.
+        seen = set()
+
         @given(st.data())
         @settings(max_examples=100, deadline=None)
         def check(data):
-            index, entries, probes = draw_index_parts(data)
+            parts, entries, probes = draw_index_parts(data)
+            rows = data.draw(st.integers(1, 3), label="rows per block")
+            monkeypatch.setattr("botdna.lsh.ROW_CACHE_BYTES", rows * 8 * parts.num_perm)
+            index = LshIndex(parts.plan, parts.num_perm, parts.seed)
             split = data.draw(st.integers(0, len(entries)), label="split")
             index.insert_many([sig for sig, _ in entries[:split]], [label for _, label in entries[:split]])
             rest = entries[split:]
@@ -286,21 +301,32 @@ class TestInsertMany:
             for sig, label, error in bad.values():
                 at = data.draw(st.integers(0, len(rest)), label="position")
                 block = rest[:at] + [(sig, label)] + rest[at:]
+                if at >= rows:
+                    seen.add("after a staged block")
                 with pytest.raises(error):
-                    index.insert_many([s for s, _ in block], [l for _, l in block])
+                    index.insert_many((s for s, _ in block), (l for _, l in block))
                 assert snapshot(index) == before
                 assert [index.query(probe) for probe in probes] == answers
+            extra = rest + [(None, "bot")]
+            with pytest.raises(ValueError, match=f"^{len(rest)} signatures but {len(extra)} labels$"):
+                index.insert_many((s for s, _ in rest), (l for _, l in extra))
+            assert snapshot(index) == before
             # The failed blocks leave nothing behind for a good one to meet.
-            index.insert_many([sig for sig, _ in rest], [label for _, label in rest])
+            index.insert_many((sig for sig, _ in rest), (label for _, label in rest))
             assert list(index._user_ids) == [sig.user_id for sig, _ in entries]
+            assert snapshot(index) == snapshot(sequential(parts, entries))
 
         check()
+        assert seen == {"after a staged block"}
 
     def test_label_count_must_match(self):
         index = fresh_index(num_perm=8)
         sig = MinHashSignature("a", 8, 1, np.zeros(8, dtype=np.uint64))
         with pytest.raises(ValueError, match="1 signatures but 2 labels"):
             index.insert_many([sig], ["bot", "human"])
+        other = MinHashSignature("b", 8, 1, np.ones(8, dtype=np.uint64))
+        with pytest.raises(ValueError, match="3 signatures but 1 labels"):
+            index.insert_many(iter([sig, other, other]), iter(["bot"]))
         assert len(index) == 0
 
     @given(st.data())
@@ -322,7 +348,34 @@ class TestInsertMany:
             np.testing.assert_array_equal(digests, index.band_digests(row))
 
 
+class TestNeighborVotes:
+    def test_equals_counting_query_neighbors(self, monkeypatch):
+        @given(st.data())
+        @settings(max_examples=100, deadline=None)
+        def check(data):
+            parts, entries, probes = draw_index_parts(data)
+            rows = data.draw(st.integers(1, 4), label="rows per block")
+            monkeypatch.setattr("botdna.lsh.ROW_CACHE_BYTES", rows * 8 * parts.num_perm)
+            index = sequential(parts, entries)
+            for floor in (0.0, 0.5, index.plan.threshold, 1.0):
+                want = []
+                for probe in probes:
+                    kept = [nb for nb in index.query(probe) if nb.jaccard >= floor]
+                    want.append((len(kept), sum(nb.label == "bot" for nb in kept)))
+                assert index.neighbor_votes(iter(probes), floor) == want
+
+        check()
+
+
 class TestQuery:
+    def test_values_of_another_integer_type(self):
+        index = LshIndex(BandingPlan(0.5, 4, 2), 8, 1)
+        index.insert(MinHashSignature("a", 8, 1, np.arange(8)), "bot")
+        for values in (np.arange(8), np.arange(8, dtype=np.uint64)):
+            probe = MinHashSignature("b", 8, 1, values)
+            assert index.query(probe) == [Neighbor("a", "bot", 1.0)]
+            assert index.neighbor_votes([probe], 1.0) == [(1, 1)]
+
     def test_empty_index(self):
         index = fresh_index()
         rng = np.random.Generator(np.random.Philox(key=11))

@@ -247,6 +247,14 @@ class TestSerialization:
         with pytest.raises(FormatError, match="not UTF-8"):
             MinHashSignature.from_bytes(bytes(blob))
 
+    def test_id_over_u16_length_is_value_error(self):
+        values = np.arange(4, dtype=np.uint64)
+        fits = MinHashSignature("a" * 0xFFFF, 4, 1, values).to_bytes()
+        assert MinHashSignature.from_bytes(fits).user_id == "a" * 0xFFFF
+        too_long = MinHashSignature("\u00e9" * 32_768, 4, 1, values)  # 65,536 UTF-8 bytes
+        with pytest.raises(ValueError, match="65536 UTF-8 bytes is over the limit of 65535"):
+            too_long.to_bytes()
+
     @given(signature_params, st.data())
     @settings(max_examples=200)
     def test_corrupt_blob_raises_format_error_only(self, params, data):

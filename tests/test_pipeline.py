@@ -1,11 +1,15 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from botdna import pipeline
 from botdna.data import Dataset, SplitSpec, split
 from botdna.encoding import PostRecord, UserTimeline
+from botdna.errors import IncompatibleSignatures
+from botdna.lsh import BandingPlan, LshIndex
+from botdna.minhash import MinHashSignature
 from botdna.pipeline import (
     ALPHABET_SUBSETS,
     RunConfig,
@@ -116,6 +120,12 @@ class TestCanonicalAlphabets:
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
             canonical_alphabets(("B3", "B7"))
+
+    def test_rejects_repeats_as_run_config_does(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            canonical_alphabets(("B3", "B3"))
+        with pytest.raises(ValueError, match="duplicate"):
+            RunConfig(alphabets=("B3", "B3"))
 
 
 class TestEvaluate:
@@ -367,32 +377,56 @@ class TestGtSweep:
             gt_sweep(separable_dataset(n=4), base_config(), fractions=[1.5])
 
 
+def counting_digests(monkeypatch) -> list[int]:
+    """Patch ``LshIndex.band_digests`` to log the rows of each call."""
+    calls, band_digests = [], LshIndex.band_digests
+    monkeypatch.setattr(LshIndex, "band_digests",
+                        lambda self, values: calls.append(len(values)) or band_digests(self, values))
+    return calls
+
+
 class TestBlocks:
-    def test_block_is_one_mebibyte_of_signatures(self):
-        sizes = [len(block) for block in pipeline._blocks(range(2500), RunConfig(num_perm=128))]
-        assert sizes == [1024, 1024, 452]
-        assert [len(b) for b in pipeline._blocks(range(3), RunConfig(num_perm=1 << 20))] == [1, 1, 1]
+    def test_block_is_one_mebibyte_of_signatures(self, monkeypatch):
+        calls = counting_digests(monkeypatch)
+        rng = np.random.Generator(np.random.Philox(key=2))
+        # A signature over 1 MiB still makes a block of one.
+        for num_perm, count, blocks in [(128, 2500, [1024, 1024, 452]), (1 << 18, 3, [1, 1, 1])]:
+            index = LshIndex(BandingPlan(0.5, 1, num_perm), num_perm, seed=1)
+            values = rng.integers(0, 1 << 61, (count, num_perm), dtype=np.uint64)
+            sigs = [MinHashSignature(f"u{i}", num_perm, 1, row) for i, row in enumerate(values)]
+            calls.clear()
+            index.insert_many(iter(sigs), ("bot" for _ in sigs))
+            assert calls == blocks
+            calls.clear()
+            assert index.neighbor_votes(iter(sigs), 1.0) == [(1, 1)] * count
+            assert calls == blocks
+        calls.clear()
+        with pytest.raises(IncompatibleSignatures):  # checked before any is digested
+            index.neighbor_votes(sigs + [MinHashSignature("bad", num_perm, 2, values[0])], 1.0)
+        assert calls == []
 
     def test_build_index_holds_at_most_one_block_outside_the_index(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "ROW_CACHE_BYTES", 10 * 8 * 128)  # 10 signatures
+        monkeypatch.setattr("botdna.lsh.ROW_CACHE_BYTES", 10 * 8 * 128)  # 10 signatures
         cfg = RunConfig(num_perm=128)
         users = synthetic_corpus(35, 20, seed=3)
-        indexes, outside = [], []
-        new_index, signature_for = pipeline.new_index, pipeline.signature_for
+        # The index publishes its users only at the end of the call, so the
+        # probe counts the rows it has staged: sketched minus staged is held
+        # outside the index.
+        staged, outside = [0], []
+        stage, signature_for = LshIndex._stage, pipeline.signature_for
 
-        def capture(cfg):
-            indexes.append(new_index(cfg))
-            return indexes[-1]
+        def counting_stage(index, at, values, is_bot):
+            stage(index, at, values, is_bot)
+            staged[0] = at + len(is_bot)
 
         def counting(user, cfg):
-            # Signatures sketched so far, this one included, minus those indexed.
-            outside.append(len(outside) + 1 - len(indexes[0]))
+            outside.append(len(outside) + 1 - staged[0])  # this signature included
             return signature_for(user, cfg)
 
-        monkeypatch.setattr(pipeline, "new_index", capture)
+        monkeypatch.setattr(LshIndex, "_stage", counting_stage)
         monkeypatch.setattr(pipeline, "signature_for", counting)
         index = build_index(users, cfg)
-        assert len(outside) == len(index) == 35
+        assert len(outside) == len(index) == staged[0] == 35
         assert max(outside) == 10
         assert outside[:11] == [*range(1, 11), 1]
 
@@ -400,8 +434,13 @@ class TestBlocks:
         ds = noisy_dataset(60)
         cfg = RunConfig(alphabets=("B3", "B9"), k_shingle=3, threshold=0.3)
         whole = evaluate(ds, cfg).to_json(include_timings=False)
-        monkeypatch.setattr(pipeline, "ROW_CACHE_BYTES", 7 * 8 * 128)
-        assert evaluate(ds, cfg).to_json(include_timings=False) == whole
+        calls = counting_digests(monkeypatch)
+        monkeypatch.setattr("botdna.lsh.ROW_CACHE_BYTES", 7 * 8 * 128)
+        report = evaluate(ds, cfg)
+        assert report.to_json(include_timings=False) == whole
+        # Seven signatures per digest call: the ground truth's, then the test side's.
+        sizes = [report.counts["ground_truth_users"], report.counts["test_users"]]
+        assert calls == [min(7, n - start) for n in sizes for start in range(0, n, 7)]
 
 
 class TestClassifyAgainstIndex:
