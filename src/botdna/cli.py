@@ -25,7 +25,10 @@ EXIT_INTEGRITY = 3
 
 
 def _parse_alphabets(text: str) -> tuple[str, ...]:
-    return canonical_alphabets(tuple(part.strip() for part in text.split(",") if part.strip()))
+    try:
+        return canonical_alphabets(tuple(part.strip() for part in text.split(",") if part.strip()))
+    except ValueError as exc:  # argparse prints an ArgumentTypeError's own message
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_int_list(text: str) -> list[int]:

@@ -12,6 +12,13 @@ tweet with a header of ``user_id,label,ts,kind,urls,hashtags,mentions``;
 rows are grouped by user at load.  Fixed split files are plain text with
 one user id per line.
 
+Each user's posts load straight into the columns of a ``UserTimeline``;
+no ``PostRecord`` is built per record.  A record is malformed when a field
+is missing, its timestamp is not a positive int64, a count is not a
+non-negative int64 (no value is truncated or wrapped), or its kind is not
+one of ``POST_KINDS``.  In JSONL, ``tweets`` must be an array, and a user
+without a well-formed tweet is one more malformed record.
+
 Malformed records are counted and reported on the returned dataset; a file
 where more than 1% of records are bad raises IntegrityError, and a file
 yielding no users at all raises FormatError.
@@ -21,10 +28,11 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from array import array
+from dataclasses import dataclass
 from pathlib import Path
 
-from .encoding import BOT, HUMAN, POST_KINDS, PostRecord, UserTimeline
+from .encoding import BOT, HUMAN, POST_KIND_CODES, POST_KINDS, UserTimeline, to_int64
 from .errors import FormatError, IntegrityError, UnknownUser
 from .minhash import rng_for
 
@@ -69,16 +77,23 @@ def _coerce_label(value) -> str | None:
     raise ValueError(f"bad label {value!r}")
 
 
-def _coerce_post(ts, kind, urls, hashtags, mentions) -> PostRecord:
-    ts = int(ts)
-    urls, hashtags, mentions = int(urls), int(hashtags), int(mentions)
-    if ts <= 0:
-        raise ValueError(f"timestamp must be positive, got {ts}")
+# What a malformed record raises while its fields are read and checked.
+_RECORD_ERRORS = (ValueError, KeyError, TypeError)
+_INT64_MAX = (1 << 63) - 1
+
+
+def _check_post(ts: int, kind, urls: int, hashtags: int, mentions: int) -> tuple[int, int, int, int, int]:
+    """One record's post as (timestamp, kind code, urls, hashtags, mentions).
+
+    The integer fields come converted exactly: ``int`` of a CSV string, ``to_int64`` of a JSON value.
+    """
+    if not 0 < ts <= _INT64_MAX:
+        raise ValueError(f"timestamp must be a positive int64, got {ts}")
     if kind not in POST_KINDS:
         raise ValueError(f"bad kind {kind!r}")
-    if min(urls, hashtags, mentions) < 0:
-        raise ValueError("negative entity count")
-    return PostRecord(ts, kind, urls, hashtags, mentions)
+    if min(urls, hashtags, mentions) < 0 or max(urls, hashtags, mentions) > _INT64_MAX:
+        raise ValueError("entity counts must be non-negative int64 values")
+    return (ts, POST_KIND_CODES[kind], urls, hashtags, mentions)
 
 
 def _finish(name: str, provenance: str, users: list[UserTimeline], malformed: int, total: int) -> Dataset:
@@ -88,9 +103,38 @@ def _finish(name: str, provenance: str, users: list[UserTimeline], malformed: in
         raise IntegrityError(
             f"{provenance}: {malformed} of {total} records malformed (limit {MALFORMED_LIMIT:.0%})"
         )
-    for user in users:
-        user.posts.sort(key=lambda p: p.timestamp)
     return Dataset(name, users, provenance, malformed)
+
+
+def _tweet_columns(tweets: list) -> tuple[list, list, list, list, list]:
+    """The ts, kind, urls, hashtags and mentions fields of JSONL tweets, column by column."""
+    return ([t["ts"] for t in tweets], [t["kind"] for t in tweets], [t.get("urls", 0) for t in tweets],
+            [t.get("hashtags", 0) for t in tweets], [t.get("mentions", 0) for t in tweets])
+
+
+def _jsonl_timeline(user_id: str, label: str | None, tweets: list) -> tuple[UserTimeline | None, int]:
+    """The timeline of the user's well-formed tweets (None if none is) and the malformed count."""
+    if not tweets:
+        return None, 0
+    try:  # every tweet at once, checked by column
+        timestamps, kinds, *counts = _tweet_columns(tweets)
+        codes = [POST_KIND_CODES[kind] for kind in kinds]
+        timeline = UserTimeline.from_columns(user_id, label, timestamps, codes, *counts)
+        least_count = min(timeline.urls.min(), timeline.hashtags.min(), timeline.mentions.min())
+        if timeline.timestamps[0] > 0 and least_count >= 0:  # sorted: [0] is the least
+            return timeline, 0
+    except _RECORD_ERRORS:
+        pass
+    posts = []  # some tweet is malformed: find which, one by one
+    for tweet in tweets:
+        try:
+            ts, kind, urls, hashtags, mentions = (column[0] for column in _tweet_columns([tweet]))
+            counts = to_int64(urls), to_int64(hashtags), to_int64(mentions)
+            posts.append(_check_post(to_int64(ts), kind, *counts))
+        except _RECORD_ERRORS:
+            pass
+    timeline = UserTimeline.from_columns(user_id, label, *zip(*posts)) if posts else None
+    return timeline, len(tweets) - len(posts)
 
 
 def _load_jsonl(path: Path) -> Dataset:
@@ -110,30 +154,20 @@ def _load_jsonl(path: Path) -> Dataset:
                     raise ValueError(f"bad or duplicate user_id {user_id!r}")
                 user_id.encode("utf-8")  # a lone surrogate ("\ud800") cannot be saved
                 label = _coerce_label(doc.get("label"))
-                raw_tweets = iter(doc["tweets"])  # a TypeError for null or a number
-            except (ValueError, KeyError, TypeError):
+                tweets = doc["tweets"]
+                if not isinstance(tweets, list):  # null, a number, a string, an object
+                    raise TypeError(f"tweets must be an array, got {type(tweets).__name__}")
+            except _RECORD_ERRORS:
                 malformed += 1
                 continue
-            posts = []
-            for tweet in raw_tweets:
-                total += 1
-                try:
-                    posts.append(
-                        _coerce_post(
-                            tweet["ts"],
-                            tweet["kind"],
-                            tweet.get("urls", 0),
-                            tweet.get("hashtags", 0),
-                            tweet.get("mentions", 0),
-                        )
-                    )
-                except (ValueError, KeyError, TypeError, OverflowError):  # int(1e400) overflows
-                    malformed += 1
-            if not posts:
+            total += len(tweets)
+            timeline, bad = _jsonl_timeline(user_id, label, tweets)
+            malformed += bad
+            if timeline is None:
                 malformed += 1
                 continue
             seen.add(user_id)
-            users.append(UserTimeline(user_id, label, posts))
+            users.append(timeline)
     return _finish(path.stem, str(path), users, malformed, total)
 
 
@@ -141,8 +175,9 @@ _CSV_COLUMNS = ("user_id", "label", "ts", "kind", "urls", "hashtags", "mentions"
 
 
 def _load_csv(path: Path) -> Dataset:
-    order: list[str] = []
-    posts_by_user: dict[str, list[PostRecord]] = {}
+    # Per user, in order of its first good row: its posts' fields, row after row,
+    # in one int64 array, so no object is kept per row.
+    rows_by_user: dict[str, array] = {}
     label_by_user: dict[str, str | None] = {}
     malformed = 0
     total = 0
@@ -157,7 +192,8 @@ def _load_csv(path: Path) -> Dataset:
                 if not user_id:
                     raise ValueError("empty user_id")
                 label = _coerce_label(row["label"])
-                post = _coerce_post(row["ts"], row["kind"], row["urls"], row["hashtags"], row["mentions"])
+                post = _check_post(int(row["ts"]), row["kind"], int(row["urls"]), int(row["hashtags"]),
+                                   int(row["mentions"]))
                 if user_id in label_by_user:
                     known = label_by_user[user_id]
                     if label is not None and known is not None and label != known:
@@ -165,20 +201,21 @@ def _load_csv(path: Path) -> Dataset:
                     if known is None:
                         label_by_user[user_id] = label
                 else:
-                    order.append(user_id)
                     label_by_user[user_id] = label
-                    posts_by_user[user_id] = []
-                posts_by_user[user_id].append(post)
-            except (ValueError, KeyError, TypeError):
+                    rows_by_user[user_id] = array("q")
+                rows_by_user[user_id].extend(post)
+            except _RECORD_ERRORS:
                 malformed += 1
+    width = len(_CSV_COLUMNS) - 2  # the post fields after user_id and label
     users = [
-        UserTimeline(uid, label_by_user[uid], posts_by_user[uid]) for uid in order if posts_by_user[uid]
+        UserTimeline.from_columns(uid, label_by_user[uid], *(rows[i::width] for i in range(width)))
+        for uid, rows in rows_by_user.items()
     ]
     return _finish(path.stem, str(path), users, malformed, total)
 
 
 def load(path, format: str = "jsonl") -> Dataset:
-    """Read a dataset file; posts come back sorted by timestamp."""
+    """Read a dataset file into timelines, each sorted by timestamp."""
     path = Path(path)
     if not path.exists():
         raise FormatError(f"no such file: {path}")
@@ -194,7 +231,7 @@ def load(path, format: str = "jsonl") -> Dataset:
 def filter_min_length(ds: Dataset, k: int, alphabets) -> tuple[Dataset, int]:
     """Drop users whose encoded length ``posts * alphabets`` is below k."""
     width = len(alphabets)
-    kept = [u for u in ds.users if len(u.posts) * width >= k]
+    kept = [u for u in ds.users if len(u) * width >= k]
     removed = len(ds.users) - len(kept)
     return Dataset(ds.name, kept, ds.provenance, ds.malformed_count), removed
 
@@ -203,9 +240,7 @@ def cap_tweets(ds: Dataset, max_k: int) -> Dataset:
     """Keep only each user's chronologically first max_k posts."""
     if max_k < 1:
         raise ValueError(f"max_k must be positive, got {max_k}")
-    users = [
-        replace(u, posts=u.posts[:max_k]) if len(u.posts) > max_k else u for u in ds.users
-    ]
+    users = [u.first(max_k) if len(u) > max_k else u for u in ds.users]
     return Dataset(ds.name, users, ds.provenance, ds.malformed_count)
 
 

@@ -12,13 +12,21 @@ alphabet.  Three built-in alphabets are supported:
 
 With several alphabets the per-post symbols are interleaved in the declared
 alphabet order, so the sequence length is ``len(posts) * len(alphabets)``.
+
+A ``UserTimeline`` keeps its posts as numpy columns sorted by timestamp,
+and ``encode_user`` encodes them by table lookup.  ``encode_b3``,
+``encode_b5`` and ``encode_b9`` are the per-post specification: the lookup
+tables are built from them, and the tests check the two against each other.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from itertools import chain
+from itertools import product
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import EmptyTimeline
 
@@ -26,12 +34,15 @@ HUMAN = "human"
 BOT = "bot"
 
 POST_KINDS = ("plain", "retweet", "reply")
+POST_KIND_CODES = {kind: code for code, kind in enumerate(POST_KINDS)}
 
 SECONDS_PER_HOUR = 3600
 SECONDS_PER_DAY = 86400
 SECONDS_PER_WEEK = 7 * SECONDS_PER_DAY
 # Calendar-free month so encoding never depends on the wall-clock date.
 SECONDS_PER_MONTH = 30 * SECONDS_PER_DAY
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 class PostRecord(NamedTuple):
@@ -44,16 +55,110 @@ class PostRecord(NamedTuple):
     mention_count: int = 0
 
 
+def to_int64(value) -> int:
+    """``value`` as an int64, or ``ValueError``.
+
+    Integers, integral floats and integer strings pass; a non-integral
+    value is never truncated, and a value outside int64 never wraps.
+    """
+    try:
+        number = int(value)
+    except (TypeError, OverflowError):  # int(None), int(float("inf"))
+        raise ValueError(f"not an integer: {value!r}") from None
+    if not isinstance(value, str) and number != value:  # int(0.5) == 0
+        raise ValueError(f"not an integer: {value!r}")
+    if not _INT64_MIN <= number <= _INT64_MAX:
+        raise ValueError(f"outside int64: {value!r}")
+    return number
+
+
+def _int64_column(values) -> np.ndarray:
+    """``values`` as an int64 column, each value held to ``to_int64``."""
+    if isinstance(values, (tuple, list)) and not any(values) and values.count(0) == len(values):
+        return np.zeros(len(values), dtype=np.int64)  # most posts carry no entity of a kind
+    try:  # only exact integers inside int64 pack: no float, string or wider value
+        return np.frombuffer(struct.pack(f"{len(values)}q", *values), dtype=np.int64)
+    except (struct.error, TypeError):
+        return np.array([to_int64(v) for v in values], dtype=np.int64)
+
+
+class _Posts:
+    """The ``posts`` field of ``UserTimeline``: stored as columns, read as records."""
+
+    def __get__(self, timeline, owner=None):
+        if timeline is None:
+            raise AttributeError("posts")  # no class-level default: the field is required
+        kinds = [POST_KINDS[code] for code in timeline.kinds.tolist()]
+        return list(map(PostRecord, timeline.timestamps.tolist(), kinds, timeline.urls.tolist(),
+                        timeline.hashtags.tolist(), timeline.mentions.tolist()))
+
+    def __set__(self, timeline, posts):
+        timestamps, kinds, *counts = tuple(zip(*posts)) or ((),) * len(PostRecord._fields)
+        try:
+            codes = np.frombuffer(bytes(map(POST_KIND_CODES.__getitem__, kinds)), dtype=np.uint8)
+        except (KeyError, TypeError) as exc:  # TypeError: an unhashable kind
+            raise ValueError(f"unknown post kind: {exc}") from None
+        timeline._store(_int64_column(timestamps), codes, *map(_int64_column, counts))
+
+
 @dataclass
 class UserTimeline:
-    """A user's chronologically ordered posts plus an optional truth label.
+    """A user's posts, sorted by timestamp, plus an optional truth label.
 
-    ``label`` is ``"human"``, ``"bot"``, or ``None`` for unknown.
+    ``label`` is ``"human"``, ``"bot"``, or ``None`` for unknown.  The posts
+    are kept as columns, sorted stably by timestamp: ``timestamps`` (int64),
+    ``kinds`` (uint8 codes into ``POST_KINDS``) and the entity counts
+    ``urls``, ``hashtags`` and ``mentions`` (int64).  Reading ``posts``
+    builds a ``PostRecord`` list from the columns, in that order.
+
+    A timestamp or count that is not an integer or lies outside int64, or
+    a kind outside ``POST_KINDS``, raises ``ValueError`` here.
     """
 
     user_id: str
     label: str | None
-    posts: list[PostRecord]
+    posts: list[PostRecord] = _Posts()
+
+    @classmethod
+    def from_columns(cls, user_id: str, label: str | None, timestamps, kinds, urls, hashtags,
+                     mentions) -> UserTimeline:
+        """A timeline from equal-length post columns, ``kinds`` as codes into ``POST_KINDS``.
+
+        No ``PostRecord`` is built; the values are checked as the constructor checks them.
+        """
+        codes = _int64_column(kinds)
+        if len(codes) and not (0 <= codes.min() and codes.max() < len(POST_KINDS)):
+            raise ValueError(f"post kind code outside 0..{len(POST_KINDS) - 1}")
+        timeline = cls.__new__(cls)
+        timeline.user_id, timeline.label = user_id, label
+        timeline._store(_int64_column(timestamps), codes.astype(np.uint8),
+                        *map(_int64_column, (urls, hashtags, mentions)))
+        return timeline
+
+    def _store(self, timestamps, kinds, urls, hashtags, mentions) -> None:
+        columns = timestamps, kinds, urls, hashtags, mentions
+        if len({len(c) for c in columns}) != 1:
+            raise ValueError(f"post columns of different lengths: {[len(c) for c in columns]}")
+        if (timestamps[1:] < timestamps[:-1]).any():
+            order = np.argsort(timestamps, kind="stable")
+            columns = [c[order] for c in columns]
+        self._set(*columns)
+
+    def _set(self, timestamps, kinds, urls, hashtags, mentions) -> None:
+        for column in (timestamps, kinds, urls, hashtags, mentions):
+            column.flags.writeable = False  # the columns stay sorted as built
+        self.timestamps, self.kinds = timestamps, kinds
+        self.urls, self.hashtags, self.mentions = urls, hashtags, mentions
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def first(self, n: int) -> UserTimeline:
+        """The timeline of the chronologically first ``n`` posts, sharing this one's columns."""
+        head = type(self).__new__(type(self))
+        head.user_id, head.label = self.user_id, self.label
+        head._set(self.timestamps[:n], self.kinds[:n], self.urls[:n], self.hashtags[:n], self.mentions[:n])
+        return head
 
 
 @dataclass(frozen=True)
@@ -132,6 +237,19 @@ def encode_b9(delta_seconds: int | float) -> str:
     return "L"
 
 
+def _table(symbols) -> np.ndarray:
+    return np.frombuffer("".join(symbols).encode("ascii"), dtype=np.uint8)
+
+
+# Lookup tables for encode_user, built from the per-post specification above.
+_B3_TABLE = _table(encode_b3(PostRecord(0, kind)) for kind in POST_KINDS)  # by kind code
+# By presence bits: 4 * (urls > 0) + 2 * (hashtags > 0) + (mentions > 0).
+_B5_TABLE = _table(encode_b5(PostRecord(0, "plain", *bits)) for bits in product((0, 1), repeat=3))
+_B9_BOUNDS = np.array([bound for bound, _ in _B9_BUCKETS], dtype=np.uint64)
+# By the number of inclusive upper bounds a gap exceeds.
+_B9_TABLE = _table(map(encode_b9, [0, *(_B9_BOUNDS + 1).tolist()]))
+
+
 def resolve_alphabets(ids: "list[str] | tuple[str, ...]") -> tuple[Alphabet, ...]:
     """Map alphabet ids to Alphabet objects, rejecting unknowns and duplicates."""
     if not ids:
@@ -147,33 +265,27 @@ def resolve_alphabets(ids: "list[str] | tuple[str, ...]") -> tuple[Alphabet, ...
 def encode_user(timeline: UserTimeline, alphabets: "list[str] | tuple[str, ...]") -> DnaSequence:
     """Encode a timeline under one or more alphabets.
 
-    Posts are sorted by timestamp first, so input order does not matter.
-    For each post the symbols of the declared alphabets are emitted in
-    order, producing an interleaved string of length
-    ``len(posts) * len(alphabets)``.  The first post's temporal gap is
-    defined as zero (symbol 'B').
+    The posts are taken in the timeline's timestamp order.  For each post
+    the symbols of the declared alphabets are emitted in order, producing
+    an interleaved string of length ``len(posts) * len(alphabets)``.  The
+    first post's temporal gap is defined as zero (symbol 'B').
     """
     resolved = resolve_alphabets(alphabets)
-    if not timeline.posts:
+    if not len(timeline):
         raise EmptyTimeline(f"user {timeline.user_id!r} has no posts")
-    posts = sorted(timeline.posts, key=lambda p: p.timestamp)
 
-    columns: list[list[str]] = []
+    columns = []
     for alphabet in resolved:
         if alphabet.id == "B3":
-            columns.append([_B3_BY_KIND[p.kind] for p in posts])
+            columns.append(_B3_TABLE[timeline.kinds])
         elif alphabet.id == "B5":
-            columns.append([encode_b5(p) for p in posts])
+            bits = (timeline.urls > 0) * 4 + (timeline.hashtags > 0) * 2 + (timeline.mentions > 0)
+            columns.append(_B5_TABLE[bits])
         else:
-            deltas = ["B"]  # no previous post: gap defined as zero
-            prev = posts[0].timestamp
-            for p in posts[1:]:
-                deltas.append(encode_b9(p.timestamp - prev))
-                prev = p.timestamp
-            columns.append(deltas)
-
-    if len(columns) == 1:
-        symbols = "".join(columns[0])
-    else:
-        symbols = "".join(chain.from_iterable(zip(*columns)))
+            # Sorted int64 values differ by less than 2**64, so their uint64
+            # differences are exact where int64 ones could overflow.
+            stamps = timeline.timestamps.view(np.uint64)
+            gaps = np.diff(stamps, prepend=stamps[:1])
+            columns.append(_B9_TABLE[np.searchsorted(_B9_BOUNDS, gaps)])
+    symbols = np.stack(columns, axis=1).tobytes().decode("ascii")  # post-major: interleaved
     return DnaSequence(timeline.user_id, tuple(a.id for a in resolved), symbols)

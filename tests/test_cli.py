@@ -143,12 +143,15 @@ class TestSharedOptions:
         assert run(command, *[corpus_file] * POSITIONALS.get(command, 1), *options) == 2
 
     @pytest.mark.parametrize("option,value", [("--alphabets", "B3,B3"), ("--alphabet-grid", "B3,B3/B5")])
-    def test_repeated_alphabet_is_a_usage_error(self, option, value, corpus_file):
+    def test_repeated_alphabet_is_a_usage_error(self, option, value, corpus_file, capsys):
         # As RunConfig(alphabets=("B3", "B3")) raises, the option does not collapse the repeat.
         command = "evaluate" if option == "--alphabets" else "grid-search"
         with pytest.raises(SystemExit) as excinfo:
             run(command, corpus_file, option, value)
         assert excinfo.value.code == 2
+        message = capsys.readouterr().err
+        assert f"argument {option}: duplicate alphabet ids" in message
+        assert "_parse_alphabets" not in message
 
 
 class TestEvaluateCommand:

@@ -1,6 +1,10 @@
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from botdna.data import (
     Dataset,
@@ -11,11 +15,11 @@ from botdna.data import (
     read_id_list,
     split,
 )
-from botdna.encoding import PostRecord, UserTimeline, encode_user
+from botdna.encoding import POST_KINDS, PostRecord, UserTimeline, encode_user
 from botdna.errors import FormatError, IntegrityError, SequenceTooShort, UnknownUser
 from botdna.minhash import shingle
 
-from conftest import synthetic_corpus
+from conftest import corpus_to_jsonl, synthetic_corpus
 
 
 def write_jsonl(path, docs):
@@ -97,8 +101,11 @@ class TestLoadJsonl:
         "odd",
         ['"user_id": "odd", "tweets": null', '"user_id": "odd", "tweets": 5',
          '"user_id": "odd", "tweets": [{"ts": 100, "kind": "plain"}, {"ts": 1e400, "kind": "plain"}]',
-         '"user_id": "\\ud800", "tweets": [{"ts": 100, "kind": "plain"}]'],
-        ids=["null-tweets", "number-tweets", "overflowing-ts", "lone-surrogate-id"],
+         '"user_id": "\\ud800", "tweets": [{"ts": 100, "kind": "plain"}]',
+         '"user_id": "odd", "tweets": "abcdefgh"',
+         '"user_id": "odd", "tweets": {"ts": 100, "kind": "plain"}'],
+        ids=["null-tweets", "number-tweets", "overflowing-ts", "lone-surrogate-id", "string-tweets",
+             "object-tweets"],
     )
     def test_odd_record_is_malformed(self, tmp_path, odd):
         lines = [json.dumps(user_doc(f"u{i}")) for i in range(200)] + ["{%s}" % odd]
@@ -107,6 +114,39 @@ class TestLoadJsonl:
         ds = load(path)
         assert ds.malformed_count == 1
         assert len(ds) == 200 + ("1e400" in odd)  # that user keeps its good tweet
+
+    def test_tweets_must_be_an_array_for_the_one_percent_rule(self, tmp_path):
+        # 150 good users and one whose tweets are a string: 1 of 301 records, not 9.
+        lines = [json.dumps(user_doc(f"u{i}")) for i in range(150)]
+        lines.append('{"user_id": "odd", "tweets": "abcdefgh"}')
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert load(path).malformed_count == 1
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"ts": 1e300}, {"ts": 100.5}, {"ts": "1.5e3"}, {"ts": 2**63}, {"ts": 0}, {"ts": True, "urls": -1},
+         {"urls": 0.5}, {"mentions": 2**63}, {"kind": "teleport"}, {"kind": None}, {"kind": ["plain"]},
+         {"hashtags": None}],
+        ids=["ts-1e300", "ts-fraction", "ts-fraction-string", "ts-past-int64", "ts-zero",
+             "negative-url", "url-fraction", "mentions-past-int64", "unknown-kind", "null-kind",
+             "list-kind", "null-hashtags"],
+    )
+    def test_odd_tweet_value_is_one_malformed_record(self, tmp_path, fields):
+        odd = {"ts": 200, "kind": "plain", **fields}
+        tweets = [{"ts": 100, "kind": "reply"}, odd, {"ts": 300, "kind": "retweet", "urls": 2}]
+        docs = [user_doc(f"u{i}") for i in range(200)] + [user_doc("odd", tweets=tweets)]
+        ds = load(write_jsonl(tmp_path / "d.jsonl", docs))
+        assert ds.malformed_count == 1
+        assert ds.by_id()["odd"].posts == [PostRecord(100, "reply"), PostRecord(300, "retweet", 2, 0, 0)]
+
+    def test_integral_values_load_exactly(self, tmp_path):
+        tweets = [{"ts": 300.0, "kind": "plain", "urls": "2"}, {"ts": "100", "kind": "reply", "urls": True},
+                  {"ts": 2**63 - 1, "kind": "retweet"}]
+        ds = load(write_jsonl(tmp_path / "d.jsonl", [user_doc("u1", tweets=tweets)]))
+        assert ds.malformed_count == 0
+        assert ds.users[0].posts == [PostRecord(100, "reply", 1, 0, 0), PostRecord(300, "plain", 2, 0, 0),
+                                     PostRecord(2**63 - 1, "retweet")]
 
     def test_duplicate_user_id_is_malformed(self, tmp_path):
         docs = [user_doc(f"u{i}") for i in range(300)] + [user_doc("u0")]
@@ -307,3 +347,81 @@ class TestReadIdList:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError):
             read_id_list(tmp_path / "nope.txt")
+
+
+@st.composite
+def record_corpora(draw):
+    """Users of PostRecords with repeated, unsorted and extreme timestamps and entity counts."""
+    stamp = st.one_of(st.integers(1, 40), st.sampled_from([2**63 - 1, 2**62]))
+    post = st.builds(PostRecord, stamp, st.sampled_from(POST_KINDS), *[st.integers(0, 3)] * 3)
+    n_users = draw(st.integers(1, 5))
+    labels = st.sampled_from(["bot", "human", None])
+    return [UserTimeline(f"u{i}", draw(labels), draw(st.lists(post, min_size=1, max_size=12)))
+            for i in range(n_users)]
+
+
+def assert_same_columns(loaded, built):
+    assert (loaded.user_id, loaded.label) == (built.user_id, built.label)
+    for name in ("timestamps", "kinds", "urls", "hashtags", "mentions"):
+        ours, theirs = getattr(loaded, name), getattr(built, name)
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
+
+
+class TestColumnarLoad:
+    """Both loaders fill the timeline columns as PostRecords given to UserTimeline would."""
+
+    @given(users=record_corpora())
+    @settings(max_examples=60, deadline=None)
+    def test_jsonl_and_csv_equal_records(self, users, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("corpus")
+        jsonl = load(corpus_to_jsonl(users, folder / "d.jsonl"))
+        rows = [(u, p) for u in users for p in u.posts]
+        rows = rows[1::2] + rows[::2]  # users' rows interleaved, timestamps out of order
+        lines = [TestLoadCsv.HEADER] + [
+            f"{u.user_id},{u.label or ''},{p.timestamp},{p.kind},{p.url_count},{p.hashtag_count},"
+            f"{p.mention_count}" for u, p in rows
+        ]
+        (folder / "d.csv").write_text("\n".join(lines) + "\n")
+        csv_ds = load(folder / "d.csv", format="csv")
+        # Records built into a timeline are sorted by timestamp, ties in input order.
+        order = {u.user_id: [] for u, _ in rows}
+        for u, p in rows:
+            order[u.user_id].append(p)
+        by_id = {u.user_id: u for u in users}
+        for loaded, built in zip(jsonl.users, users):
+            assert_same_columns(loaded, built)
+        assert [u.user_id for u in csv_ds.users] == list(order)
+        for loaded in csv_ds.users:
+            uid = loaded.user_id
+            assert_same_columns(loaded, UserTimeline(uid, by_id[uid].label, order[uid]))
+        assert jsonl.malformed_count == csv_ds.malformed_count == 0
+
+    @pytest.mark.parametrize(
+        "row",
+        ["u1,bot,1.5,plain,0,0,0", "u1,bot,9223372036854775808,plain,0,0,0", "u1,bot,100,plain,0.5,0,0",
+         "u1,bot,100,teleport,0,0,0", "u1,bot,-3,plain,0,0,0", "u1,bot,100,plain,0,-1,0"],
+        ids=["ts-fraction", "ts-past-int64", "url-fraction", "unknown-kind", "negative-ts",
+             "negative-hashtags"],
+    )
+    def test_odd_csv_row_is_one_malformed_record(self, tmp_path, row):
+        rows = [f"u{i},bot,{100 + i},plain,0,0,0" for i in range(200)] + [row]
+        path = tmp_path / "d.csv"
+        path.write_text(TestLoadCsv.HEADER + "\n" + "\n".join(rows) + "\n")
+        ds = load(path, format="csv")
+        assert ds.malformed_count == 1
+        assert ds.by_id()["u1"].posts == [PostRecord(101, "plain")]
+
+    def test_loaded_dataset_keeps_at_most_64_bytes_per_post(self, tmp_path):
+        # Guards against per-record objects coming back onto the load path:
+        # a PostRecord per post kept about 187 bytes.
+        path = corpus_to_jsonl(synthetic_corpus(500, 200, seed=4), tmp_path / "d.jsonl")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ds = load(path)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        posts = sum(len(u) for u in ds.users)
+        assert posts == 500 * 200
+        assert kept / posts <= 64, f"{kept / posts:.1f} bytes per post"

@@ -1,14 +1,18 @@
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from botdna import encoding
 from botdna.encoding import (
     ALPHABETS,
     B3_TYPE,
     B5_CONTENT,
     B9_TEMPORAL,
+    POST_KINDS,
     PostRecord,
     UserTimeline,
     encode_b3,
@@ -213,3 +217,123 @@ class TestEncodingProperties:
         a = encode_user(timeline, ("B3", "B5", "B9"))
         b = encode_user(timeline, ("B3", "B5", "B9"))
         assert a == b
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+B9_BOUNDS = [3600, 5 * 3600, 10 * 3600, 15 * 3600, 20 * 3600, 86400, 7 * 86400, 30 * 86400]
+EDGE_GAPS = [0] + [b + d for b in B9_BOUNDS for d in (-1, 0, 1)]
+
+
+def scalar_encoding(posts, alphabets):
+    """The per-post specification: encode_b3/b5/b9 over the stably sorted posts, interleaved."""
+    ordered = sorted(posts, key=lambda p: p.timestamp)
+    out, prev = [], ordered[0].timestamp
+    for p in ordered:
+        symbols = {"B3": encode_b3(p), "B5": encode_b5(p), "B9": encode_b9(p.timestamp - prev)}
+        out.extend(symbols[a] for a in alphabets)
+        prev = p.timestamp
+    return "".join(out)
+
+
+@st.composite
+def timestamp_lists(draw, n):
+    """Timestamps with gaps at every B9 bound and one either side, repeats, and int64's ends."""
+    if draw(st.booleans()):
+        ends = st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, INT64_MAX - 1, INT64_MAX])
+        values = st.one_of(ends, st.integers(INT64_MIN, INT64_MAX))
+        return draw(st.lists(values, min_size=n, max_size=n))
+    start = draw(st.integers(-(10**12), 10**12))
+    gaps = draw(st.lists(st.one_of(st.sampled_from(EDGE_GAPS), st.integers(0, 10**8)),
+                         min_size=n, max_size=n))
+    stamps = np.cumsum([start] + gaps[1:]).tolist()
+    return draw(st.permutations(stamps))  # unsorted input
+
+
+@st.composite
+def oracle_timelines(draw):
+    n = draw(st.integers(min_value=1, max_value=25))
+    stamps = draw(timestamp_lists(n))
+    kinds = draw(st.lists(st.sampled_from(POST_KINDS), min_size=n, max_size=n))
+    count = st.one_of(st.integers(-3, 3), st.sampled_from([INT64_MIN, INT64_MAX]))
+    counts = draw(st.lists(st.tuples(count, count, count), min_size=n, max_size=n))
+    return [PostRecord(t, k, *c) for t, k, c in zip(stamps, kinds, counts)]
+
+
+alphabet_orders = st.lists(st.sampled_from(["B3", "B5", "B9"]), min_size=1, max_size=3, unique=True)
+
+
+class TestColumnarEncoding:
+    """encode_user looks symbols up over columns; encode_b3/b5/b9 are its oracle."""
+
+    @given(oracle_timelines(), alphabet_orders)
+    @settings(max_examples=200)
+    def test_equals_scalar_specification(self, posts, alphabets):
+        seq = encode_user(UserTimeline("u", None, posts), alphabets)
+        assert seq.symbols == scalar_encoding(posts, alphabets)
+        assert seq.alphabets == tuple(alphabets)
+
+    def test_calls_no_scalar_encoder(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("encode_user called a per-post encoder")
+
+        timeline = UserTimeline("u", None, [post(ts=5, kind="reply", urls=1), post(ts=9000)])
+        for name in ("encode_b3", "encode_b5", "encode_b9"):
+            monkeypatch.setattr(encoding, name, refuse)
+        assert encode_user(timeline, ["B3", "B5", "B9"]).symbols == "TUBAND"
+
+    def test_gap_across_all_of_int64(self):
+        # int64 subtraction would wrap to a negative gap here.
+        posts = [post(ts=INT64_MIN), post(ts=-(2**62) - 5), post(ts=2**62 + 5), post(ts=INT64_MAX)]
+        assert encode_user(UserTimeline("u", None, posts), ["B9"]).symbols == "BLLL"
+
+
+class TestUserTimeline:
+    @given(oracle_timelines())
+    @settings(max_examples=100)
+    def test_posts_round_trip_in_stable_timestamp_order(self, posts):
+        timeline = UserTimeline("u", "bot", posts)
+        assert timeline.posts == sorted(posts, key=lambda p: p.timestamp)
+        assert len(timeline) == len(posts)
+        assert all(type(v) is int for p in timeline.posts for v in (p[0], *p[2:]))
+
+    def test_columns(self):
+        timeline = UserTimeline("u", None, [post(ts=300, kind="reply", mentions=2), post(ts=100, urls=1)])
+        assert timeline.timestamps.tolist() == [100, 300]
+        assert timeline.kinds.tolist() == [0, 2]
+        assert (timeline.urls.tolist(), timeline.hashtags.tolist(), timeline.mentions.tolist()) == (
+            [1, 0], [0, 0], [0, 2])
+        assert [c.dtype for c in (timeline.timestamps, timeline.kinds, timeline.urls)] == [
+            np.int64, np.uint8, np.int64]
+
+    def test_from_columns_equals_records(self):
+        posts = [post(ts=300, kind="reply", mentions=2), post(ts=100, urls=1), post(ts=100, kind="retweet")]
+        columns = [[300, 100, 100], [2, 0, 1], [0, 1, 0], [0, 0, 0], [2, 0, 0]]
+        assert UserTimeline.from_columns("u", "bot", *columns) == UserTimeline("u", "bot", posts)
+
+    @pytest.mark.parametrize("codes", [[0, 3], [-1, 0], [0]], ids=["code-3", "code-minus-1", "too-few"])
+    def test_from_columns_rejects_bad_kind_codes(self, codes):
+        with pytest.raises(ValueError):
+            UserTimeline.from_columns("u", None, [1, 2], codes, [0, 0], [0, 0], [0, 0])
+
+    def test_replace_and_first(self):
+        timeline = UserTimeline("u", None, [post(ts=t) for t in (3, 1, 2)])
+        assert replace(timeline, posts=timeline.posts[:2]).timestamps.tolist() == [1, 2]
+        assert timeline.first(2) == UserTimeline("u", None, [post(ts=1), post(ts=2)])
+        assert timeline.first(5) == timeline
+
+    @pytest.mark.parametrize(
+        "bad",
+        [post(ts=0.5), post(ts=2**63), post(ts=-(2**63) - 1), post(ts=1e300), post(ts=float("nan")),
+         post(ts=float("inf")), post(ts=None), post(ts="1.5"), post(urls=0.5), post(mentions=2**64),
+         post(kind="teleport"), post(kind=None), post(kind=["plain"])],
+        ids=["half", "2**63", "below-int64", "1e300", "nan", "inf", "none", "fraction-string",
+             "half-url", "huge-mentions", "unknown-kind", "none-kind", "unhashable-kind"],
+    )
+    def test_bad_post_raises_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            UserTimeline("u", None, [post(ts=1), bad])
+
+    def test_integral_values_are_kept_exactly(self):
+        posts = [post(ts=100.0), post(ts="200"), post(ts=np.int32(300), urls=True)]
+        timeline = UserTimeline("u", None, posts)
+        assert timeline.posts == [post(ts=100), post(ts=200), post(ts=300, urls=1)]
