@@ -32,7 +32,7 @@ from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
-from .encoding import BOT, HUMAN, POST_KIND_CODES, POST_KINDS, UserTimeline, to_int64
+from .encoding import BOT, HUMAN, POST_KIND_CODES, UserTimeline, to_int64
 from .errors import FormatError, IntegrityError, UnknownUser
 from .minhash import rng_for
 
@@ -79,21 +79,21 @@ def _coerce_label(value) -> str | None:
 
 # What a malformed record raises while its fields are read and checked.
 _RECORD_ERRORS = (ValueError, KeyError, TypeError)
-_INT64_MAX = (1 << 63) - 1
 
 
-def _check_post(ts: int, kind, urls: int, hashtags: int, mentions: int) -> tuple[int, int, int, int, int]:
-    """One record's post as (timestamp, kind code, urls, hashtags, mentions).
+def _check_signs(ts: int, urls: int, hashtags: int, mentions: int) -> None:
+    """Raise ``ValueError`` unless the timestamp is positive and no count is negative."""
+    if ts <= 0:
+        raise ValueError(f"timestamp must be positive, got {ts}")
+    if min(urls, hashtags, mentions) < 0:
+        raise ValueError("entity counts must be non-negative")
 
-    The integer fields come converted exactly: ``int`` of a CSV string, ``to_int64`` of a JSON value.
-    """
-    if not 0 < ts <= _INT64_MAX:
-        raise ValueError(f"timestamp must be a positive int64, got {ts}")
-    if kind not in POST_KINDS:
-        raise ValueError(f"bad kind {kind!r}")
-    if min(urls, hashtags, mentions) < 0 or max(urls, hashtags, mentions) > _INT64_MAX:
-        raise ValueError("entity counts must be non-negative int64 values")
-    return (ts, POST_KIND_CODES[kind], urls, hashtags, mentions)
+
+def _post_fields(ts, kind, urls, hashtags, mentions) -> tuple[int, int, int, int, int]:
+    """One record's post as (timestamp, kind code, urls, hashtags, mentions), each integer an int64."""
+    post = (to_int64(ts), POST_KIND_CODES[kind], to_int64(urls), to_int64(hashtags), to_int64(mentions))
+    _check_signs(post[0], *post[2:])
+    return post
 
 
 def _finish(name: str, provenance: str, users: list[UserTimeline], malformed: int, total: int) -> Dataset:
@@ -106,31 +106,25 @@ def _finish(name: str, provenance: str, users: list[UserTimeline], malformed: in
     return Dataset(name, users, provenance, malformed)
 
 
-def _tweet_columns(tweets: list) -> tuple[list, list, list, list, list]:
-    """The ts, kind, urls, hashtags and mentions fields of JSONL tweets, column by column."""
-    return ([t["ts"] for t in tweets], [t["kind"] for t in tweets], [t.get("urls", 0) for t in tweets],
-            [t.get("hashtags", 0) for t in tweets], [t.get("mentions", 0) for t in tweets])
-
-
 def _jsonl_timeline(user_id: str, label: str | None, tweets: list) -> tuple[UserTimeline | None, int]:
     """The timeline of the user's well-formed tweets (None if none is) and the malformed count."""
     if not tweets:
         return None, 0
     try:  # every tweet at once, checked by column
-        timestamps, kinds, *counts = _tweet_columns(tweets)
-        codes = [POST_KIND_CODES[kind] for kind in kinds]
-        timeline = UserTimeline.from_columns(user_id, label, timestamps, codes, *counts)
-        least_count = min(timeline.urls.min(), timeline.hashtags.min(), timeline.mentions.min())
-        if timeline.timestamps[0] > 0 and least_count >= 0:  # sorted: [0] is the least
-            return timeline, 0
+        codes = [POST_KIND_CODES[t["kind"]] for t in tweets]
+        timeline = UserTimeline.from_columns(
+            user_id, label, [t["ts"] for t in tweets], codes, [t.get("urls", 0) for t in tweets],
+            [t.get("hashtags", 0) for t in tweets], [t.get("mentions", 0) for t in tweets])
+        # Every value passes if the least ones do; sorted, timestamps[0] is the least.
+        _check_signs(timeline.timestamps[0], timeline.urls.min(), timeline.hashtags.min(), timeline.mentions.min())
+        return timeline, 0
     except _RECORD_ERRORS:
         pass
     posts = []  # some tweet is malformed: find which, one by one
     for tweet in tweets:
         try:
-            ts, kind, urls, hashtags, mentions = (column[0] for column in _tweet_columns([tweet]))
-            counts = to_int64(urls), to_int64(hashtags), to_int64(mentions)
-            posts.append(_check_post(to_int64(ts), kind, *counts))
+            posts.append(_post_fields(tweet["ts"], tweet["kind"], tweet.get("urls", 0), tweet.get("hashtags", 0),
+                                      tweet.get("mentions", 0)))
         except _RECORD_ERRORS:
             pass
     timeline = UserTimeline.from_columns(user_id, label, *zip(*posts)) if posts else None
@@ -192,8 +186,7 @@ def _load_csv(path: Path) -> Dataset:
                 if not user_id:
                     raise ValueError("empty user_id")
                 label = _coerce_label(row["label"])
-                post = _check_post(int(row["ts"]), row["kind"], int(row["urls"]), int(row["hashtags"]),
-                                   int(row["mentions"]))
+                post = _post_fields(row["ts"], row["kind"], row["urls"], row["hashtags"], row["mentions"])
                 if user_id in label_by_user:
                     known = label_by_user[user_id]
                     if label is not None and known is not None and label != known:

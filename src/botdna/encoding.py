@@ -74,8 +74,6 @@ def to_int64(value) -> int:
 
 def _int64_column(values) -> np.ndarray:
     """``values`` as an int64 column, each value held to ``to_int64``."""
-    if isinstance(values, (tuple, list)) and not any(values) and values.count(0) == len(values):
-        return np.zeros(len(values), dtype=np.int64)  # most posts carry no entity of a kind
     try:  # only exact integers inside int64 pack: no float, string or wider value
         return np.frombuffer(struct.pack(f"{len(values)}q", *values), dtype=np.int64)
     except (struct.error, TypeError):
@@ -126,6 +124,9 @@ class UserTimeline:
 
         No ``PostRecord`` is built; the values are checked as the constructor checks them.
         """
+        columns = timestamps, kinds, urls, hashtags, mentions
+        if len({len(c) for c in columns}) != 1:
+            raise ValueError(f"post columns of different lengths: {[len(c) for c in columns]}")
         codes = _int64_column(kinds)
         if len(codes) and not (0 <= codes.min() and codes.max() < len(POST_KINDS)):
             raise ValueError(f"post kind code outside 0..{len(POST_KINDS) - 1}")
@@ -137,8 +138,6 @@ class UserTimeline:
 
     def _store(self, timestamps, kinds, urls, hashtags, mentions) -> None:
         columns = timestamps, kinds, urls, hashtags, mentions
-        if len({len(c) for c in columns}) != 1:
-            raise ValueError(f"post columns of different lengths: {[len(c) for c in columns]}")
         if (timestamps[1:] < timestamps[:-1]).any():
             order = np.argsort(timestamps, kind="stable")
             columns = [c[order] for c in columns]
@@ -146,7 +145,7 @@ class UserTimeline:
 
     def _set(self, timestamps, kinds, urls, hashtags, mentions) -> None:
         for column in (timestamps, kinds, urls, hashtags, mentions):
-            column.flags.writeable = False  # the columns stay sorted as built
+            column.setflags(write=False)  # the columns stay sorted as built
         self.timestamps, self.kinds = timestamps, kinds
         self.urls, self.hashtags, self.mentions = urls, hashtags, mentions
 
@@ -287,5 +286,6 @@ def encode_user(timeline: UserTimeline, alphabets: "list[str] | tuple[str, ...]"
             stamps = timeline.timestamps.view(np.uint64)
             gaps = np.diff(stamps, prepend=stamps[:1])
             columns.append(_B9_TABLE[np.searchsorted(_B9_BOUNDS, gaps)])
-    symbols = np.stack(columns, axis=1).tobytes().decode("ascii")  # post-major: interleaved
+    interleaved = columns[0] if len(columns) == 1 else np.stack(columns, axis=1)  # post-major
+    symbols = interleaved.tobytes().decode("ascii")
     return DnaSequence(timeline.user_id, tuple(a.id for a in resolved), symbols)

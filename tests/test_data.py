@@ -399,9 +399,10 @@ class TestColumnarLoad:
     @pytest.mark.parametrize(
         "row",
         ["u1,bot,1.5,plain,0,0,0", "u1,bot,9223372036854775808,plain,0,0,0", "u1,bot,100,plain,0.5,0,0",
-         "u1,bot,100,teleport,0,0,0", "u1,bot,-3,plain,0,0,0", "u1,bot,100,plain,0,-1,0"],
+         "u1,bot,100,teleport,0,0,0", "u1,bot,-3,plain,0,0,0", "u1,bot,100,plain,0,-1,0",
+         "u1,bot,100,plain,0,0,9223372036854775808"],
         ids=["ts-fraction", "ts-past-int64", "url-fraction", "unknown-kind", "negative-ts",
-             "negative-hashtags"],
+             "negative-hashtags", "mentions-past-int64"],
     )
     def test_odd_csv_row_is_one_malformed_record(self, tmp_path, row):
         rows = [f"u{i},bot,{100 + i},plain,0,0,0" for i in range(200)] + [row]
