@@ -195,18 +195,17 @@ def _grid_csv(path: str, reports) -> None:
 
 
 def _cmd_evaluate(args) -> int:
-    ds = load(args.data, args.format)
-    report = pipeline.evaluate(ds, _config(args))
+    cfg = _config(args)  # a bad setting fails before the data is read
+    report = pipeline.evaluate(load(args.data, args.format), cfg)
     _emit(_report_json(report, args), args.out)
     print(_summary(report), file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_grid_search(args) -> int:
-    ds = load(args.data, args.format)
     base = _config(args)
     reports = pipeline.grid_search(
-        ds,
+        load(args.data, args.format),
         base,
         ks=args.k_grid,
         thresholds=args.threshold_grid,
@@ -224,8 +223,8 @@ def _cmd_grid_search(args) -> int:
 
 
 def _cmd_early_detection(args) -> int:
-    ds = load(args.data, args.format)
-    series = pipeline.early_detection(ds, _config(args), caps=args.caps)
+    cfg = _config(args)
+    series = pipeline.early_detection(load(args.data, args.format), cfg, caps=args.caps)
     _emit(_series_json("max_tweets", series, args), args.out)
     if args.csv_out:
         _series_csv(args.csv_out, "max_tweets", series)
@@ -235,8 +234,8 @@ def _cmd_early_detection(args) -> int:
 
 
 def _cmd_gt_sweep(args) -> int:
-    ds = load(args.data, args.format)
-    series = pipeline.gt_sweep(ds, _config(args), fractions=args.fractions)
+    cfg = _config(args)
+    series = pipeline.gt_sweep(load(args.data, args.format), cfg, fractions=args.fractions)
     _emit(_series_json("gt_fraction", series, args), args.out)
     if args.csv_out:
         _series_csv(args.csv_out, "gt_fraction", series)
@@ -246,9 +245,10 @@ def _cmd_gt_sweep(args) -> int:
 
 
 def _cmd_cross_dataset(args) -> int:
+    cfg = _config(args)
     gt_ds = load(args.gt_data, args.format)
     test_ds = load(args.test_data, args.format)
-    report = pipeline.cross_dataset(gt_ds, test_ds, _config(args))
+    report = pipeline.cross_dataset(gt_ds, test_ds, cfg)
     _emit(_report_json(report, args), args.out)
     print(_summary(report), file=sys.stderr)
     return EXIT_OK
@@ -270,9 +270,8 @@ def _cmd_encode(args) -> int:
 def _cmd_index_build(args) -> int:
     if not args.out:
         raise BotDnaError("index-build requires --out PATH")
-    ds = load(args.data, args.format)
     cfg = _config(args)
-    filtered, removed = pipeline.preprocess(ds, cfg)
+    filtered, removed = pipeline.preprocess(load(args.data, args.format), cfg)
     index = pipeline.build_index(filtered.labeled(), cfg)
     index.save(args.out)
     print(

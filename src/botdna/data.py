@@ -142,7 +142,7 @@ def _load_jsonl(path: Path) -> Dataset:
                 continue
             total += 1
             try:
-                doc = json.loads(line)
+                doc = json.loads(line)  # RecursionError: nested past the parser's depth
                 user_id = doc["user_id"]
                 if not isinstance(user_id, str) or not user_id or user_id in seen:
                     raise ValueError(f"bad or duplicate user_id {user_id!r}")
@@ -151,7 +151,7 @@ def _load_jsonl(path: Path) -> Dataset:
                 tweets = doc["tweets"]
                 if not isinstance(tweets, list):  # null, a number, a string, an object
                     raise TypeError(f"tweets must be an array, got {type(tweets).__name__}")
-            except _RECORD_ERRORS:
+            except (*_RECORD_ERRORS, RecursionError):
                 malformed += 1
                 continue
             total += len(tweets)
@@ -168,6 +168,17 @@ def _load_jsonl(path: Path) -> Dataset:
 _CSV_COLUMNS = ("user_id", "label", "ts", "kind", "urls", "hashtags", "mentions")
 
 
+def _csv_rows(reader: csv.DictReader):
+    """The reader's rows, with None for a row the parser rejects (a field past its size limit)."""
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error:  # the reader resumes at the next row
+            yield None
+
+
 def _load_csv(path: Path) -> Dataset:
     # Per user, in order of its first good row: its posts' fields, row after row,
     # in one int64 array, so no object is kept per row.
@@ -177,11 +188,17 @@ def _load_csv(path: Path) -> Dataset:
     total = 0
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not set(_CSV_COLUMNS) <= set(reader.fieldnames):
+        try:
+            header = reader.fieldnames
+        except csv.Error as exc:
+            raise FormatError(f"{path}: unreadable CSV header: {exc}") from exc
+        if header is None or not set(_CSV_COLUMNS) <= set(header):
             raise FormatError(f"{path}: expected CSV header with columns {','.join(_CSV_COLUMNS)}")
-        for row in reader:
+        for row in _csv_rows(reader):
             total += 1
             try:
+                if row is None:
+                    raise ValueError("row rejected by the CSV parser")
                 user_id = row["user_id"]
                 if not user_id:
                     raise ValueError("empty user_id")

@@ -169,6 +169,17 @@ class Neighbor(NamedTuple):
     jaccard: float
 
 
+# The values ``band_digests`` digests at a time: 128 signatures at 128 permutations.
+_DIGEST_STEP_BYTES = 1 << 17
+
+
+def _band_sums(values: np.ndarray, a_hi: np.ndarray, a_lo: np.ndarray) -> np.ndarray:
+    """Per band, the sum of ``a * value mod p`` over an ``(n, bands, rows)`` array of values."""
+    grid = fold_m61(values)
+    fold_m61(_mulmod_limbs(a_hi, a_lo, grid, out=grid), out=grid)
+    return grid.sum(axis=-1, dtype=np.uint64)
+
+
 @lru_cache(maxsize=64)
 def _digest_params(seed: int, bands: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """High and low 32-bit limbs of the digest coefficients, and the offsets.
@@ -248,9 +259,13 @@ class LshIndex:
         """
         bands, rows = self.plan.bands, self.plan.rows
         a_hi, a_lo, offsets = _digest_params(self.seed, bands, rows)
-        grid = fold_m61(values.reshape(-1, bands, rows))
-        terms = fold_m61(_mulmod_limbs(a_hi, a_lo, grid, out=grid))
-        digests = terms.sum(axis=-1, dtype=np.uint64)
+        flat = values.reshape(-1, bands, rows)
+        step = max(1, _DIGEST_STEP_BYTES // (8 * values.shape[-1]))
+        if len(flat) <= step:
+            digests = _band_sums(flat, a_hi, a_lo)
+        else:  # in steps, so that the arithmetic's temporaries stay small and in cache
+            digests = np.concatenate([_band_sums(flat[i : i + step], a_hi, a_lo)
+                                      for i in range(0, len(flat), step)])
         digests += offsets  # u64 wraparound intended
         return digests.reshape(values.shape[:-1] + (bands,))
 

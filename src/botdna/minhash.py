@@ -7,8 +7,9 @@ resulting set is compressed into ``num_perm`` minimum hash values.  Each
 deterministically from a counter-based PRNG keyed by ``seed``.  Two
 signatures built with the same ``(num_perm, seed)`` estimate the Jaccard
 similarity of the underlying shingle sets as the fraction of equal
-positions.  A shingle's permuted values (its row) are kept in a bounded
-process-wide cache, so shingles shared across users are hashed once.
+positions.  A bounded process-wide memo numbers every shingle it has
+seen, keeps its base hash, and keeps the permuted values (the row) of the
+most recent ones, so shingles shared across users are hashed once.
 
 Binary signature layout (all integers little-endian)::
 
@@ -30,7 +31,7 @@ import json
 import struct
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -44,11 +45,13 @@ _MASK32 = np.array(0xFFFFFFFF, dtype=np.uint64)
 _MASK29 = np.array((1 << 29) - 1, dtype=np.uint64)
 _S3, _S29, _S32, _S61 = (np.array(s, dtype=np.uint64) for s in (3, 29, 32, 61))
 
-# The row cache's block size: 1024 rows at 128 permutations.  Shingles
+# The memo's block of rows: 1024 rows at 128 permutations.  Shingles
 # shared across users (a small alphabet and k) are computed once per
 # process; a vocabulary far larger than the block (a sparse corpus) keeps
 # emptying it and gains nothing, so the bound keeps its memory small.
 ROW_CACHE_BYTES = 1 << 20
+# The memo's bound on distinct shingles per hash family.
+MEMO_ENTRIES = 1 << 20
 
 SIGNATURE_MAGIC = b"BDSG"
 SIGNATURE_VERSION = 1
@@ -115,7 +118,6 @@ def mulmod_m61(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return fold_m61(out, out=out)
 
 
-@lru_cache(maxsize=1 << 20)
 def shingle_hash(shingle: str) -> int:
     """Stable 64-bit base hash of a shingle, identical across runs/platforms."""
     return int.from_bytes(hashlib.blake2b(shingle.encode("utf-8"), digest_size=8).digest(), "little")
@@ -128,13 +130,26 @@ def _hash_family(seed: int, num_perm: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-class _RowCache:
-    """The permuted rows of recently sketched shingles under one hash family.
+class _Ids(dict):
+    """Shingle -> id, numbering each new shingle in order of first lookup."""
 
-    Row ``i`` of ``block`` holds ``(a*x + b) mod p`` over all ``num_perm``
-    permutations for the shingle whose slot is ``i``.  The block holds at
-    most ``ROW_CACHE_BYTES``; when a user's missing shingles do not fit,
-    every slot is dropped and filling starts again from row 0.
+    def __missing__(self, shingle: str) -> int:
+        self[shingle] = i = len(self)
+        return i
+
+
+class _ShingleMemo:
+    """Every shingle sketched under one hash family, by integer id.
+
+    ``ids`` numbers the shingles in order of first use.  By id, ``base``
+    keeps the shingle's base hash reduced mod p, and ``slot`` the row of
+    ``block`` that holds its permuted values ``(a*x + b) mod p`` over all
+    ``num_perm`` permutations, or -1.  The block holds at most
+    ``ROW_CACHE_BYTES``; when a set's missing rows do not fit, every slot
+    is dropped and filling starts again from row 0.  A set larger than the
+    block is computed without being stored.  The memo holds at most
+    ``MEMO_ENTRIES`` shingles; a set that would take it past that empties
+    it, slots and all, first.
     """
 
     def __init__(self, seed: int, num_perm: int):
@@ -142,35 +157,69 @@ class _RowCache:
         self.family = (seed, num_perm)
         self.a_hi, self.a_lo = a >> np.uint64(32), a & _MASK32
         self.block = np.empty((ROW_CACHE_BYTES // (8 * num_perm), num_perm), dtype=np.uint64)
-        self.slots: dict[str, int] = {}
+        self.owner = np.empty(len(self.block), dtype=np.intp)  # the id in each filled row
+        self.filled = 0
+        self.ids = _Ids()
+        self.base = np.empty(0, dtype=np.uint64)
+        self.slot = np.empty(0, dtype=np.intp)
 
-    def permuted(self, members, out: np.ndarray | None = None) -> np.ndarray:
-        """One permuted row per shingle, computed (not looked up)."""
-        xs = np.fromiter(map(shingle_hash, members), dtype=np.uint64, count=len(members))
-        out = _mulmod_limbs(self.a_hi, self.a_lo, fold_m61(xs)[:, None], out=out)
+    def permuted(self, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """One permuted row per base hash (reduced mod p), computed."""
+        out = _mulmod_limbs(self.a_hi, self.a_lo, xs[:, None], out=out)
         out += self.b  # < 2**64
         return fold_m61(out, out=out)
 
-    def rows(self, members: frozenset[str]) -> np.ndarray:
-        """The rows of a shingle set, as a new array."""
-        if len(members) > len(self.block):
-            return self.permuted(members)
-        slots = self.slots
-        ids = [slots.get(s, -1) for s in members]
-        if -1 in ids:
-            missing = [s for s in members if s not in slots]
-            if len(slots) + len(missing) > len(self.block):
-                slots.clear()
-                missing = list(members)
-            start = len(slots)
-            self.permuted(missing, out=self.block[start : start + len(missing)])
-            slots.update(zip(missing, range(start, start + len(missing))))
-            ids = [slots[s] for s in members]
-        return self.block[ids]
+    def _lookup(self, members: frozenset[str]) -> np.ndarray:
+        """The ids of a set's shingles; new ones are numbered and hashed."""
+        ids = self.ids
+        known = len(ids)
+        found = np.fromiter(map(ids.__getitem__, members), dtype=np.intp, count=len(members))
+        total = len(ids)
+        if total > known:
+            if total > len(self.base):
+                size = min(MEMO_ENTRIES, max(total, 2 * len(self.base)))
+                self.base, self.slot = np.resize(self.base, size), np.resize(self.slot, size)
+            # A dict keeps insertion order: the newest shingles come last.
+            xs = np.fromiter(map(shingle_hash, islice(reversed(ids), total - known)),
+                             dtype=np.uint64, count=total - known)
+            fold_m61(xs[::-1], out=self.base[known:total])
+            self.slot[known:total] = -1
+        return found
+
+    def sketch(self, members: frozenset[str]) -> np.ndarray:
+        """The column-wise minimum of a set's permuted rows, as a new array."""
+        n = len(members)
+        if n > MEMO_ENTRIES:  # more shingles than the memo may hold
+            xs = np.fromiter(map(shingle_hash, members), dtype=np.uint64, count=n)
+            return self.permuted(fold_m61(xs)).min(axis=0)
+        if len(self.ids) + n > MEMO_ENTRIES:
+            self.ids.clear()
+            self.filled = 0
+        found = self._lookup(members)
+        if n > len(self.block):
+            return self.permuted(self.base[found]).min(axis=0)
+        slots = self.slot[found]
+        held = slots >= 0
+        missing = found[~held]
+        if not len(missing):
+            return self.block[slots].min(axis=0)
+        if self.filled + len(missing) > len(self.block):
+            self.slot[self.owner[: self.filled]] = -1
+            self.filled = 0
+            missing, held = found, None
+        start = self.filled
+        self.filled = stop = start + len(missing)
+        rows = self.permuted(self.base[missing], out=self.block[start:stop])
+        self.owner[start:stop] = missing
+        self.slot[missing] = np.arange(start, stop)
+        values = rows.min(axis=0)
+        if held is not None and len(missing) < n:
+            np.minimum(values, self.block[slots[held]].min(axis=0), out=values)
+        return values
 
 
-_row_cache: _RowCache | None = None
-_row_cache_lock = threading.Lock()
+_memo: _ShingleMemo | None = None
+_memo_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -290,20 +339,20 @@ def shingle(seq: DnaSequence, k: int) -> ShingleSet:
 def minhash(shingles: ShingleSet, num_perm: int, seed: int) -> MinHashSignature:
     """MinHash signature of a shingle set under the seeded hash family.
 
-    Each shingle's permuted row comes from a process-wide cache that keeps
-    the most recent ``(seed, num_perm)`` family; the values do not depend
-    on what the cache holds.
+    Each shingle's base hash and permuted row come from a process-wide
+    memo that keeps the most recent ``(seed, num_perm)`` family; the values
+    do not depend on what the memo holds.
     """
-    global _row_cache
+    global _memo
     if num_perm < 1:
         raise ValueError(f"num_perm must be positive, got {num_perm}")
     if not shingles.shingles:
         raise EmptySet(f"user {shingles.user_id!r} has an empty shingle set")
-    with _row_cache_lock:
-        if _row_cache is None or _row_cache.family != (seed, num_perm):
-            _row_cache = _RowCache(seed, num_perm)
-        rows = _row_cache.rows(shingles.shingles)
-    return MinHashSignature(shingles.user_id, num_perm, seed, rows.min(axis=0))
+    with _memo_lock:
+        if _memo is None or _memo.family != (seed, num_perm):
+            _memo = _ShingleMemo(seed, num_perm)
+        values = _memo.sketch(shingles.shingles)
+    return MinHashSignature(shingles.user_id, num_perm, seed, values)
 
 
 def check_compatible(sig: MinHashSignature, num_perm: int, seed: int) -> None:

@@ -67,7 +67,14 @@ class RunConfig:
     split: SplitSpec = field(default_factory=SplitSpec)
 
     def __post_init__(self):
+        # Checked here, so that a bad value fails before any user is sketched.
         resolve_alphabets(self.alphabets)
+        if self.k_shingle < 1:
+            raise ValueError(f"k_shingle must be positive, got {self.k_shingle}")
+        if self.num_perm < 2:
+            raise ValueError(f"num_perm must be at least 2, got {self.num_perm}")
+        if not 0.0 < self.threshold <= 1.0:
+            raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
         if self.jaccard_floor is not None and not 0.0 <= self.jaccard_floor <= 1.0:
             raise ValueError(f"jaccard_floor must be in [0, 1], got {self.jaccard_floor}")
 

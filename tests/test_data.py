@@ -115,6 +115,16 @@ class TestLoadJsonl:
         assert ds.malformed_count == 1
         assert len(ds) == 200 + ("1e400" in odd)  # that user keeps its good tweet
 
+    def test_line_nested_past_the_parser_depth_is_one_malformed_record(self, tmp_path):
+        # json.loads raises RecursionError, not ValueError, on 100,000 "[".
+        lines = [json.dumps(user_doc(f"u{i}")) for i in range(60)]
+        lines.insert(30, "[" * 100_000)
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        ds = load(path)  # 1 of 121 records: 60 users, their 60 tweets and the bad line
+        assert len(ds) == 60
+        assert ds.malformed_count == 1
+
     def test_tweets_must_be_an_array_for_the_one_percent_rule(self, tmp_path):
         # 150 good users and one whose tweets are a string: 1 of 301 records, not 9.
         lines = [json.dumps(user_doc(f"u{i}")) for i in range(150)]
@@ -187,6 +197,23 @@ class TestLoadCsv:
         path = tmp_path / "d.csv"
         path.write_text("user_id,ts\nu1,100\n")
         with pytest.raises(FormatError):
+            load(path, format="csv")
+
+    def test_field_past_the_parser_limit_is_one_malformed_row(self, tmp_path):
+        # The csv module rejects a field over 131,072 characters; the rows after it still load.
+        rows = [f"u{i % 60},bot,{100 + i},plain,0,0,0" for i in range(600)]
+        rows.insert(300, "u0,bot,5," + "x" * 200_000 + ",0,0,0")
+        path = tmp_path / "d.csv"
+        path.write_text(self.HEADER + "\n" + "\n".join(rows) + "\n")
+        ds = load(path, format="csv")
+        assert ds.malformed_count == 1
+        assert len(ds) == 60
+        assert sum(len(u) for u in ds.users) == 600
+
+    def test_header_past_the_parser_limit_is_format_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(self.HEADER + "," + "x" * 200_000 + "\nu1,bot,100,plain,0,0,0,\n")
+        with pytest.raises(FormatError, match="unreadable CSV header"):
             load(path, format="csv")
 
     def test_conflicting_labels_malformed(self, tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -346,6 +347,24 @@ class TestInsertMany:
         assert got.shape == (n, bands) and got.dtype == np.uint64
         for row, digests in zip(matrix, got):
             np.testing.assert_array_equal(digests, index.band_digests(row))
+
+    def test_band_digests_of_a_block_keep_their_temporaries_small(self):
+        # 1000 signatures of 128 values (1 MB): digested in steps of 128
+        # rows, the call's traced peak beyond the 256 KB result stays near
+        # 1 MB; digested whole it was about 5 MB.
+        index = LshIndex(BandingPlan(0.5, 32, 4), 128, seed=5)
+        block = np.random.default_rng(3).integers(0, 1 << 64, size=(1000, 128), dtype=np.uint64)
+        expected = np.stack([index.band_digests(row) for row in block])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            got = index.band_digests(block)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got, expected)
+        assert peak < 1.5e6
 
 
 class TestNeighborVotes:

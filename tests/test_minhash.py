@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from botdna.encoding import DnaSequence, encode_user
 from botdna.errors import EmptySet, FormatError, IncompatibleSignatures, SequenceTooShort
 from botdna.minhash import (
+    MEMO_ENTRIES,
     MERSENNE_61,
     ROW_CACHE_BYTES,
     MinHashSignature,
@@ -317,6 +318,7 @@ class TestSerialization:
         # Frozen value: guards the on-disk format against accidental
         # changes to the base hash function.
         assert shingle_hash("AC") == 15533233518106170712
+        assert not hasattr(shingle_hash, "cache_info")  # the memo keeps hashes, not a cache
 
 
 # SHA-256 over the binary signatures of a fixed corpus, one per
@@ -362,6 +364,14 @@ def capacity(num_perm):
     return ROW_CACHE_BYTES // (8 * num_perm)
 
 
+def resident(memo):
+    """The shingles whose rows the memo's block holds, after checking every base hash."""
+    assert len(memo.ids) <= len(memo.base) <= minhash_module.MEMO_ENTRIES
+    for member, i in memo.ids.items():
+        assert int(memo.base[i]) == shingle_hash(member) % M61
+    return {member for member, i in memo.ids.items() if memo.slot[i] >= 0}
+
+
 # Blocks of 64, 64 and 32 rows: small enough that sets drawn from a
 # 100-shingle universe fill them and overflow them.
 CACHE_FAMILIES = [(2048, 5), (2048, 6), (4096, 5)]
@@ -373,15 +383,17 @@ class TestRowCache:
         assert ROW_CACHE_BYTES == 1 << 20
         for num_perm in (1, 64, 128, 1000, 200_000):
             minhash(ShingleSet("u", 2, frozenset({"AC"})), num_perm, 1)
-            block = minhash_module._row_cache.block
+            block = minhash_module._memo.block
             assert block.shape == (capacity(num_perm), num_perm)
             assert block.nbytes <= ROW_CACHE_BYTES
         assert capacity(128) == 1024
+        assert MEMO_ENTRIES == 1 << 20
 
     def test_call_sequence_matches_plain_python_oracle(self):
-        # A model of the cache's rules says what each call should do to
-        # it; the cache's slots must follow the model, every signature must
-        # equal the oracle's, and the run must see every kind of call.
+        # A model of the block's rules says what each call should do to
+        # it; the rows the memo holds must follow the model, every
+        # signature must equal the oracle's, and the run must see every
+        # kind of call.
         seen = set()
 
         @given(
@@ -410,7 +422,7 @@ class TestRowCache:
         )
         @settings(max_examples=40, deadline=None)
         def check(pool, calls):
-            # A family used nowhere else replaces whatever the cache held.
+            # A family used nowhere else replaces whatever the memo held.
             minhash(ShingleSet("reset", 1, frozenset({"x"})), 8, 99)
             family, slots = None, set()
             for (num_perm, seed), i in calls:
@@ -431,18 +443,62 @@ class TestRowCache:
                     slots |= members
                 sig = minhash(ShingleSet("u", 4, members), num_perm, seed)
                 assert sig.values.tolist() == oracle_minhash(members, num_perm, seed)
-                cache = minhash_module._row_cache
-                assert cache.family == (seed, num_perm)
-                assert set(cache.slots) == slots
+                memo = minhash_module._memo
+                assert memo.family == (seed, num_perm)
+                assert resident(memo) == slots
 
         check()
         assert seen == {"miss", "hit", "reset", "bypass", "new family"}
+
+    def test_call_sequence_across_the_memo_bound_matches_oracle(self, monkeypatch):
+        # With room for 40 shingles, sets from the 100-shingle universe
+        # keep emptying the memo, and sets over 40 skip it: every signature
+        # must still equal the oracle's, and the memo never grows past 40.
+        monkeypatch.setattr(minhash_module, "MEMO_ENTRIES", 40)
+        seen = set()
+
+        @given(
+            pool=st.lists(
+                st.frozensets(st.sampled_from(UNIVERSE), min_size=1, max_size=60),
+                min_size=1,
+                max_size=4,
+            ),
+            calls=st.lists(
+                st.tuples(st.sampled_from(CACHE_FAMILIES[:2]), st.integers(0, 3)),
+                min_size=1,
+                max_size=8,
+            ),
+        )
+        @example(
+            pool=[frozenset(UNIVERSE[:30]), frozenset(UNIVERSE[30:55]), frozenset(UNIVERSE[:50])],
+            calls=[(CACHE_FAMILIES[0], 0), (CACHE_FAMILIES[0], 1), (CACHE_FAMILIES[0], 2),
+                   (CACHE_FAMILIES[0], 0)],
+        )
+        @settings(max_examples=40, deadline=None)
+        def check(pool, calls):
+            minhash(ShingleSet("reset", 1, frozenset({"x"})), 8, 99)
+            for (num_perm, seed), i in calls:
+                members = pool[i % len(pool)]
+                before = minhash_module._memo
+                known = len(before.ids) if before.family == (seed, num_perm) else 0
+                sig = minhash(ShingleSet("u", 4, members), num_perm, seed)
+                assert sig.values.tolist() == oracle_minhash(members, num_perm, seed)
+                memo = minhash_module._memo
+                resident(memo)
+                if len(members) > 40:
+                    seen.add("too large")
+                elif known + len(members) > 40:
+                    seen.add("emptied")
+                    assert set(memo.ids) == members
+
+        check()
+        assert seen == {"too large", "emptied"}
 
     @pytest.mark.parametrize("size", [3, 2000])  # cached, and larger than the block
     def test_signature_never_shares_memory_with_cache(self, size):
         members = frozenset(f"m{i}" for i in range(size))
         sig = minhash(ShingleSet("u", 3, members), 128, 1)
-        assert not np.shares_memory(sig.values, minhash_module._row_cache.block)
+        assert not np.shares_memory(sig.values, minhash_module._memo.block)
         expected = sig.values.copy()
         sig.values[:] = 0
         assert np.array_equal(minhash(ShingleSet("u", 3, members), 128, 1).values, expected)

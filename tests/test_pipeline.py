@@ -104,6 +104,24 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             base_config(jaccard_floor=floor)
 
+    @pytest.mark.parametrize("bad", [{"k_shingle": 0}, {"num_perm": 1}, {"threshold": 0.0},
+                                     {"threshold": 1.5}, {"threshold": float("nan")}], ids=repr)
+    def test_rejects_bad_sketch_or_banding_value(self, bad):
+        with pytest.raises(ValueError):
+            base_config(**bad)
+
+    @pytest.mark.parametrize("protocol", ["evaluate", "grid_search"])
+    def test_bad_cell_fails_before_any_sketch(self, protocol, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline, "minhash", lambda *args: calls.append(args))
+        with pytest.raises(ValueError):
+            if protocol == "evaluate":
+                evaluate(separable_dataset(), replace(base_config(), threshold=1.5))
+            else:
+                grid_search(separable_dataset(), base_config(), ks=(6, 0), thresholds=(0.4,),
+                            alphabet_subsets=(("B3",),))
+        assert calls == []
+
     def test_replace_checks_again(self):
         with pytest.raises(ValueError):
             replace(base_config(), jaccard_floor=2.0)
