@@ -19,6 +19,10 @@ non-negative int64 (no value is truncated or wrapped), or its kind is not
 one of ``POST_KINDS``.  In JSONL, ``tweets`` must be an array, and a user
 without a well-formed tweet is one more malformed record.
 
+Files are read as bytes and decoded as UTF-8 one line at a time, so a line
+holding an invalid byte is one malformed record (in CSV, the row it
+belongs to).  Lines end at ``\n``, ``\r\n`` or a lone ``\r``, as in text mode.
+
 Malformed records are counted and reported on the returned dataset; a file
 where more than 1% of records are bad raises IntegrityError, and a file
 yielding no users at all raises FormatError.
@@ -37,6 +41,11 @@ from .errors import FormatError, IntegrityError, UnknownUser
 from .minhash import rng_for
 
 MALFORMED_LIMIT = 0.01
+
+# The loaders' read buffer.  A JSONL line holds a whole user, tens of KiB,
+# and reading such lines through the default 8 KiB buffer took 13.5 ms for a
+# 15.8 MB corpus against 7.8 ms in text mode; through 256 KiB, 3.4 ms.
+_READ_BUFFER = 1 << 18
 
 _TAG_SPLIT = 3
 
@@ -106,6 +115,34 @@ def _finish(name: str, provenance: str, users: list[UserTimeline], malformed: in
     return Dataset(name, users, provenance, malformed)
 
 
+class _Utf8Lines:
+    """A binary file's lines, each decoded as UTF-8 with its ending.
+
+    Lines are split where text mode splits them.  A line that is not UTF-8
+    is decoded with ``surrogateescape`` instead, so that a parser still sees
+    its separators and quotes, and sets ``invalid``, which the reader clears
+    once it has counted the record the line belongs to as malformed.
+    """
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.invalid = False
+
+    def __iter__(self):
+        for raw in self._fh:
+            for line in raw.splitlines(keepends=True) if b"\r" in raw else (raw,):
+                try:
+                    yield line.decode("utf-8")
+                except UnicodeDecodeError:
+                    self.invalid = True
+                    yield line.decode("utf-8", "surrogateescape")
+
+    def take_invalid(self) -> bool:
+        """Whether a line read since the last call was not UTF-8."""
+        invalid, self.invalid = self.invalid, False
+        return invalid
+
+
 def _jsonl_timeline(user_id: str, label: str | None, tweets: list) -> tuple[UserTimeline | None, int]:
     """The timeline of the user's well-formed tweets (None if none is) and the malformed count."""
     if not tweets:
@@ -136,12 +173,15 @@ def _load_jsonl(path: Path) -> Dataset:
     seen: set[str] = set()
     malformed = 0
     total = 0
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
+    with open(path, "rb", buffering=_READ_BUFFER) as fh:
+        lines = _Utf8Lines(fh)
+        for line in lines:
             if not line.strip():
                 continue
             total += 1
             try:
+                if lines.take_invalid():
+                    raise ValueError("line is not UTF-8")
                 doc = json.loads(line)  # RecursionError: nested past the parser's depth
                 user_id = doc["user_id"]
                 if not isinstance(user_id, str) or not user_id or user_id in seen:
@@ -186,19 +226,25 @@ def _load_csv(path: Path) -> Dataset:
     label_by_user: dict[str, str | None] = {}
     malformed = 0
     total = 0
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+    with open(path, "rb", buffering=_READ_BUFFER) as fh:
+        lines = _Utf8Lines(fh)
+        reader = csv.DictReader(lines)
         try:
             header = reader.fieldnames
         except csv.Error as exc:
             raise FormatError(f"{path}: unreadable CSV header: {exc}") from exc
+        if lines.take_invalid():
+            raise FormatError(f"{path}: the CSV header is not UTF-8")
         if header is None or not set(_CSV_COLUMNS) <= set(header):
             raise FormatError(f"{path}: expected CSV header with columns {','.join(_CSV_COLUMNS)}")
         for row in _csv_rows(reader):
             total += 1
+            invalid = lines.take_invalid()
             try:
                 if row is None:
                     raise ValueError("row rejected by the CSV parser")
+                if invalid:
+                    raise ValueError("row is not UTF-8")
                 user_id = row["user_id"]
                 if not user_id:
                     raise ValueError("empty user_id")

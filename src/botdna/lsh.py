@@ -15,7 +15,9 @@ block of 1 MiB of signatures (1024 at 128 permutations).  A query looks all
 its band digests up at once in a single sorted table of every stored digest
 (rebuilt by the first query after an insert), keeps the hits whose band
 matches, and counts equal signature positions for the candidates with one
-vectorised compare.  The table keeps, beside each sorted digest, only its
+vectorised compare; a dense query compares u8 dictionary codes of the
+signature columns instead of the u64 values when it can (see
+``LshIndex._coded_columns``).  The table keeps, beside each sorted digest, only its
 flat position ``ordinal * bands + band`` (int32 while the table has
 fewer than 2**31 entries), and splits the positions of the hits alone
 back into ordinal and band.  When the hits cover over a quarter of the
@@ -61,6 +63,7 @@ from .encoding import BOT, HUMAN, resolve_alphabets
 from .errors import DuplicateUser, FormatError
 from .minhash import (
     _TAG_BAND_DIGEST,
+    MAX_NUM_PERM,
     ROW_CACHE_BYTES,
     MinHashSignature,
     _mulmod_limbs,
@@ -87,6 +90,11 @@ _HEADER_TYPES = {  # the header's fields beside its checksum; a bool is not an i
 # it the expansion wins (100k users, one hit: ~65 us against 7-10 ms per
 # query), far above it the compare (every entry hit: 5-6 ms against ~54 ms).
 _DENSE_SCAN_SHARE = 0.25
+
+# A dense query counts equal positions on u8 codes of the signature columns
+# when no position holds more than 255 distinct values: codes 0-254 number a
+# position's values, and 255 is the code of a query value absent from them.
+_ABSENT = 255
 
 
 @dataclass(frozen=True)
@@ -142,8 +150,8 @@ def lsh_plan(threshold: float, num_perm: int) -> BandingPlan:
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    if num_perm < 2:
-        raise ValueError(f"num_perm must be at least 2, got {num_perm}")
+    if not 2 <= num_perm <= MAX_NUM_PERM:
+        raise ValueError(f"num_perm must be in [2, {MAX_NUM_PERM}], got {num_perm}")
     nodes, weights = _gauss_legendre(num_perm)
     below = threshold / 2 * (nodes + 1)  # nodes mapped onto [0, threshold]
     above = threshold + (1 - threshold) / 2 * (nodes + 1)  # ... onto [threshold, 1]
@@ -218,6 +226,8 @@ class LshIndex:
             raise ValueError(f"threshold must be in (0, 1], got {plan.threshold}")
         if min(plan.bands, plan.rows) < 1 or plan.bands * plan.rows != num_perm:
             raise ValueError(f"plan {plan.bands}x{plan.rows} does not factor num_perm={num_perm}")
+        if num_perm > MAX_NUM_PERM:
+            raise ValueError(f"num_perm must be at most {MAX_NUM_PERM}, got {num_perm}")
         if not 0 <= seed < 1 << 64:
             raise ValueError(f"seed must be in [0, 2**64), got {seed}")
         if recipe is not None:
@@ -238,6 +248,9 @@ class LshIndex:
         # (sorted digests, flat position) for the first len(self) rows;
         # None when an insert has happened since it was built.
         self._table: tuple[np.ndarray, np.ndarray] | None = None
+        # (dictionary, codes) of the first len(self) rows, both None when
+        # they cannot be coded; None when not built since the last insert.
+        self._coded: tuple[np.ndarray | None, np.ndarray | None] | None = None
 
     def __len__(self) -> int:
         return len(self._user_ids)
@@ -295,6 +308,7 @@ class LshIndex:
         self._ordinals.update(zip(ids, range(n, end)))
         self._user_ids += ids
         self._table = None
+        self._coded = None
 
     def insert(self, sig: MinHashSignature, label: str) -> None:
         """Store one labeled signature: ``insert_many`` of one row."""
@@ -347,13 +361,48 @@ class LshIndex:
             self._table = flat[order], order
         return self._table
 
+    def _coded_columns(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """The signature columns as u8 codes: ``(dictionary, codes)``.
+
+        Row ``p`` of the ``(num_perm, K)`` dictionary holds the distinct
+        values stored at position ``p`` in ascending order, padded to the
+        longest row by repeating its last entry, and ``codes[p, i]`` is the
+        index of ordinal ``i``'s value in that row: equal codes mean equal
+        values.  Both are None when some position holds more than 255
+        distinct values.  Built on first use after an insert, sorting the
+        values by position in steps of 128 KiB, as ``band_digests`` steps.
+        """
+        if self._coded is None:
+            n, num_perm = len(self), self.num_perm
+            codes = np.empty((num_perm, n), dtype=np.uint8)
+            words = []  # per position, its distinct values in ascending order
+            step = max(1, _DIGEST_STEP_BYTES // (8 * n))
+            for start in range(0, num_perm, step):
+                columns = self._values[:n, start : start + step].T
+                ordered = np.sort(columns, axis=1)
+                is_first = np.ones(ordered.shape, dtype=bool)
+                np.not_equal(ordered[:, 1:], ordered[:, :-1], out=is_first[:, 1:])
+                if np.count_nonzero(is_first, axis=1).max() > _ABSENT:
+                    self._coded = None, None
+                    return self._coded
+                for column, row, first, out in zip(columns, ordered, is_first, codes[start : start + step]):
+                    words.append(row[first])
+                    out[:] = np.searchsorted(words[-1], column)
+            dictionary = np.empty((num_perm, max(map(len, words))), dtype=np.uint64)
+            for row, word in zip(dictionary, words):
+                row[: len(word)] = word
+                row[len(word) :] = word[-1]  # a query value takes the first equal entry
+            self._coded = dictionary, codes
+        return self._coded
+
     def _candidates(self, values: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Candidate ordinals (ascending) and their equal-position counts.
 
         ``values`` is a compatible query signature's values and ``query``
         its band digests.  A user is a candidate when its digest equals the
         query's in at least one band; the same digest value in two
-        different bands does not count.
+        different bands does not count.  A dense query counts on the coded
+        columns when the index can be coded, otherwise on the values.
         """
         n, bands = len(self), self.plan.bands
         digests, positions = self._lookup_table()
@@ -362,10 +411,12 @@ class LshIndex:
         total = int(counts.sum())
         if total == 0:
             return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+        dictionary = codes = None
         if total > _DENSE_SCAN_SHARE * n * bands:
             # A dense corpus: one band-aligned compare of the digest matrix
             # is cheaper than expanding every hit.
             is_candidate = (self._digests[:n] == query).any(axis=1)
+            dictionary, codes = self._coded_columns()
         else:
             # Table positions of every hit, grouped by the query band it matched.
             starts = lo - (np.cumsum(counts) - counts)
@@ -374,13 +425,17 @@ class LshIndex:
             same_band = entry_bands == np.repeat(np.arange(bands), counts)
             is_candidate = np.zeros(n, dtype=bool)
             is_candidate[owners[same_band]] = True
-        stored = self._values[:n]
-        if is_candidate.all():
-            ordinals = np.arange(n)
-        else:
-            ordinals = np.flatnonzero(is_candidate)
-            stored = stored[ordinals]
-        return ordinals, np.count_nonzero(stored == values, axis=1)
+        every = bool(is_candidate.all())
+        ordinals = np.arange(n) if every else np.flatnonzero(is_candidate)
+        # Equal positions are counted by summing the compare's bool view as
+        # u8 into u16, which holds any count up to MAX_NUM_PERM.
+        if codes is not None:
+            equal = dictionary == values[:, None]
+            query_codes = np.where(equal.any(axis=1), equal.argmax(axis=1), _ABSENT).astype(np.uint8)
+            matches = (codes == query_codes[:, None]).view(np.uint8).sum(axis=0, dtype=np.uint16)
+            return ordinals, matches if every else matches[ordinals]
+        stored = self._values[:n] if every else self._values[ordinals]
+        return ordinals, (stored == values).view(np.uint8).sum(axis=1, dtype=np.uint16)
 
     def query(self, sig: MinHashSignature) -> list[Neighbor]:
         """Users sharing at least one band digest, with estimated Jaccard.

@@ -53,6 +53,11 @@ ROW_CACHE_BYTES = 1 << 20
 # The memo's bound on distinct shingles per hash family.
 MEMO_ENTRIES = 1 << 20
 
+# The largest num_perm an index, a plan or a stored signature may have: the
+# largest size the Gauss-Legendre convergence check in ``lsh`` covers.  An
+# index also counts equal positions in u16, which it keeps in range.
+MAX_NUM_PERM = 8192
+
 SIGNATURE_MAGIC = b"BDSG"
 SIGNATURE_VERSION = 1
 
@@ -278,6 +283,8 @@ class MinHashSignature:
             raise FormatError(f"unsupported signature version {version}")
         if num_perm < 1:
             raise FormatError("signature blob has no permutations")
+        if num_perm > MAX_NUM_PERM:
+            raise FormatError(f"signature blob has {num_perm} permutations, over the limit of {MAX_NUM_PERM}")
         expected = header_size + uid_len + 8 * num_perm
         if len(data) != expected:
             raise FormatError(f"signature blob has {len(data)} bytes, expected {expected}")
@@ -310,12 +317,12 @@ class MinHashSignature:
         if doc.get("version") != SIGNATURE_VERSION:
             raise FormatError(f"unsupported signature version {doc.get('version')}")
         user_id, num_perm, seed, values = map(doc.get, ("user_id", "num_perm", "seed", "values"))
-        if not (isinstance(user_id, str) and type(num_perm) is int and num_perm > 0
+        if not (isinstance(user_id, str) and type(num_perm) is int and 0 < num_perm <= MAX_NUM_PERM
                 and type(seed) is int and 0 <= seed < 1 << 64
                 and isinstance(values, list) and len(values) == num_perm
                 and all(type(v) is int and 0 <= v < 1 << 64 for v in values)):
-            raise FormatError("a signature document needs a string user_id, a positive int "
-                              "num_perm, a seed and num_perm values, each in [0, 2**64)")
+            raise FormatError(f"a signature document needs a string user_id, an int num_perm "
+                              f"from 1 to {MAX_NUM_PERM}, a seed and num_perm values, each in [0, 2**64)")
         return cls(user_id, num_perm, seed, np.array(values, dtype=np.uint64))
 
 

@@ -30,7 +30,7 @@ from .data import Dataset, SplitSpec, cap_tweets, filter_min_length, split
 from .encoding import (BOT, CANONICAL_ALPHABET_ORDER, HUMAN, DnaSequence, UserTimeline, encode_user,
                        resolve_alphabets)
 from .lsh import LshIndex, lsh_plan
-from .minhash import MinHashSignature, minhash, shingle
+from .minhash import MAX_NUM_PERM, MinHashSignature, minhash, shingle
 
 ALPHABET_SUBSETS = (
     ("B3",),
@@ -71,8 +71,8 @@ class RunConfig:
         resolve_alphabets(self.alphabets)
         if self.k_shingle < 1:
             raise ValueError(f"k_shingle must be positive, got {self.k_shingle}")
-        if self.num_perm < 2:
-            raise ValueError(f"num_perm must be at least 2, got {self.num_perm}")
+        if not 2 <= self.num_perm <= MAX_NUM_PERM:
+            raise ValueError(f"num_perm must be in [2, {MAX_NUM_PERM}], got {self.num_perm}")
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
         if self.jaccard_floor is not None and not 0.0 <= self.jaccard_floor <= 1.0:

@@ -134,13 +134,14 @@ class TestSharedOptions:
             ("evaluate", "--seed", str(1 << 64)),
             ("evaluate", "--threshold", "1.5"),
             ("evaluate", "--num-perm", "1"),
+            ("evaluate", "--num-perm", "100000000"),
             ("grid-search", "--k-grid", "6,0", "--threshold-grid", "0.4", "--alphabet-grid", "B3"),
             ("grid-search", "--alphabet-grid", "B3/,", "--k-grid", "4", "--threshold-grid", "0.4"),
             ("cross-dataset", "--alphabets", ","),
         ],
         ids=["no-alphabet", "floor-above-1", "floor-below-0", "seed-below-0", "seed-2**64",
-             "threshold-above-1", "one-permutation", "grid-k-zero", "empty-grid-subset",
-             "cross-no-alphabet"],
+             "threshold-above-1", "one-permutation", "1e8-permutations", "grid-k-zero",
+             "empty-grid-subset", "cross-no-alphabet"],
     )
     def test_bad_setting_is_input_error(self, argv, corpus_file):
         command, *options = argv

@@ -125,6 +125,26 @@ class TestLoadJsonl:
         assert len(ds) == 60
         assert ds.malformed_count == 1
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize(
+        "odd",
+        [b'{"user_id": "u\xff", "tweets": [{"ts": 100, "kind": "plain"}]}',
+         b'{"user_id": "odd", "note": "\xff", "tweets": [{"ts": 100, "kind": "plain"}]}',
+         b'{"user_id": "odd", "tweets": [{"ts": 100, "kind": "pl\xc3ain"}]}'],
+        ids=["id", "unread-field", "kind"],
+    )
+    def test_line_that_is_not_utf8_is_one_malformed_record(self, tmp_path, odd, newline):
+        # Lines end where text mode ends them, and an invalid byte anywhere
+        # in a line makes that line one malformed record.
+        lines = [json.dumps(user_doc(f"u{i}", tweets=[{"ts": 100, "kind": "plain"}] * 2)).encode()
+                 for i in range(300)]
+        lines.insert(150, odd)
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(newline.join(lines) + newline)
+        ds = load(path)
+        assert ds.malformed_count == 1
+        assert [u.user_id for u in ds.users] == [f"u{i}" for i in range(300)]
+
     def test_tweets_must_be_an_array_for_the_one_percent_rule(self, tmp_path):
         # 150 good users and one whose tweets are a string: 1 of 301 records, not 9.
         lines = [json.dumps(user_doc(f"u{i}")) for i in range(150)]
@@ -214,6 +234,28 @@ class TestLoadCsv:
         path = tmp_path / "d.csv"
         path.write_text(self.HEADER + "," + "x" * 200_000 + "\nu1,bot,100,plain,0,0,0,\n")
         with pytest.raises(FormatError, match="unreadable CSV header"):
+            load(path, format="csv")
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize(
+        "odd",
+        [b"u\xff,bot,5,plain,0,0,0", b"u0,bot,5,pl\xc3ain,0,0,0", b'u0,bot,5,plain,0,0,0,"x\n\xff"'],
+        ids=["id", "kind", "quoted-line-of-an-unread-field"],
+    )
+    def test_row_that_is_not_utf8_is_one_malformed_record(self, tmp_path, odd, newline):
+        rows = [f"u{i % 60},bot,{100 + i},plain,0,0,0".encode() for i in range(600)]
+        rows.insert(300, odd)
+        path = tmp_path / "d.csv"
+        path.write_bytes(newline.join([self.HEADER.encode(), *rows]) + newline)
+        ds = load(path, format="csv")
+        assert ds.malformed_count == 1
+        assert len(ds) == 60
+        assert sum(len(u) for u in ds.users) == 600
+
+    def test_header_that_is_not_utf8_is_format_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(self.HEADER.encode() + b",\xff\nu1,bot,100,plain,0,0,0,x\n")
+        with pytest.raises(FormatError, match="header is not UTF-8"):
             load(path, format="csv")
 
     def test_conflicting_labels_malformed(self, tmp_path):

@@ -131,6 +131,8 @@ class TestLshPlan:
             lsh_plan(1.5, 128)
         with pytest.raises(ValueError):
             lsh_plan(0.5, 1)
+        with pytest.raises(ValueError, match="8192"):
+            lsh_plan(0.5, 8193)
 
 
 def fresh_index(threshold=0.4, num_perm=128, seed=1):
@@ -200,6 +202,11 @@ class TestInsert:
                                (BandingPlan(0.4, -2, -4), 8)):
             with pytest.raises(ValueError, match="does not factor"):
                 LshIndex(plan, num_perm, 1)
+
+    def test_num_perm_over_the_limit_rejected(self):
+        assert LshIndex(BandingPlan(0.5, 1, 8192), 8192, 1).num_perm == 8192
+        with pytest.raises(ValueError, match="at most 8192"):
+            LshIndex(BandingPlan(0.5, 1, 8193), 8193, 1)
 
 
 def snapshot(index):
@@ -386,6 +393,21 @@ class TestNeighborVotes:
         check()
 
 
+def brute_force_neighbors(entries, index, probe):
+    """The candidates of ``probe`` among ``entries``, found by comparing every digest and value."""
+    want = index.band_digests(probe.values)
+    return [
+        Neighbor(sig.user_id, label, np.count_nonzero(sig.values == probe.values) / index.num_perm)
+        for sig, label in entries
+        if np.any(index.band_digests(sig.values) == want)
+    ]
+
+
+def brute_force_votes(entries, index, probe, floor):
+    kept = [nb for nb in brute_force_neighbors(entries, index, probe) if nb.jaccard >= floor]
+    return len(kept), sum(nb.label == "bot" for nb in kept)
+
+
 class TestQuery:
     def test_values_of_another_integer_type(self):
         index = LshIndex(BandingPlan(0.5, 4, 2), 8, 1)
@@ -508,16 +530,7 @@ class TestQuery:
                     hits = sum(int(np.count_nonzero(table == d)) for d in want)
                     if hits:
                         scans.add("dense" if hits > _DENSE_SCAN_SHARE * table.size else "expand")
-                    expected = [
-                        Neighbor(
-                            sig.user_id,
-                            label,
-                            np.count_nonzero(sig.values == probe.values) / index.num_perm,
-                        )
-                        for sig, label in inserted
-                        if np.any(index.band_digests(sig.values) == want)
-                    ]
-                    assert index.query(probe) == expected
+                    assert index.query(probe) == brute_force_neighbors(inserted, index, probe)
 
         check()
         assert scans == {"dense", "expand"}
@@ -532,6 +545,98 @@ class TestQuery:
             from botdna.minhash import estimate_jaccard
 
             assert got[0].jaccard == pytest.approx(estimate_jaccard(sig_of(a), sig_of(b)))
+
+
+class TestCodedColumns:
+    """A dense query counts equal positions on u8 codes of the signature columns."""
+
+    def test_coded_counts_match_brute_force(self, monkeypatch, tmp_path):
+        # Every query with a hit takes the dense branch, so each one counts
+        # on the codes, and the same queries with the codes withheld count
+        # on the u64 values.  Both must equal the brute force: after the
+        # first inserts, after more inserts, and after a save and load.
+        monkeypatch.setattr("botdna.lsh._DENSE_SCAN_SHARE", 0.0)
+        coded_queries = []
+
+        @given(st.data())
+        @settings(max_examples=150, deadline=None)
+        def check(data):
+            parts, drawn, drawn_probes = draw_index_parts(data)
+            # The drawn symbols stand for 0, 2**64 - 1 and two other values.
+            others = data.draw(st.lists(st.integers(1, 2**64 - 2), min_size=2, max_size=2, unique=True))
+            palette = np.array(data.draw(st.permutations([0, 2**64 - 1, *others])), dtype=np.uint64)
+
+            def remap(sig):
+                return MinHashSignature(sig.user_id, sig.num_perm, sig.seed, palette[sig.values])
+
+            entries = [(remap(sig), label) for sig, label in drawn]
+            probes = [remap(sig) for sig in drawn_probes]
+            # A value stored nowhere, at a drawn position of each probe.
+            at = data.draw(st.integers(0, parts.num_perm - 1), label="absent at")
+            for sig in list(probes):
+                values = sig.values.copy()
+                values[at] = 12345
+                probes.append(MinHashSignature(f"{sig.user_id}.absent", sig.num_perm, sig.seed, values))
+            split = data.draw(st.integers(0, len(entries)), label="split")
+            index = LshIndex(parts.plan, parts.num_perm, parts.seed)
+            for stage in (entries[:split], entries[split:]):
+                index.insert_many([sig for sig, _ in stage], [label for _, label in stage])
+                coded_queries.append(self.assert_answers(index, entries[: len(index)], probes))
+            path = tmp_path / "coded.idx"
+            index.save(path)
+            coded_queries.append(self.assert_answers(LshIndex.load(path), entries, probes))
+
+        check()
+        assert any(coded_queries)
+
+    @staticmethod
+    def assert_answers(index, entries, probes):
+        """Check every answer with and without the codes; whether the codes were used."""
+        coded = False
+        for withheld in (False, True):
+            if withheld:
+                coded = index._coded is not None and index._coded[1] is not None
+                index._coded = None, None  # as when some position holds over 255 values
+            for probe in probes:
+                assert index.query(probe) == brute_force_neighbors(entries, index, probe)
+            for floor in (0.0, 0.5, 1.0):
+                want = [brute_force_votes(entries, index, probe, floor) for probe in probes]
+                assert index.neighbor_votes(probes, floor) == want
+        return coded
+
+    @pytest.mark.parametrize("distinct", [255, 256])
+    def test_a_position_codes_up_to_255_values(self, distinct):
+        # Position 0 holds ``distinct`` values, 2**64 - 1 the largest of
+        # them; position 1 holds one value, so every query sharing it hits
+        # every user in band 1 and takes the dense branch.
+        values = [2**64 - 256 + i for i in range(256 - distinct, 256)]
+        values += [values[0]] * (256 - len(values))
+        index = LshIndex(BandingPlan(0.5, 2, 1), 2, 3)
+        entries = [(MinHashSignature(f"u{i}", 2, 3, np.array([v, 7], dtype=np.uint64)), "bot")
+                   for i, v in enumerate(values)]
+        index.insert_many(*zip(*entries))
+        probes = [MinHashSignature(f"p{v}", 2, 3, np.array([v, 7], dtype=np.uint64))
+                  for v in (values[0], 2**64 - 2, 2**64 - 1, 12345)]  # 12345 is stored nowhere
+        for probe in probes:
+            assert index.query(probe) == brute_force_neighbors(entries, index, probe)
+            assert index.neighbor_votes([probe], 1.0) == [brute_force_votes(entries, index, probe, 1.0)]
+        dictionary, codes = index._coded
+        if distinct == 255:
+            assert dictionary[0].tolist() == sorted(set(values))
+            assert codes[0].tolist() == [sorted(set(values)).index(v) for v in values]
+        else:
+            assert dictionary is None and codes is None
+
+    def test_sparse_queries_build_no_codes(self):
+        rng = np.random.Generator(np.random.Philox(key=17))
+        index = LshIndex(BandingPlan(0.5, 4, 4), 16, 3)
+        sigs = [MinHashSignature(f"u{i}", 16, 3, rng.integers(0, 2**64, 16, dtype=np.uint64))
+                for i in range(8)]
+        index.insert_many(sigs, ["bot", "human"] * 4)
+        for sig in sigs:
+            assert [nb.user_id for nb in index.query(sig)] == [sig.user_id]
+        assert index.neighbor_votes(sigs, 0.5) == [(1, 1 - i % 2) for i in range(8)]
+        assert index._coded is None
 
 
 def read_index_file(path):
@@ -752,6 +857,7 @@ class TestPersistence:
             {"bands": 3},
             {"bands": 8, "rows": 2},
             {"bands": 0, "rows": 0, "num_perm": 0},
+            {"bands": 8193, "rows": 1, "num_perm": 8193},
             {"seed": -1},
             {"seed": 1 << 64},
             {"users": -1},

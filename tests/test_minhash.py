@@ -242,6 +242,16 @@ class TestSerialization:
         with pytest.raises(FormatError, match="no permutations"):
             MinHashSignature.from_bytes(blob)
 
+    def test_num_perm_over_the_limit_is_format_error(self):
+        fits = MinHashSignature("u", 8192, 5, np.zeros(8192, dtype=np.uint64))
+        assert MinHashSignature.from_bytes(fits.to_bytes()) == fits
+        blob = MinHashSignature("u", 8193, 5, np.zeros(8193, dtype=np.uint64)).to_bytes()
+        with pytest.raises(FormatError, match="over the limit of 8192"):
+            MinHashSignature.from_bytes(blob)
+        doc = json.loads(fits.to_debug_json()) | {"num_perm": 8193, "values": [0] * 8193}
+        with pytest.raises(FormatError, match="from 1 to 8192"):
+            MinHashSignature.from_debug_json(json.dumps(doc))
+
     def test_id_not_utf8_is_format_error(self):
         blob = bytearray(MinHashSignature("ab", 4, 1, np.arange(4, dtype=np.uint64)).to_bytes())
         blob[19] = 0xFF  # the first id byte

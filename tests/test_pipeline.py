@@ -104,8 +104,9 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             base_config(jaccard_floor=floor)
 
-    @pytest.mark.parametrize("bad", [{"k_shingle": 0}, {"num_perm": 1}, {"threshold": 0.0},
-                                     {"threshold": 1.5}, {"threshold": float("nan")}], ids=repr)
+    @pytest.mark.parametrize("bad", [{"k_shingle": 0}, {"num_perm": 1}, {"num_perm": 8193},
+                                     {"threshold": 0.0}, {"threshold": 1.5}, {"threshold": float("nan")}],
+                             ids=repr)
     def test_rejects_bad_sketch_or_banding_value(self, bad):
         with pytest.raises(ValueError):
             base_config(**bad)
@@ -407,8 +408,11 @@ class TestBlocks:
     def test_block_is_one_mebibyte_of_signatures(self, monkeypatch):
         calls = counting_digests(monkeypatch)
         rng = np.random.Generator(np.random.Philox(key=2))
-        # A signature over 1 MiB still makes a block of one.
-        for num_perm, count, blocks in [(128, 2500, [1024, 1024, 452]), (1 << 18, 3, [1, 1, 1])]:
+        # A signature over the block's bytes still makes a block of one.  As
+        # num_perm is at most 8192 (64 KiB), the bytes are patched down for it.
+        for num_perm, count, blocks in [(128, 2500, [1024, 1024, 452]), (8192, 3, [1, 1, 1])]:
+            if num_perm == 8192:
+                monkeypatch.setattr("botdna.lsh.ROW_CACHE_BYTES", 1 << 15)
             index = LshIndex(BandingPlan(0.5, 1, num_perm), num_perm, seed=1)
             values = rng.integers(0, 1 << 61, (count, num_perm), dtype=np.uint64)
             sigs = [MinHashSignature(f"u{i}", num_perm, 1, row) for i, row in enumerate(values)]
