@@ -14,7 +14,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import pipeline
-from .data import SplitSpec, load, read_id_list
+from .data import SplitSpec, check_gt_fraction, load, read_id_list
 from .errors import BotDnaError, IntegrityError
 from .lsh import LshIndex
 from .pipeline import RunConfig, canonical_alphabets
@@ -61,23 +61,23 @@ def _parse_alphabet_grid(text: str) -> list[tuple[str, ...]]:
 
 
 _SHARED_OPTIONS = {
-    "--alphabets": dict(type=_parse_alphabets, default=("B3",), metavar="IDS",
-                        help="comma-separated subset of B3,B5,B9 (default B3)"),
-    "--k-shingle": dict(type=int, default=4, metavar="K",
-                        help="shingle window length in symbols (default 4)"),
-    "--threshold": dict(type=float, default=0.4, metavar="T",
-                        help="target Jaccard similarity for the LSH plan (default 0.4)"),
-    "--num-perm": dict(type=int, default=128, metavar="N",
-                       help="MinHash permutations per signature (default 128)"),
-    "--seed": dict(type=int, default=42, metavar="S",
-                   help="seed for hashing and splits, in [0, 2**64) (default 42)"),
-    "--gt-fraction": dict(type=float, default=0.70, metavar="F",
-                          help="ground-truth share for random splits (default 0.70)"),
+    "--alphabets": dict(type=_parse_alphabets, default=RunConfig.alphabets, metavar="IDS",
+                        help=f"comma-separated subset of B3,B5,B9 (default {','.join(RunConfig.alphabets)})"),
+    "--k-shingle": dict(type=int, default=RunConfig.k_shingle, metavar="K",
+                        help="shingle window length in symbols (default %(default)s)"),
+    "--threshold": dict(type=float, default=RunConfig.threshold, metavar="T",
+                        help="target Jaccard similarity for the LSH plan, in (0, 1] (default %(default)s)"),
+    "--num-perm": dict(type=int, default=RunConfig.num_perm, metavar="N",
+                       help="MinHash permutations per signature, 2 to 8192 (default %(default)s)"),
+    "--seed": dict(type=int, default=RunConfig.seed, metavar="S",
+                   help="seed for hashing and splits, in [0, 2**64) (default %(default)s)"),
+    "--gt-fraction": dict(type=float, default=SplitSpec.gt_fraction, metavar="F",
+                          help="ground-truth share for random splits, in (0, 1) (default %(default)s)"),
     "--split-file": dict(metavar="GT,TEST",
                          help="two comma-separated id-list files for a fixed split"),
-    "--max-tweets": dict(type=int, default=None, metavar="K",
-                         help="keep only each user's first K posts"),
-    "--jaccard-floor": dict(type=float, default=None, metavar="F",
+    "--max-tweets": dict(type=int, default=RunConfig.max_tweets, metavar="K",
+                         help="keep only each user's first K posts, K >= 1"),
+    "--jaccard-floor": dict(type=float, default=RunConfig.jaccard_floor, metavar="F",
                             help="drop candidates below this estimated Jaccard, in [0, 1] "
                                  "(default: the index threshold)"),
     "--no-floor": dict(action="store_const", const=0.0, dest="jaccard_floor",
@@ -104,22 +104,23 @@ def _from_args(args, cls, **extra):
     return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}, **extra)
 
 
-def _split_spec(args) -> SplitSpec:
-    if getattr(args, "split_file", None):
-        try:
-            gt_path, test_path = args.split_file.split(",", 1)
-        except ValueError:
-            raise BotDnaError("--split-file expects GT_FILE,TEST_FILE") from None
-        return SplitSpec(
-            mode="fixed_lists",
-            gt_ids=read_id_list(gt_path.strip()),
-            test_ids=read_id_list(test_path.strip()),
-        )
-    return _from_args(args, SplitSpec)
+def _fixed_split(split_file: str) -> SplitSpec:
+    try:
+        gt_path, test_path = split_file.split(",", 1)
+    except ValueError:
+        raise BotDnaError("--split-file expects GT_FILE,TEST_FILE") from None
+    return SplitSpec(
+        mode="fixed_lists",
+        gt_ids=read_id_list(gt_path.strip()),
+        test_ids=read_id_list(test_path.strip()),
+    )
 
 
 def _config(args) -> RunConfig:
-    return _from_args(args, RunConfig, split=_split_spec(args))
+    """The shared settings as a RunConfig, each checked before any file is read."""
+    cfg = _from_args(args, RunConfig, split=_from_args(args, SplitSpec))
+    split_file = getattr(args, "split_file", None)
+    return replace(cfg, split=_fixed_split(split_file)) if split_file else cfg
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -204,6 +205,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_grid_search(args) -> int:
     base = _config(args)
+    pipeline.check_jobs(args.jobs)
+    pipeline.grid_configs(base, args.k_grid, args.threshold_grid, args.alphabet_grid)
     reports = pipeline.grid_search(
         load(args.data, args.format),
         base,
@@ -224,7 +227,8 @@ def _cmd_grid_search(args) -> int:
 
 def _cmd_early_detection(args) -> int:
     cfg = _config(args)
-    series = pipeline.early_detection(load(args.data, args.format), cfg, caps=args.caps)
+    caps = pipeline.check_caps(args.caps)
+    series = pipeline.early_detection(load(args.data, args.format), cfg, caps=caps)
     _emit(_series_json("max_tweets", series, args), args.out)
     if args.csv_out:
         _series_csv(args.csv_out, "max_tweets", series)
@@ -235,6 +239,8 @@ def _cmd_early_detection(args) -> int:
 
 def _cmd_gt_sweep(args) -> int:
     cfg = _config(args)
+    for fraction in args.fractions:
+        check_gt_fraction(fraction)
     series = pipeline.gt_sweep(load(args.data, args.format), cfg, fractions=args.fractions)
     _emit(_series_json("gt_fraction", series, args), args.out)
     if args.csv_out:
@@ -283,15 +289,15 @@ def _cmd_index_build(args) -> int:
 
 
 def _cmd_index_query(args) -> int:
+    cfg = _config(args)
     index = LshIndex.load(args.index)
     if index.recipe is None:
         raise BotDnaError(f"{args.index} records no alphabets or k_shingle; "
                           "rebuild it with index-build")
-    ds = load(args.data, args.format)
     alphabets, k_shingle = index.recipe
-    cfg = replace(_config(args), alphabets=alphabets, k_shingle=k_shingle,
+    cfg = replace(cfg, alphabets=alphabets, k_shingle=k_shingle,
                   num_perm=index.num_perm, seed=index.seed, threshold=index.plan.threshold)
-    predictions, report = pipeline.classify_against_index(index, ds, cfg)
+    predictions, report = pipeline.classify_against_index(index, load(args.data, args.format), cfg)
     doc = {
         "predictions": [
             {

@@ -38,7 +38,7 @@ from pathlib import Path
 
 from .encoding import BOT, HUMAN, POST_KIND_CODES, UserTimeline, to_int64
 from .errors import FormatError, IntegrityError, UnknownUser
-from .minhash import rng_for
+from .minhash import check_seed, rng_for
 
 MALFORMED_LIMIT = 0.01
 
@@ -67,6 +67,18 @@ class Dataset:
         return {u.user_id: u for u in self.users}
 
 
+def check_gt_fraction(fraction: float) -> None:
+    """Raise ``ValueError`` unless ``fraction`` is in (0, 1); the one rule for ``gt_fraction``."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"gt_fraction must be in (0, 1), got {fraction}")
+
+
+def check_max_tweets(cap: int) -> None:
+    """Raise ``ValueError`` unless the post cap is positive; the one rule for ``max_tweets``."""
+    if cap < 1:
+        raise ValueError(f"max_tweets must be positive, got {cap}")
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Either a seeded stratified random split or explicit id lists."""
@@ -76,6 +88,12 @@ class SplitSpec:
     seed: int = 42
     gt_ids: tuple[str, ...] = ()
     test_ids: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if self.mode not in ("random_fraction", "fixed_lists"):
+            raise ValueError(f"unknown split mode {self.mode!r}")
+        check_gt_fraction(self.gt_fraction)
+        check_seed(self.seed)
 
 
 def _coerce_label(value) -> str | None:
@@ -292,11 +310,10 @@ def filter_min_length(ds: Dataset, k: int, alphabets) -> tuple[Dataset, int]:
     return Dataset(ds.name, kept, ds.provenance, ds.malformed_count), removed
 
 
-def cap_tweets(ds: Dataset, max_k: int) -> Dataset:
-    """Keep only each user's chronologically first max_k posts."""
-    if max_k < 1:
-        raise ValueError(f"max_k must be positive, got {max_k}")
-    users = [u.first(max_k) if len(u) > max_k else u for u in ds.users]
+def cap_tweets(ds: Dataset, max_tweets: int) -> Dataset:
+    """Keep only each user's chronologically first max_tweets posts."""
+    check_max_tweets(max_tweets)
+    users = [u.first(max_tweets) if len(u) > max_tweets else u for u in ds.users]
     return Dataset(ds.name, users, ds.provenance, ds.malformed_count)
 
 
@@ -339,9 +356,7 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
                 raise ValueError(f"ground-truth user {uid!r} has no label")
         gt_users = [by_id[u] for u in spec.gt_ids]
         test_users = [by_id[u] for u in spec.test_ids]
-    elif spec.mode == "random_fraction":
-        if not 0.0 < spec.gt_fraction < 1.0:
-            raise ValueError(f"gt_fraction must be in (0, 1), got {spec.gt_fraction}")
+    else:  # random_fraction
         rng = rng_for(spec.seed, _TAG_SPLIT)
         groups: dict[str, list[UserTimeline]] = {HUMAN: [], BOT: []}
         unlabeled: list[UserTimeline] = []
@@ -363,17 +378,22 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
             gt_users.extend(members[i] for i in order[:take])
             test_users.extend(members[i] for i in order[take:])
         test_users.extend(unlabeled)
-    else:
-        raise ValueError(f"unknown split mode {spec.mode!r}")
     gt = Dataset(ds.name, gt_users, ds.provenance, 0)
     test = Dataset(ds.name, test_users, ds.provenance, 0)
     return gt, test
 
 
 def read_id_list(path) -> tuple[str, ...]:
-    """Plain-text split file: one user id per line, blanks ignored."""
+    """Plain-text split file: one user id per line, blanks ignored, decoded as the loaders decode."""
     path = Path(path)
     if not path.exists():
         raise FormatError(f"no such file: {path}")
-    with open(path, encoding="utf-8") as fh:
-        return tuple(line.strip() for line in fh if line.strip())
+    ids = []
+    with open(path, "rb") as fh:
+        lines = _Utf8Lines(fh)
+        for number, line in enumerate(lines, start=1):
+            if lines.take_invalid():
+                raise FormatError(f"{path}: line {number} is not UTF-8")
+            if line.strip():
+                ids.append(line.strip())
+    return tuple(ids)

@@ -63,11 +63,13 @@ from .encoding import BOT, HUMAN, resolve_alphabets
 from .errors import DuplicateUser, FormatError
 from .minhash import (
     _TAG_BAND_DIGEST,
-    MAX_NUM_PERM,
     ROW_CACHE_BYTES,
     MinHashSignature,
     _mulmod_limbs,
     check_compatible,
+    check_k_shingle,
+    check_num_perm,
+    check_seed,
     fold_m61,
     rng_for,
 )
@@ -95,6 +97,18 @@ _DENSE_SCAN_SHARE = 0.25
 # when no position holds more than 255 distinct values: codes 0-254 number a
 # position's values, and 255 is the code of a query value absent from them.
 _ABSENT = 255
+
+
+def check_threshold(threshold: float) -> None:
+    """Raise ``ValueError`` unless ``threshold`` is in (0, 1]; the one rule for it."""
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+
+
+def check_floor(floor: float) -> None:
+    """Raise ``ValueError`` unless ``floor`` is in [0, 1]; the one rule for a Jaccard floor."""
+    if not 0.0 <= floor <= 1.0:
+        raise ValueError(f"jaccard_floor must be in [0, 1], got {floor}")
 
 
 @dataclass(frozen=True)
@@ -148,10 +162,8 @@ def lsh_plan(threshold: float, num_perm: int) -> BandingPlan:
     prime num_perm at threshold 0.5 has two mirror-image plans), and the
     rounding of the quadrature must not pick between them.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    if not 2 <= num_perm <= MAX_NUM_PERM:
-        raise ValueError(f"num_perm must be in [2, {MAX_NUM_PERM}], got {num_perm}")
+    check_threshold(threshold)
+    check_num_perm(num_perm)
     nodes, weights = _gauss_legendre(num_perm)
     below = threshold / 2 * (nodes + 1)  # nodes mapped onto [0, threshold]
     above = threshold + (1 - threshold) / 2 * (nodes + 1)  # ... onto [threshold, 1]
@@ -222,18 +234,14 @@ class LshIndex:
     """
 
     def __init__(self, plan: BandingPlan, num_perm: int, seed: int, recipe: Recipe | None = None):
-        if not 0.0 < plan.threshold <= 1.0:
-            raise ValueError(f"threshold must be in (0, 1], got {plan.threshold}")
+        check_threshold(plan.threshold)
         if min(plan.bands, plan.rows) < 1 or plan.bands * plan.rows != num_perm:
             raise ValueError(f"plan {plan.bands}x{plan.rows} does not factor num_perm={num_perm}")
-        if num_perm > MAX_NUM_PERM:
-            raise ValueError(f"num_perm must be at most {MAX_NUM_PERM}, got {num_perm}")
-        if not 0 <= seed < 1 << 64:
-            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        check_num_perm(num_perm)
+        check_seed(seed)
         if recipe is not None:
             resolve_alphabets(recipe[0])
-            if recipe[1] < 1:
-                raise ValueError(f"k_shingle must be positive, got {recipe[1]}")
+            check_k_shingle(recipe[1])
         self.plan = plan
         self.num_perm = num_perm
         self.seed = seed
@@ -457,6 +465,7 @@ class LshIndex:
         The neighbors are the ``query`` candidates whose ``jaccard`` (the
         same division, ``matches / num_perm``) reaches ``floor``.
         """
+        check_floor(floor)
         sigs = list(sigs)
         for sig in sigs:
             check_compatible(sig, self.num_perm, self.seed)

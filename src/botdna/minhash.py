@@ -53,9 +53,10 @@ ROW_CACHE_BYTES = 1 << 20
 # The memo's bound on distinct shingles per hash family.
 MEMO_ENTRIES = 1 << 20
 
-# The largest num_perm an index, a plan or a stored signature may have: the
-# largest size the Gauss-Legendre convergence check in ``lsh`` covers.  An
-# index also counts equal positions in u16, which it keeps in range.
+# The largest num_perm ``check_num_perm`` allows a stored signature, a plan
+# or an index: the largest size the Gauss-Legendre convergence check in
+# ``lsh`` covers.  An index also counts equal positions in u16, which it
+# keeps in range.
 MAX_NUM_PERM = 8192
 
 SIGNATURE_MAGIC = b"BDSG"
@@ -67,11 +68,28 @@ _TAG_HASH_FAMILY = 1
 _TAG_BAND_DIGEST = 2
 
 
+def check_num_perm(num_perm: int) -> None:
+    """Raise ``ValueError`` unless ``num_perm`` is in [2, MAX_NUM_PERM]; the one rule for it."""
+    if not 2 <= num_perm <= MAX_NUM_PERM:
+        raise ValueError(f"num_perm must be in [2, {MAX_NUM_PERM}], got {num_perm}")
+
+
+def check_seed(seed: int) -> None:
+    """Raise ``ValueError`` unless ``seed`` is in [0, 2**64); the one rule for a seed."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+
+
+def check_k_shingle(k: int) -> None:
+    """Raise ``ValueError`` unless the shingle width ``k`` is positive; the one rule for it."""
+    if k < 1:
+        raise ValueError(f"k_shingle must be positive, got {k}")
+
+
 def rng_for(seed: int, tag: int) -> np.random.Generator:
     """Counter-based generator for (seed, purpose) pairs, stable across runs."""
     seed = int(seed)
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    check_seed(seed)
     key = seed | (tag << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -281,10 +299,10 @@ class MinHashSignature:
             raise FormatError(f"bad signature magic {magic!r}")
         if version != SIGNATURE_VERSION:
             raise FormatError(f"unsupported signature version {version}")
-        if num_perm < 1:
-            raise FormatError("signature blob has no permutations")
-        if num_perm > MAX_NUM_PERM:
-            raise FormatError(f"signature blob has {num_perm} permutations, over the limit of {MAX_NUM_PERM}")
+        try:
+            check_num_perm(num_perm)
+        except ValueError as exc:
+            raise FormatError(f"signature blob: {exc}") from None
         expected = header_size + uid_len + 8 * num_perm
         if len(data) != expected:
             raise FormatError(f"signature blob has {len(data)} bytes, expected {expected}")
@@ -317,12 +335,16 @@ class MinHashSignature:
         if doc.get("version") != SIGNATURE_VERSION:
             raise FormatError(f"unsupported signature version {doc.get('version')}")
         user_id, num_perm, seed, values = map(doc.get, ("user_id", "num_perm", "seed", "values"))
-        if not (isinstance(user_id, str) and type(num_perm) is int and 0 < num_perm <= MAX_NUM_PERM
-                and type(seed) is int and 0 <= seed < 1 << 64
+        if not (isinstance(user_id, str) and type(num_perm) is int and type(seed) is int
                 and isinstance(values, list) and len(values) == num_perm
                 and all(type(v) is int and 0 <= v < 1 << 64 for v in values)):
-            raise FormatError(f"a signature document needs a string user_id, an int num_perm "
-                              f"from 1 to {MAX_NUM_PERM}, a seed and num_perm values, each in [0, 2**64)")
+            raise FormatError("a signature document needs a string user_id, an int num_perm, an int seed "
+                              "and num_perm values, each in [0, 2**64)")
+        try:
+            check_num_perm(num_perm)
+            check_seed(seed)
+        except ValueError as exc:
+            raise FormatError(f"signature document: {exc}") from None
         return cls(user_id, num_perm, seed, np.array(values, dtype=np.uint64))
 
 
@@ -332,8 +354,7 @@ def shingle(seq: DnaSequence, k: int) -> ShingleSet:
     Windows are taken over the flat symbol string, so with several
     alphabets a window can straddle post boundaries.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    check_k_shingle(k)
     symbols = seq.symbols
     if len(symbols) < k:
         raise SequenceTooShort(
@@ -351,6 +372,7 @@ def minhash(shingles: ShingleSet, num_perm: int, seed: int) -> MinHashSignature:
     do not depend on what the memo holds.
     """
     global _memo
+    # Any positive width sketches; check_num_perm bounds what stores or bands one.
     if num_perm < 1:
         raise ValueError(f"num_perm must be positive, got {num_perm}")
     if not shingles.shingles:

@@ -26,11 +26,11 @@ from dataclasses import dataclass, field, replace
 from itertools import product, repeat
 
 from .classify import EvaluationReport, Prediction, classify_many, score
-from .data import Dataset, SplitSpec, cap_tweets, filter_min_length, split
+from .data import Dataset, SplitSpec, cap_tweets, check_max_tweets, filter_min_length, split
 from .encoding import (BOT, CANONICAL_ALPHABET_ORDER, HUMAN, DnaSequence, UserTimeline, encode_user,
                        resolve_alphabets)
-from .lsh import LshIndex, lsh_plan
-from .minhash import MAX_NUM_PERM, MinHashSignature, minhash, shingle
+from .lsh import LshIndex, check_floor, check_threshold, lsh_plan
+from .minhash import MinHashSignature, check_k_shingle, check_num_perm, check_seed, minhash, shingle
 
 ALPHABET_SUBSETS = (
     ("B3",),
@@ -67,16 +67,16 @@ class RunConfig:
     split: SplitSpec = field(default_factory=SplitSpec)
 
     def __post_init__(self):
-        # Checked here, so that a bad value fails before any user is sketched.
+        # Each field by its module's rule, so a bad value fails before any file is read.
         resolve_alphabets(self.alphabets)
-        if self.k_shingle < 1:
-            raise ValueError(f"k_shingle must be positive, got {self.k_shingle}")
-        if not 2 <= self.num_perm <= MAX_NUM_PERM:
-            raise ValueError(f"num_perm must be in [2, {MAX_NUM_PERM}], got {self.num_perm}")
-        if not 0.0 < self.threshold <= 1.0:
-            raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
-        if self.jaccard_floor is not None and not 0.0 <= self.jaccard_floor <= 1.0:
-            raise ValueError(f"jaccard_floor must be in [0, 1], got {self.jaccard_floor}")
+        check_k_shingle(self.k_shingle)
+        check_threshold(self.threshold)
+        check_num_perm(self.num_perm)
+        check_seed(self.seed)
+        if self.jaccard_floor is not None:
+            check_floor(self.jaccard_floor)
+        if self.max_tweets is not None:
+            check_max_tweets(self.max_tweets)
 
     def effective_floor(self) -> float:
         return self.threshold if self.jaccard_floor is None else self.jaccard_floor
@@ -273,6 +273,25 @@ def _rank_key(report: EvaluationReport):
     return (-f1, cfg["k_shingle"], -cfg["threshold"], tuple(cfg["alphabets"]))
 
 
+def grid_configs(
+    base: RunConfig, ks=DEFAULT_GRID_K, thresholds=DEFAULT_GRID_THRESHOLDS, alphabet_subsets=ALPHABET_SUBSETS
+) -> list[list[RunConfig]]:
+    """Every grid cell's ``RunConfig``, grouped by ``(alphabets, k_shingle)``; an empty grid raises."""
+    groups: dict[tuple, list[RunConfig]] = {}
+    for alphas, k, t in product(alphabet_subsets, ks, thresholds):
+        cfg = replace(base, alphabets=canonical_alphabets(alphas), k_shingle=k, threshold=t)
+        groups.setdefault((cfg.alphabets, k), []).append(cfg)
+    if not groups:
+        raise ValueError("empty grid")
+    return list(groups.values())
+
+
+def check_jobs(jobs: int) -> None:
+    """Raise ``ValueError`` unless ``jobs`` is at least 1; the one rule for it."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+
+
 def grid_search(
     ds: Dataset,
     base: RunConfig,
@@ -294,21 +313,25 @@ def grid_search(
     Ties break toward smaller k, then larger threshold.  Cell execution
     order never affects the ranking.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    groups: dict[tuple, list[RunConfig]] = {}
-    for alphas, k, t in product(alphabet_subsets, ks, thresholds):
-        cfg = replace(base, alphabets=canonical_alphabets(alphas), k_shingle=k, threshold=t)
-        groups.setdefault((cfg.alphabets, k), []).append(cfg)
-    if not groups:
-        raise ValueError("empty grid")
+    check_jobs(jobs)
+    groups = grid_configs(base, ks, thresholds, alphabet_subsets)
     workers = min(jobs, len(groups))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_evaluate_shared, repeat(ds, len(groups)), groups.values()))
+            results = list(pool.map(_evaluate_shared, repeat(ds, len(groups)), groups))
     else:
-        results = [_evaluate_shared(ds, cfgs) for cfgs in groups.values()]
+        results = [_evaluate_shared(ds, cfgs) for cfgs in groups]
     return sorted((r for reports in results for r in reports), key=_rank_key)
+
+
+def check_caps(caps) -> list[int]:
+    """``caps`` as a list if each is a valid ``max_tweets`` and they ascend, else ``ValueError``."""
+    caps = list(caps)
+    for cap in caps:
+        check_max_tweets(cap)
+    if caps != sorted(caps):
+        raise ValueError(f"caps must be ascending, got {caps}")
+    return caps
 
 
 def early_detection(ds: Dataset, cfg: RunConfig, caps=DEFAULT_EARLY_DETECTION_CAPS) -> list[tuple[int, EvaluationReport]]:
@@ -318,9 +341,7 @@ def early_detection(ds: Dataset, cfg: RunConfig, caps=DEFAULT_EARLY_DETECTION_CA
     dataset and frozen; users whose capped sequence falls below the
     shingle width are dropped from their side for that K.
     """
-    caps = list(caps)
-    if caps != sorted(caps) or any(k < 1 for k in caps):
-        raise ValueError("caps must be positive and ascending")
+    caps = check_caps(caps)
     filtered, _ = preprocess(ds, cfg)
     gt_ds, test_ds = split(filtered, cfg.split)
     gt_ids = tuple(u.user_id for u in gt_ds.users)
@@ -350,9 +371,6 @@ def gt_sweep(ds: Dataset, cfg: RunConfig, fractions=DEFAULT_GT_FRACTIONS) -> lis
     if cfg.split.mode != "random_fraction":
         raise ValueError("gt_sweep requires a random_fraction split spec")
     fractions = list(fractions)
-    for fraction in fractions:
-        if not 0.0 < fraction < 1.0:
-            raise ValueError(f"fraction {fraction} outside (0, 1)")
     cfgs = [replace(cfg, split=replace(cfg.split, gt_fraction=f)) for f in fractions]
     return list(zip(fractions, _evaluate_shared(ds, cfgs))) if cfgs else []
 

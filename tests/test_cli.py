@@ -244,6 +244,62 @@ class TestEvaluateCommand:
     def test_bad_split_file_argument(self, corpus_file):
         assert run("evaluate", corpus_file, "--split-file", "only-one-path.txt") == 2
 
+    def test_split_file_that_is_not_utf8(self, corpus_file, tmp_path, capsys):
+        (tmp_path / "gt.txt").write_bytes(b"c0000\n\xff\n")
+        (tmp_path / "test.txt").write_text("c0001\n")
+        split_file = f"{tmp_path / 'gt.txt'},{tmp_path / 'test.txt'}"
+        assert run("evaluate", corpus_file, "--split-file", split_file) == 2
+        assert f"{tmp_path / 'gt.txt'}: line 2 is not UTF-8" in capsys.readouterr().err
+
+
+# A bad value of each shared setting, and the name its error gives.
+BAD_SETTINGS = [
+    ("--seed", "-1", "seed"),
+    ("--seed", str(2**64), "seed"),
+    ("--gt-fraction", "1.5", "gt_fraction"),
+    ("--max-tweets", "0", "max_tweets"),
+    ("--num-perm", "1", "num_perm"),
+    ("--threshold", "1.5", "threshold"),
+    ("--jaccard-floor", "2", "jaccard_floor"),
+    ("--k-shingle", "0", "k_shingle"),
+]
+# A bad value of each list option, and the name its error gives.
+BAD_LISTS = [
+    ("grid-search", "--jobs", "0", "jobs"),
+    ("grid-search", "--k-grid", "0,4", "k_shingle"),
+    ("grid-search", "--threshold-grid", "0.4,1.5", "threshold"),
+    ("grid-search", "--k-grid", "9..2", "empty grid"),
+    ("early-detection", "--caps", "0,20", "max_tweets"),
+    ("early-detection", "--caps", "40,20", "caps must be ascending"),
+    ("gt-sweep", "--fractions", "0.3,1.5", "gt_fraction"),
+]
+
+
+class TestChecksBeforeLoad:
+    """A bad setting exits 2 naming itself, though the data path does not exist."""
+
+    @pytest.mark.parametrize(
+        "command,option,value,name",
+        [(c, o, v, n) for c in DROPPED for o, v, n in BAD_SETTINGS if o not in DROPPED[c]],
+    )
+    def test_bad_shared_setting(self, command, option, value, name, tmp_path, capsys):
+        missing = [tmp_path / "missing.jsonl"] * POSITIONALS.get(command, 1)
+        assert run(command, *missing, option, value, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert name in err and "no such file" not in err
+
+    @pytest.mark.parametrize("command,option,value,name", BAD_LISTS)
+    def test_bad_list_option(self, command, option, value, name, tmp_path, capsys):
+        assert run(command, tmp_path / "missing.jsonl", option, value) == 2
+        err = capsys.readouterr().err
+        assert name in err and "no such file" not in err
+
+    def test_settings_come_before_the_split_files(self, tmp_path, capsys):
+        split_file = f"{tmp_path / 'gt.txt'},{tmp_path / 'test.txt'}"
+        assert run("evaluate", tmp_path / "missing.jsonl", "--split-file", split_file, "--seed", "-1") == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and "no such file" not in err
+
 
 class TestGridSearchCommand:
     def test_grid_json_and_csv(self, corpus_file, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -416,6 +417,12 @@ class TestReadIdList:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError):
             read_id_list(tmp_path / "nope.txt")
+
+    def test_line_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "ids.txt"
+        path.write_bytes(b"u1\r\n\xff\n")
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: line 2 is not UTF-8"):
+            read_id_list(path)
 
 
 @st.composite

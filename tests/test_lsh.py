@@ -205,7 +205,7 @@ class TestInsert:
 
     def test_num_perm_over_the_limit_rejected(self):
         assert LshIndex(BandingPlan(0.5, 1, 8192), 8192, 1).num_perm == 8192
-        with pytest.raises(ValueError, match="at most 8192"):
+        with pytest.raises(ValueError, match=r"num_perm must be in \[2, 8192\], got 8193"):
             LshIndex(BandingPlan(0.5, 1, 8193), 8193, 1)
 
 
@@ -340,7 +340,7 @@ class TestInsertMany:
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_band_digests_of_a_matrix_are_its_rows_digests(self, data):
-        num_perm = data.draw(st.sampled_from([1, 2, 6, 8, 12, 128]), label="num_perm")
+        num_perm = data.draw(st.sampled_from([2, 6, 8, 12, 128]), label="num_perm")
         bands = data.draw(
             st.sampled_from([b for b in range(1, num_perm + 1) if num_perm % b == 0]), label="bands"
         )

@@ -1,0 +1,188 @@
+"""Each setting has one rule, and every entry point taking the setting follows it.
+
+A table per setting gives its boundary values, whether the rule accepts
+each, and the entry points that take the setting.  An entry point refuses
+a value with ``ValueError``; the signature readers and the index file
+reader raise ``FormatError``, and the command line exits 2 naming the
+setting before it reads any file.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from botdna.classify import classify, classify_many
+from botdna.cli import main
+from botdna.data import Dataset, SplitSpec, cap_tweets
+from botdna.encoding import DnaSequence
+from botdna.errors import FormatError
+from botdna.lsh import BandingPlan, LshIndex, lsh_plan
+from botdna.minhash import MinHashSignature, minhash, rng_for, shingle
+from botdna.pipeline import RunConfig, check_caps, early_detection, grid_configs, gt_sweep
+
+from conftest import synthetic_corpus
+from test_lsh import read_index_file, small_index, write_index_file
+
+NAN = float("nan")
+
+# setting -> {value: accepted by the rule}
+RULES = {
+    "num_perm": {1: False, 2: True, 8192: True, 8193: False},
+    "seed": {-1: False, 0: True, 2**64 - 1: True, 2**64: False},
+    "threshold": {0.0: False, 1.0: True, 1.5: False, NAN: False},
+    "jaccard_floor": {-0.1: False, 0.0: True, 1.0: True, 1.5: False, NAN: False},
+    "k_shingle": {0: False, 1: True},
+    "gt_fraction": {0.0: False, 0.5: True, 1.0: False},
+    "max_tweets": {0: False, 1: True},
+}
+
+
+def tiny_dataset():
+    return Dataset("tiny", synthetic_corpus(8, 12, seed=3))
+
+
+def one_user_index(num_perm=8):
+    index = LshIndex(BandingPlan(0.5, 4, num_perm // 4), num_perm, 1)
+    index.insert(MinHashSignature("a", num_perm, 1, np.arange(num_perm, dtype=np.uint64)), "bot")
+    return index
+
+
+def probe(num_perm=8):
+    return MinHashSignature("q", num_perm, 1, np.arange(num_perm, dtype=np.uint64))
+
+
+def blob_round_trip(num_perm=8, seed=5):
+    sig = MinHashSignature("u", num_perm, seed, np.zeros(num_perm, dtype=np.uint64))
+    assert MinHashSignature.from_bytes(sig.to_bytes()) == sig
+
+
+def debug_json_round_trip(num_perm=8, seed=5):
+    sig = MinHashSignature("u", num_perm, seed, np.zeros(num_perm, dtype=np.uint64))
+    assert MinHashSignature.from_debug_json(sig.to_debug_json()) == sig
+
+
+def index_file(tmp_path, **changes):
+    """Load an index file whose header carries ``changes`` (an empty index when they name num_perm)."""
+    _, path = small_index(tmp_path)
+    fields, body = read_index_file(path)
+    if "num_perm" in changes:
+        fields |= {"bands": 1, "rows": changes["num_perm"], "users": 0}
+        body = bytes(8)  # no users: one id offset, nothing else
+    write_index_file(path, fields | changes, body)
+    LshIndex.load(path)
+
+
+def cli_option(tmp_path, capsys, option, value):
+    """Run evaluate with one option against a missing file; the error says which check stopped it."""
+    capsys.readouterr()
+    assert main(["evaluate", str(tmp_path / "missing.jsonl"), option, str(value)]) == 2
+    err = capsys.readouterr().err
+    if "no such file" not in err:
+        raise ValueError(err)
+
+
+# setting -> {entry point name: a call taking (value, tmp_path, capsys)}
+ENTRY_POINTS = {
+    "num_perm": {
+        "RunConfig": lambda v, *_: RunConfig(num_perm=v),
+        "lsh_plan": lambda v, *_: lsh_plan(0.5, v),
+        "LshIndex": lambda v, *_: LshIndex(BandingPlan(0.5, 1, v), v, 1),
+        "to_bytes->from_bytes": lambda v, *_: blob_round_trip(num_perm=v),
+        "from_debug_json": lambda v, *_: debug_json_round_trip(num_perm=v),
+        "index file": lambda v, tmp, _: index_file(tmp, num_perm=v),
+        "cli --num-perm": lambda v, tmp, cap: cli_option(tmp, cap, "--num-perm", v),
+    },
+    # The blob stores its seed as a u64, so it cannot carry a refused one.
+    "seed": {
+        "RunConfig": lambda v, *_: RunConfig(seed=v),
+        "SplitSpec": lambda v, *_: SplitSpec(seed=v),
+        "rng_for": lambda v, *_: rng_for(v, 1),
+        "minhash": lambda v, *_: minhash(shingle(DnaSequence("u", ("B3",), "ACTA"), 2), 8, v),
+        "LshIndex": lambda v, *_: LshIndex(BandingPlan(0.5, 4, 2), 8, v),
+        "from_debug_json": lambda v, *_: debug_json_round_trip(seed=v),
+        "index file": lambda v, tmp, _: index_file(tmp, seed=v),
+        "cli --seed": lambda v, tmp, cap: cli_option(tmp, cap, "--seed", v),
+    },
+    "threshold": {
+        "RunConfig": lambda v, *_: RunConfig(threshold=v),
+        "grid_configs": lambda v, *_: grid_configs(RunConfig(), [4], [v], [("B3",)]),
+        "lsh_plan": lambda v, *_: lsh_plan(v, 8),
+        "LshIndex": lambda v, *_: LshIndex(BandingPlan(v, 4, 2), 8, 1),
+        "index file": lambda v, tmp, _: index_file(tmp, threshold=v),
+        "cli --threshold": lambda v, tmp, cap: cli_option(tmp, cap, "--threshold", v),
+    },
+    "jaccard_floor": {
+        "RunConfig": lambda v, *_: RunConfig(jaccard_floor=v),
+        "neighbor_votes": lambda v, *_: one_user_index().neighbor_votes([probe()], v),
+        "classify": lambda v, *_: classify(one_user_index(), probe(), v),
+        "classify_many": lambda v, *_: classify_many(one_user_index(), [probe()], v),
+        "cli --jaccard-floor": lambda v, tmp, cap: cli_option(tmp, cap, "--jaccard-floor", v),
+    },
+    "k_shingle": {
+        "RunConfig": lambda v, *_: RunConfig(k_shingle=v),
+        "grid_configs": lambda v, *_: grid_configs(RunConfig(), [v], [0.4], [("B3",)]),
+        "shingle": lambda v, *_: shingle(DnaSequence("u", ("B3",), "ACTA"), v),
+        "LshIndex recipe": lambda v, *_: LshIndex(BandingPlan(0.5, 4, 2), 8, 1, (("B3",), v)),
+        "index file": lambda v, tmp, _: index_file(tmp, k_shingle=v),
+        "cli --k-shingle": lambda v, tmp, cap: cli_option(tmp, cap, "--k-shingle", v),
+    },
+    "gt_fraction": {
+        "SplitSpec": lambda v, *_: SplitSpec(gt_fraction=v),
+        "fixed-lists SplitSpec": lambda v, *_: SplitSpec(mode="fixed_lists", gt_fraction=v),
+        "gt_sweep": lambda v, *_: gt_sweep(tiny_dataset(), RunConfig(k_shingle=2), [v]),
+        "cli --gt-fraction": lambda v, tmp, cap: cli_option(tmp, cap, "--gt-fraction", v),
+    },
+    "max_tweets": {
+        "RunConfig": lambda v, *_: RunConfig(max_tweets=v),
+        "cap_tweets": lambda v, *_: cap_tweets(tiny_dataset(), v),
+        "check_caps": lambda v, *_: check_caps([v]),
+        "early_detection": lambda v, *_: early_detection(tiny_dataset(), RunConfig(k_shingle=1), [v]),
+        "cli --max-tweets": lambda v, tmp, cap: cli_option(tmp, cap, "--max-tweets", v),
+    },
+}
+
+CASES = [
+    pytest.param(setting, entry, value, accepted, id=f"{setting}-{entry}-{value!r}")
+    for setting, values in RULES.items()
+    for entry in ENTRY_POINTS[setting]
+    for value, accepted in values.items()
+]
+
+
+@pytest.mark.parametrize("setting,entry,value,accepted", CASES)
+def test_entry_point_follows_the_rule(setting, entry, value, accepted, tmp_path, capsys):
+    call = ENTRY_POINTS[setting][entry]
+    if accepted:
+        call(value, tmp_path, capsys)
+        return
+    with pytest.raises((ValueError, FormatError)) as excinfo:
+        call(value, tmp_path, capsys)
+    message = str(excinfo.value)
+    assert setting in message
+    shown = "nan" if isinstance(value, float) and math.isnan(value) else repr(value)
+    assert message.rstrip().endswith(f"got {shown}")
+
+
+def test_readers_refuse_with_format_error():
+    # The rule's ValueError reaches a reader's caller as a FormatError.
+    for num_perm in (1, 8193):
+        sig = MinHashSignature("u", num_perm, 5, np.zeros(num_perm, dtype=np.uint64))
+        for reader, text in ((MinHashSignature.from_bytes, sig.to_bytes()),
+                             (MinHashSignature.from_debug_json, sig.to_debug_json())):
+            with pytest.raises(FormatError, match=f"num_perm must be in \\[2, 8192\\], got {num_perm}"):
+                reader(text)
+    doc = json.loads(MinHashSignature("u", 2, 5, np.zeros(2, dtype=np.uint64)).to_debug_json())
+    with pytest.raises(FormatError, match=r"seed must be in \[0, 2\*\*64\), got -1"):
+        MinHashSignature.from_debug_json(json.dumps(doc | {"seed": -1}))
+
+
+def test_minhash_sketches_at_any_positive_width():
+    # Sketching has no upper bound (the golden signatures pin 16384
+    # permutations); the rule bounds what stores, reads or bands them.
+    s = shingle(DnaSequence("u", ("B3",), "ACTA"), 2)
+    assert minhash(s, 1, 1).num_perm == 1
+    assert minhash(s, 8193, 1).num_perm == 8193
+    with pytest.raises(ValueError, match="num_perm must be positive, got 0"):
+        minhash(s, 0, 1)
