@@ -8,20 +8,22 @@ probability ``1 - (1 - s**rows)**bands`` for true similarity ``s``.
 similarity threshold.
 
 In memory the index is columnar: one signature matrix, one band-digest
-matrix and one label array, a row per user in insertion order.
-``band_digests`` digests one signature or a whole block of them in one
-vectorised call; ``insert_many`` and ``neighbor_votes`` make one call per
-block of 1 MiB of signatures (1024 at 128 permutations).  A query looks all
-its band digests up at once in a single sorted table of every stored digest
-(rebuilt by the first query after an insert), keeps the hits whose band
+matrix and one label array, a row per user in insertion order.  Storing a
+user writes only its signature and label.  ``band_digests`` digests one
+signature or a whole matrix of them in one vectorised call;
+``neighbor_votes`` makes one call per block of 1 MiB of query signatures
+(1024 at 128 permutations).  A query looks all its band digests up at once
+in a single sorted table of every stored digest, keeps the hits whose band
 matches, and counts equal signature positions for the candidates with one
 vectorised compare; a dense query compares u8 dictionary codes of the
 signature columns instead of the u64 values when it can (see
-``LshIndex._coded_columns``).  The table keeps, beside each sorted digest, only its
-flat position ``ordinal * bands + band`` (int32 while the table has
-fewer than 2**31 entries), and splits the positions of the hits alone
-back into ordinal and band.  When the hits cover over a quarter of the
-table, the candidates come from one compare of the digest matrix instead.
+``LshIndex._coded_columns``).  The table keeps, beside each sorted digest,
+only its flat position ``ordinal * bands + band`` (int32 while the table
+has fewer than 2**31 entries), and splits the positions of the hits alone
+back into ordinal and band.  The first query after an insert rebuilds the
+table: it digests the rows stored since the last rebuild in one call, then
+re-sorts.  When the hits cover over a quarter of the table, the candidates
+come from one compare of the digest matrix instead.
 
 Index file layout, version 2 (integers little-endian)::
 
@@ -39,10 +41,10 @@ Index file layout, version 2 (integers little-endian)::
         N label codes, u8 (0 human / 1 bot)
         N x num_perm signature values, u64, row by row
 
-``load`` recomputes the band digests and fills the columns through the
-same step as ``insert_many``, so a round-tripped index answers queries
-exactly as the original.  Any other version (a version 1 file must be
-rebuilt), a bad header field or a body failing its checksum is a
+``load`` stores the file's columns without digesting them; its first query
+digests every row, as after any insert, so a round-tripped index answers
+queries exactly as the original.  Any other version (a version 1 file must
+be rebuilt), a bad header field or a body failing its checksum is a
 ``FormatError``.
 """
 
@@ -222,11 +224,12 @@ class LshIndex:
     each column belongs to ordinal ``i``: an ``N x num_perm`` u64 signature
     matrix, an ``N x bands`` u64 band-digest matrix and a bot-label array,
     beside the list of user ids.  The columns grow by doubling their
-    capacity.  Lookups use one flat table of all ``N * bands`` digests,
-    sorted, with each entry's flat position in the digest matrix.  The
-    table is built by the first query after an insert, so a query
-    following inserts pays one re-sort; inserts and queries may otherwise
-    be mixed freely.
+    capacity.  An insert writes only the signature and label rows.  Lookups
+    use one flat table of all ``N * bands`` digests, sorted, with each
+    entry's flat position in the digest matrix.  The first query after an
+    insert builds it, digesting the rows inserted since the last build, so
+    that query pays for their digests and one re-sort; inserts and queries
+    may otherwise be mixed freely.
 
     ``recipe`` is the ``(alphabets, k_shingle)`` the signatures were
     sketched with, or None if unknown (an index built by hand); the index
@@ -251,8 +254,10 @@ class LshIndex:
         self._values = np.empty((0, num_perm), dtype=np.uint64)
         self._digests = np.empty((0, plan.bands), dtype=np.uint64)
         self._is_bot = np.empty(0, dtype=bool)
-        # Signatures per band-digest call: 1 MiB of them.
+        # Query signatures per band-digest call in neighbor_votes: 1 MiB of them.
         self._block = max(1, ROW_CACHE_BYTES // (8 * num_perm))
+        # Rows of the digest matrix filled so far; the rest wait for a query.
+        self._digested = 0
         # (sorted digests, flat position) for the first len(self) rows;
         # None when an insert has happened since it was built.
         self._table: tuple[np.ndarray, np.ndarray] | None = None
@@ -290,30 +295,22 @@ class LshIndex:
         digests += offsets  # u64 wraparound intended
         return digests.reshape(values.shape[:-1] + (bands,))
 
-    def _resize(self, capacity: int) -> None:
-        for name in ("_values", "_digests", "_is_bot"):
-            old = getattr(self, name)
-            new = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
-            new[: len(old)] = old  # staged rows too
-            setattr(self, name, new)
-
-    def _stage(self, at: int, values, is_bot) -> None:
-        """Write rows from ``at`` on, past ``len(self)``, where no query sees them."""
-        end = at + len(is_bot)
+    def _reserve(self, end: int) -> None:
+        """Grow the columns, by doubling, to hold at least ``end`` rows."""
         if end > len(self._is_bot):
-            self._resize(max(16, 2 * len(self._is_bot), end))
-        self._values[at:end] = values
-        self._is_bot[at:end] = is_bot
+            capacity = max(16, 2 * len(self._is_bot), end)
+            for name in ("_values", "_digests", "_is_bot"):
+                old = getattr(self, name)
+                new = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
+                new[: len(old)] = old  # unpublished rows too
+                setattr(self, name, new)
 
     def _commit(self, ids: list[str]) -> None:
-        """Digest the rows staged for ``ids``, a block per call, then publish them."""
+        """Publish the rows written past the stored ones for ``ids``."""
         if not ids:
             return
-        n, end = len(self), len(self) + len(ids)
-        for start in range(n, end, self._block):
-            stop = min(start + self._block, end)
-            self._digests[start:stop] = self.band_digests(self._values[start:stop])
-        self._ordinals.update(zip(ids, range(n, end)))
+        n = len(self)
+        self._ordinals.update(zip(ids, range(n, n + len(ids))))
         self._user_ids += ids
         self._table = None
         self._coded = None
@@ -326,12 +323,11 @@ class LshIndex:
         """Store labeled signatures from any iterables, in order.
 
         Each is checked (label, compatibility, duplicates against the index
-        and within the call), then staged past the stored rows a block at a
-        time.  The ids are published last, so a bad signature raises and
-        leaves the index unchanged.
+        and within the call), then written past the stored rows, where no
+        query sees it.  The ids are published last, so a bad signature
+        raises and leaves the index unchanged.
         """
         ids: dict[str, None] = {}  # the call's ids, in order
-        values, is_bot, at = [], [], len(self)  # the block being filled, and its first row
         pairs = zip_longest(sigs, labels, fillvalue=_MISSING)
         for sig, label in pairs:
             if sig is _MISSING or label is _MISSING:
@@ -344,25 +340,26 @@ class LshIndex:
             uid = sig.user_id
             if uid in self._ordinals or uid in ids:
                 raise DuplicateUser(uid)
+            at = len(self) + len(ids)  # this signature's row
             ids[uid] = None
-            values.append(sig.values)
-            is_bot.append(label == BOT)
-            if len(is_bot) == self._block:
-                self._stage(at, values, is_bot)
-                at += len(is_bot)
-                values, is_bot = [], []
-        if is_bot:
-            self._stage(at, values, is_bot)
+            self._reserve(at + 1)
+            self._values[at] = sig.values
+            self._is_bot[at] = label == BOT
         self._commit(list(ids))
 
     def _lookup_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Every stored digest, sorted, and its flat position in the digest matrix.
 
         A position is ``ordinal * bands + band``; int32 holds it unless the
-        table has 2**31 entries or more.
+        table has 2**31 entries or more.  Rows past the digested ones are
+        digested first, in one call.
         """
         if self._table is None:
-            flat = self._digests[: len(self)].ravel()
+            n, done = len(self), self._digested
+            if done < n:
+                self._digests[done:n] = self.band_digests(self._values[done:n])
+                self._digested = n
+            flat = self._digests[:n].ravel()
             order = np.argsort(flat)
             if flat.size < 1 << 31:
                 order = order.astype(np.int32)
@@ -552,8 +549,9 @@ class LshIndex:
         codes = np.frombuffer(body, "u1", n, labels_at)
         if np.any(codes > 1):
             raise FormatError(f"bad label code {codes.max()} in index file")
-        index._stage(0, np.frombuffer(body, "<u8", n * num_perm, values_at).reshape(n, num_perm),
-                     codes == 1)
+        index._reserve(n)
+        index._values[:n] = np.frombuffer(body, "<u8", n * num_perm, values_at).reshape(n, num_perm)
+        index._is_bot[:n] = codes == 1
         index._commit(ids)
         if len(index._ordinals) != n:
             raise FormatError("a user id appears twice in index file")

@@ -283,6 +283,7 @@ class MinHashSignature:
         return f"MinHashSignature(user_id={self.user_id!r}, num_perm={self.num_perm}, seed={self.seed})"
 
     def to_bytes(self) -> bytes:
+        check_seed(self.seed)
         uid = self.user_id.encode("utf-8")
         if len(uid) > 0xFFFF:  # the blob stores its length as a u16
             raise ValueError(f"user id of {len(uid)} UTF-8 bytes is over the limit of 65535")
@@ -372,9 +373,7 @@ def minhash(shingles: ShingleSet, num_perm: int, seed: int) -> MinHashSignature:
     do not depend on what the memo holds.
     """
     global _memo
-    # Any positive width sketches; check_num_perm bounds what stores or bands one.
-    if num_perm < 1:
-        raise ValueError(f"num_perm must be positive, got {num_perm}")
+    check_num_perm(num_perm)
     if not shingles.shingles:
         raise EmptySet(f"user {shingles.user_id!r} has an empty shingle set")
     with _memo_lock:
@@ -385,15 +384,20 @@ def minhash(shingles: ShingleSet, num_perm: int, seed: int) -> MinHashSignature:
 
 
 def check_compatible(sig: MinHashSignature, num_perm: int, seed: int) -> None:
-    """Raise unless ``sig`` was sketched with ``num_perm`` permutations under ``seed``."""
+    """Raise unless ``sig`` holds the ``num_perm`` values of a sketch under ``seed``."""
     if sig.num_perm != num_perm or sig.seed != seed:
         raise IncompatibleSignatures(
             f"signature {sig.user_id!r} (num_perm={sig.num_perm}, seed={sig.seed}) "
             f"vs (num_perm={num_perm}, seed={seed})"
         )
+    if np.shape(sig.values) != (num_perm,):
+        raise IncompatibleSignatures(
+            f"signature {sig.user_id!r} has values of shape {np.shape(sig.values)}, not ({num_perm},)"
+        )
 
 
 def estimate_jaccard(a: MinHashSignature, b: MinHashSignature) -> float:
     """Fraction of equal signature positions; estimates set Jaccard."""
+    check_compatible(a, a.num_perm, a.seed)
     check_compatible(b, a.num_perm, a.seed)
     return float(np.count_nonzero(a.values == b.values)) / a.num_perm

@@ -146,7 +146,8 @@ def _index(users: list[UserTimeline], sigs: Iterable[MinHashSignature], cfg: Run
 
 def build_index(users: list[UserTimeline], cfg: RunConfig) -> LshIndex:
     """Index every labeled user's signature."""
-    # Sketched lazily: insert_many holds no more than a block outside the index.
+    # Sketched lazily: insert_many writes each signature into the index as it
+    # comes, so none is held outside it.
     return _index(users, (signature_for(u, cfg) for u in users), cfg)
 
 

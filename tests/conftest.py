@@ -47,6 +47,14 @@ def exact_jaccard(a: ShingleSet, b: ShingleSet) -> float:
     return len(a.shingles & b.shingles) / len(union) if union else 1.0
 
 
+def counting_digests(monkeypatch) -> list[tuple[int, ...]]:
+    """Patch ``LshIndex.band_digests`` to log the shape of each call's values."""
+    calls, band_digests = [], LshIndex.band_digests
+    monkeypatch.setattr(LshIndex, "band_digests",
+                        lambda self, values: calls.append(np.shape(values)) or band_digests(self, values))
+    return calls
+
+
 def draw_index_parts(data):
     """Draw an empty small index, labeled signatures and query signatures.
 

@@ -130,7 +130,7 @@ class TestClassify:
         def check(data):
             index, entries, probes = draw_index_parts(data)
             index.insert_many([sig for sig, _ in entries], [label for _, label in entries])
-            table = index._digests[: len(index)].ravel()
+            table = index._lookup_table()[0]
             for probe in probes:
                 hits = sum(int(np.count_nonzero(table == d)) for d in index.band_digests(probe.values))
                 if hits:

@@ -20,7 +20,7 @@ from botdna.lsh import (
 )
 from botdna.minhash import MinHashSignature, minhash
 
-from conftest import draw_index_parts, exact_jaccard, make_set_pair
+from conftest import counting_digests, draw_index_parts, exact_jaccard, make_set_pair
 
 
 def sig_of(shingle_set, num_perm=128, seed=1):
@@ -171,7 +171,11 @@ class TestInsert:
                 MinHashSignature(f"u{i}", 128, 1, sig_of(a).values), "human" if i % 2 else "bot"
             )
         assert len(index) == n
-        assert index._digests[: len(index)].shape == (n, index.plan.bands)
+        # The lookup table holds each of the n * bands digests exactly once.
+        digests, positions = index._lookup_table()
+        assert digests.shape == (n * index.plan.bands,)
+        assert np.array_equal(np.sort(positions), np.arange(n * index.plan.bands))
+        assert np.array_equal(digests, np.sort(index._digests[:n].ravel()))
 
     def test_duplicate_user_rejected(self):
         index = fresh_index()
@@ -210,8 +214,13 @@ class TestInsert:
 
 
 def snapshot(index):
-    """Everything an index shows: ids, labels, columns and the ordinal map."""
+    """Everything an index shows: ids, labels, columns and the ordinal map.
+
+    Building the lookup table first digests any rows inserted since the
+    last query, as a query would.
+    """
     n = len(index)
+    index._lookup_table()
     return (
         list(index._user_ids),
         index.labels,
@@ -277,17 +286,15 @@ class TestInsertMany:
         check()
         assert seen == {"empty", "crossed a doubling"}
 
-    def test_bad_block_leaves_index_unchanged(self, monkeypatch):
-        # The inputs come as generators through blocks of one to three
-        # rows, so a bad signature may follow whole blocks already staged.
+    def test_bad_block_leaves_index_unchanged(self):
+        # The inputs come as generators, so a bad signature may follow rows
+        # already written past the stored ones.
         seen = set()
 
         @given(st.data())
         @settings(max_examples=100, deadline=None)
         def check(data):
             parts, entries, probes = draw_index_parts(data)
-            rows = data.draw(st.integers(1, 3), label="rows per block")
-            monkeypatch.setattr("botdna.lsh.ROW_CACHE_BYTES", rows * 8 * parts.num_perm)
             index = LshIndex(parts.plan, parts.num_perm, parts.seed)
             split = data.draw(st.integers(0, len(entries)), label="split")
             index.insert_many([sig for sig, _ in entries[:split]], [label for _, label in entries[:split]])
@@ -299,6 +306,8 @@ class TestInsertMany:
                 "label": (MinHashSignature("new", index.num_perm, 5, values), "cyborg", ValueError),
                 "incompatible": (MinHashSignature("new", index.num_perm, 6, values), "bot",
                                  IncompatibleSignatures),
+                "short values": (MinHashSignature("new", index.num_perm, 5, values[:1]), "bot",
+                                 IncompatibleSignatures),
             }
             if rest:
                 sig, label = rest[0]
@@ -309,8 +318,8 @@ class TestInsertMany:
             for sig, label, error in bad.values():
                 at = data.draw(st.integers(0, len(rest)), label="position")
                 block = rest[:at] + [(sig, label)] + rest[at:]
-                if at >= rows:
-                    seen.add("after a staged block")
+                if at:
+                    seen.add("after written rows")
                 with pytest.raises(error):
                     index.insert_many((s for s, _ in block), (l for _, l in block))
                 assert snapshot(index) == before
@@ -325,7 +334,26 @@ class TestInsertMany:
             assert snapshot(index) == snapshot(sequential(parts, entries))
 
         check()
-        assert seen == {"after a staged block"}
+        assert seen == {"after written rows"}
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (9,), (2, 4), ()])
+    def test_values_of_the_wrong_shape_are_refused(self, shape):
+        # Written row by row, such values would broadcast into a whole row.
+        index = fresh_index(num_perm=8)
+        good = MinHashSignature("good", 8, 1, np.arange(8, dtype=np.uint64))
+        index.insert(good, "bot")
+        before = snapshot(index)
+        bad = MinHashSignature("bad", 8, 1, np.full(shape, 7, dtype=np.uint64))
+        with pytest.raises(IncompatibleSignatures, match="shape"):
+            index.insert(bad, "bot")
+        other = MinHashSignature("other", 8, 1, np.ones(8, dtype=np.uint64))
+        with pytest.raises(IncompatibleSignatures, match="shape"):
+            index.insert_many([other, bad], ["human", "bot"])
+        assert snapshot(index) == before
+        with pytest.raises(IncompatibleSignatures, match="shape"):
+            index.query(bad)
+        with pytest.raises(IncompatibleSignatures, match="shape"):
+            index.neighbor_votes([good, bad], 0.5)
 
     def test_label_count_must_match(self):
         index = fresh_index(num_perm=8)
@@ -391,6 +419,75 @@ class TestNeighborVotes:
                 assert index.neighbor_votes(iter(probes), floor) == want
 
         check()
+
+
+class TestMixedInsertsAndQueries:
+    def test_answers_equal_a_fresh_index(self, monkeypatch, tmp_path):
+        # Inserts one at a time or in blocks (empty ones, and ones failing
+        # partway, among them), queries, votes and a save and load come in
+        # a drawn order.  Each answer must equal that of an index built
+        # fresh from the rows stored so far, and a query after inserts must
+        # digest, in one call, only the rows stored since the last query.
+        digested = []  # (index, rows) of each call on an index's own signatures
+        band_digests = LshIndex.band_digests
+
+        def logging(self, values):
+            if np.may_share_memory(values, self._values):
+                digested.append((self, len(values)))
+            return band_digests(self, values)
+
+        monkeypatch.setattr(LshIndex, "band_digests", logging)
+        steps = ["insert", "insert_many", "failing insert_many", "query", "votes", "save and load"]
+        seen = set()
+
+        @given(st.data())
+        @settings(max_examples=150, deadline=None)
+        def check(data):
+            parts, entries, probes = draw_index_parts(data)
+            waiting = renamed(entries, data.draw(st.integers(1, 3), label="copies"))
+            index = LshIndex(parts.plan, parts.num_perm, parts.seed)
+            stored, undigested = [], 0
+            for step in data.draw(st.lists(st.sampled_from(steps), max_size=12), label="steps") + ["query"]:
+                if step == "save and load":
+                    index.save(tmp_path / "mixed.idx")
+                    index, undigested = LshIndex.load(tmp_path / "mixed.idx"), len(stored)
+                elif step in ("query", "votes"):
+                    fresh = LshIndex(parts.plan, parts.num_perm, parts.seed)
+                    fresh.insert_many([sig for sig, _ in stored], [label for _, label in stored])
+                    digested.clear()
+                    if step == "query":
+                        for probe in probes:
+                            assert index.query(probe) == fresh.query(probe)
+                    else:
+                        floor = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="floor")
+                        assert index.neighbor_votes(probes, floor) == fresh.neighbor_votes(probes, floor)
+                    assert [rows for owner, rows in digested if owner is index] == [undigested] * (undigested > 0)
+                    if 0 < undigested < len(stored):
+                        seen.add("digested the new rows only")
+                    undigested = 0
+                else:
+                    most = 1 if step == "insert" else len(waiting)
+                    block = waiting[: data.draw(st.integers(0, most), label="rows")]
+                    if step == "failing insert_many":
+                        bad = MinHashSignature("bad", parts.num_perm, parts.seed + 1,
+                                               np.zeros(parts.num_perm, dtype=np.uint64))
+                        with pytest.raises(IncompatibleSignatures):
+                            index.insert_many((sig for sig, _ in block + [(bad, "bot")]),
+                                              (label for _, label in block + [(bad, "bot")]))
+                        seen.add("failed after written rows" if block else "failed")
+                        continue
+                    if step == "insert" and block:
+                        index.insert(*block[0])
+                    elif step == "insert_many":
+                        index.insert_many((sig for sig, _ in block), (label for _, label in block))
+                        seen.add("insert_many" if block else "empty insert_many")
+                    stored += block
+                    waiting = waiting[len(block) :]
+                    undigested += len(block)
+
+        check()
+        assert seen == {"digested the new rows only", "failed after written rows", "failed",
+                        "insert_many", "empty insert_many"}
 
 
 def brute_force_neighbors(entries, index, probe):
@@ -719,8 +816,10 @@ class TestPersistence:
 
         check()
 
-    def test_load_digests_in_blocks(self, tmp_path, monkeypatch):
-        # Three signatures per band-digest call: the blocks must line up.
+    def test_load_digests_nothing_until_a_query(self, tmp_path, monkeypatch):
+        # Loading stores the columns; the first query digests all ten rows
+        # in one call, beside its own signature, and the digests are those
+        # of the original.
         index = fresh_index(num_perm=8)
         rng = np.random.Generator(np.random.Philox(key=18))
         for i in range(10):
@@ -728,13 +827,13 @@ class TestPersistence:
                          "bot")
         path = tmp_path / "index.bin"
         index.save(path)
-        monkeypatch.setattr("botdna.lsh.ROW_CACHE_BYTES", 3 * 8 * 8)
-        calls = []
-        band_digests = LshIndex.band_digests
-        monkeypatch.setattr(LshIndex, "band_digests",
-                            lambda self, values: calls.append(len(values)) or band_digests(self, values))
+        probe = MinHashSignature("p", 8, 1, index._values[3])
+        want = index.query(probe)
+        calls = counting_digests(monkeypatch)
         loaded = LshIndex.load(path)
-        assert calls == [3, 3, 3, 1]
+        assert calls == []
+        assert loaded.query(probe) == want
+        assert calls == [(8,), (10, 8)]
         np.testing.assert_array_equal(loaded._digests[:10], index.band_digests(index._values[:10]))
 
     def test_long_id_round_trips(self, tmp_path):

@@ -199,6 +199,14 @@ class TestEstimateJaccard:
         with pytest.raises(IncompatibleSignatures):
             estimate_jaccard(minhash(s, 64, 1), minhash(s, 64, 2))
 
+    def test_values_of_the_wrong_shape(self):
+        # Either operand: one value would otherwise broadcast against all 8.
+        sig = minhash(shingle(seq("ACTTCA"), 2), 8, 1)
+        short = MinHashSignature("short", 8, 1, sig.values[:1])
+        for a, b in ((sig, short), (short, sig), (short, short)):
+            with pytest.raises(IncompatibleSignatures, match="shape"):
+                estimate_jaccard(a, b)
+
 
 signature_params = st.tuples(
     st.text(min_size=0, max_size=40),
@@ -332,15 +340,20 @@ class TestSerialization:
 
 
 # SHA-256 over the binary signatures of a fixed corpus, one per
-# (alphabets, k, num_perm, seed), recorded before the row cache existed.
+# (alphabets, k, num_perm, seed).  The first three were recorded before the
+# row cache existed, the 8192-permutation rows by the last ``minhash`` that
+# took any width, which still matched a 16384-permutation row recorded
+# before the cache.
 # At 2048 permutations the block holds 64 rows, fewer than the 81 B3
-# 4-shingles, so it fills and empties; at 16384 it holds 8, fewer than any
-# user's shingles, so every set bypasses it.
+# 4-shingles, so it fills and empties; at 8192 it holds 16, more than any
+# user's 9 to 12 B3+B9 3-shingles, so it fills and empties too, and fewer
+# than any user's 18 to 52 6-shingles, so every such set bypasses it.
 GOLDEN_SIGNATURES = {
     (("B3",), 4, 128, 1): "64e364e4aae07715584f9ef2c3175484cfc28ce9d3f73a64cea30e4df2e4102e",
     (("B3", "B5", "B9"), 6, 64, 7): "a7067073e9cae3a8dbdae0119b0c6e4c74cbb075bfcd5ba26dafc87e50e65316",
     (("B3",), 4, 2048, 2): "6a401fb21623baaecc216cfe2aac201f1308d688a4213ecfa4d4353c3a7780c3",
-    (("B3", "B9"), 3, 16384, 3): "54c71390c431d127cbf5dc66695eabd7316f7f28ef1ca26e73e43e236bf1ac63",
+    (("B3", "B9"), 3, 8192, 3): "d1a84a3ca05c8f2f78bfef5302a749345c8f1a6eb9ac7129a9217c1bd84f6e96",
+    (("B3", "B9"), 6, 8192, 3): "3fc7e3cd3bb202e2323f63fa72f2fe2633800b442f3c52aea374c3d35eed5fab",
 }
 
 
@@ -391,7 +404,7 @@ UNIVERSE = [f"s{i:03d}" for i in range(100)]
 class TestRowCache:
     def test_block_is_at_most_one_mebibyte(self):
         assert ROW_CACHE_BYTES == 1 << 20
-        for num_perm in (1, 64, 128, 1000, 200_000):
+        for num_perm in (2, 64, 128, 1000, 8192):
             minhash(ShingleSet("u", 2, frozenset({"AC"})), num_perm, 1)
             block = minhash_module._memo.block
             assert block.shape == (capacity(num_perm), num_perm)

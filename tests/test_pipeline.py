@@ -26,7 +26,7 @@ from botdna.pipeline import (
     preprocess,
 )
 
-from conftest import BOT_KIND_CYCLES, HUMAN_KIND_CYCLES, synthetic_corpus
+from conftest import BOT_KIND_CYCLES, HUMAN_KIND_CYCLES, counting_digests, synthetic_corpus
 
 
 def separable_dataset(n=40, posts=60, seed=5):
@@ -396,16 +396,10 @@ class TestGtSweep:
             gt_sweep(separable_dataset(n=4), base_config(), fractions=[1.5])
 
 
-def counting_digests(monkeypatch) -> list[int]:
-    """Patch ``LshIndex.band_digests`` to log the rows of each call."""
-    calls, band_digests = [], LshIndex.band_digests
-    monkeypatch.setattr(LshIndex, "band_digests",
-                        lambda self, values: calls.append(len(values)) or band_digests(self, values))
-    return calls
-
-
 class TestBlocks:
     def test_block_is_one_mebibyte_of_signatures(self, monkeypatch):
+        # Query signatures are digested a block at a time; the stored ones
+        # are digested by the first query, in one call over all of them.
         calls = counting_digests(monkeypatch)
         rng = np.random.Generator(np.random.Philox(key=2))
         # A signature over the block's bytes still makes a block of one.  As
@@ -418,39 +412,41 @@ class TestBlocks:
             sigs = [MinHashSignature(f"u{i}", num_perm, 1, row) for i, row in enumerate(values)]
             calls.clear()
             index.insert_many(iter(sigs), ("bot" for _ in sigs))
-            assert calls == blocks
+            assert calls == []
+            assert index.neighbor_votes(iter(sigs), 1.0) == [(1, 1)] * count
+            assert calls == [(rows, num_perm) for rows in [blocks[0], count, *blocks[1:]]]
             calls.clear()
             assert index.neighbor_votes(iter(sigs), 1.0) == [(1, 1)] * count
-            assert calls == blocks
+            assert calls == [(rows, num_perm) for rows in blocks]
         calls.clear()
         with pytest.raises(IncompatibleSignatures):  # checked before any is digested
             index.neighbor_votes(sigs + [MinHashSignature("bad", num_perm, 2, values[0])], 1.0)
         assert calls == []
 
-    def test_build_index_holds_at_most_one_block_outside_the_index(self, monkeypatch):
-        monkeypatch.setattr("botdna.lsh.ROW_CACHE_BYTES", 10 * 8 * 128)  # 10 signatures
+    def test_build_index_holds_no_signature_outside_the_index(self, monkeypatch):
         cfg = RunConfig(num_perm=128)
         users = synthetic_corpus(35, 20, seed=3)
         # The index publishes its users only at the end of the call, so the
-        # probe counts the rows it has staged: sketched minus staged is held
-        # outside the index.
-        staged, outside = [0], []
-        stage, signature_for = LshIndex._stage, pipeline.signature_for
+        # probe reads its signature matrix: when the next user is sketched,
+        # every signature sketched before is already written there.
+        built, sketched = [], []
+        insert_many, signature_for = LshIndex.insert_many, pipeline.signature_for
 
-        def counting_stage(index, at, values, is_bot):
-            stage(index, at, values, is_bot)
-            staged[0] = at + len(is_bot)
+        def recording(index, sigs, labels):
+            built.append(index)
+            return insert_many(index, sigs, labels)
 
-        def counting(user, cfg):
-            outside.append(len(outside) + 1 - staged[0])  # this signature included
-            return signature_for(user, cfg)
+        def checking(user, cfg):
+            rows = built[0]._values
+            assert len(rows) >= len(sketched)
+            assert all(np.array_equal(row, sig.values) for row, sig in zip(rows, sketched))
+            sketched.append(signature_for(user, cfg))
+            return sketched[-1]
 
-        monkeypatch.setattr(LshIndex, "_stage", counting_stage)
-        monkeypatch.setattr(pipeline, "signature_for", counting)
+        monkeypatch.setattr(LshIndex, "insert_many", recording)
+        monkeypatch.setattr(pipeline, "signature_for", checking)
         index = build_index(users, cfg)
-        assert len(outside) == len(index) == staged[0] == 35
-        assert max(outside) == 10
-        assert outside[:11] == [*range(1, 11), 1]
+        assert len(sketched) == len(index) == 35
 
     def test_block_size_does_not_change_results(self, monkeypatch):
         ds = noisy_dataset(60)
@@ -460,9 +456,11 @@ class TestBlocks:
         monkeypatch.setattr("botdna.lsh.ROW_CACHE_BYTES", 7 * 8 * 128)
         report = evaluate(ds, cfg)
         assert report.to_json(include_timings=False) == whole
-        # Seven signatures per digest call: the ground truth's, then the test side's.
-        sizes = [report.counts["ground_truth_users"], report.counts["test_users"]]
-        assert calls == [min(7, n - start) for n in sizes for start in range(0, n, 7)]
+        # Seven test signatures per digest call; the first query digests the
+        # whole ground truth in one call.
+        gt, tests = report.counts["ground_truth_users"], report.counts["test_users"]
+        blocks = [min(7, tests - start) for start in range(0, tests, 7)]
+        assert calls == [(rows, 128) for rows in [blocks[0], gt, *blocks[1:]]]
 
 
 class TestClassifyAgainstIndex:

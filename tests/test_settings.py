@@ -88,19 +88,22 @@ ENTRY_POINTS = {
     "num_perm": {
         "RunConfig": lambda v, *_: RunConfig(num_perm=v),
         "lsh_plan": lambda v, *_: lsh_plan(0.5, v),
+        "minhash": lambda v, *_: minhash(shingle(DnaSequence("u", ("B3",), "ACTA"), 2), v, 1),
         "LshIndex": lambda v, *_: LshIndex(BandingPlan(0.5, 1, v), v, 1),
         "to_bytes->from_bytes": lambda v, *_: blob_round_trip(num_perm=v),
         "from_debug_json": lambda v, *_: debug_json_round_trip(num_perm=v),
         "index file": lambda v, tmp, _: index_file(tmp, num_perm=v),
         "cli --num-perm": lambda v, tmp, cap: cli_option(tmp, cap, "--num-perm", v),
     },
-    # The blob stores its seed as a u64, so it cannot carry a refused one.
+    # The blob stores its seed as a u64, so it cannot carry a refused one:
+    # to_bytes refuses it before packing.
     "seed": {
         "RunConfig": lambda v, *_: RunConfig(seed=v),
         "SplitSpec": lambda v, *_: SplitSpec(seed=v),
         "rng_for": lambda v, *_: rng_for(v, 1),
         "minhash": lambda v, *_: minhash(shingle(DnaSequence("u", ("B3",), "ACTA"), 2), 8, v),
         "LshIndex": lambda v, *_: LshIndex(BandingPlan(0.5, 4, 2), 8, v),
+        "to_bytes->from_bytes": lambda v, *_: blob_round_trip(seed=v),
         "from_debug_json": lambda v, *_: debug_json_round_trip(seed=v),
         "index file": lambda v, tmp, _: index_file(tmp, seed=v),
         "cli --seed": lambda v, tmp, cap: cli_option(tmp, cap, "--seed", v),
@@ -178,11 +181,11 @@ def test_readers_refuse_with_format_error():
         MinHashSignature.from_debug_json(json.dumps(doc | {"seed": -1}))
 
 
-def test_minhash_sketches_at_any_positive_width():
-    # Sketching has no upper bound (the golden signatures pin 16384
-    # permutations); the rule bounds what stores, reads or bands them.
+def test_minhash_refuses_a_width_outside_the_rule():
+    # Sketching follows the rule for storing, reading and banding, so no
+    # sketch makes a blob that from_bytes refuses; the width is checked
+    # before any hash family is drawn.
     s = shingle(DnaSequence("u", ("B3",), "ACTA"), 2)
-    assert minhash(s, 1, 1).num_perm == 1
-    assert minhash(s, 8193, 1).num_perm == 8193
-    with pytest.raises(ValueError, match="num_perm must be positive, got 0"):
-        minhash(s, 0, 1)
+    for num_perm in (0, 1, 8193, 200_000):
+        with pytest.raises(ValueError, match=rf"num_perm must be in \[2, 8192\], got {num_perm}$"):
+            minhash(s, num_perm, 1)
