@@ -33,6 +33,7 @@ from __future__ import annotations
 import csv
 import json
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,7 +82,7 @@ def check_max_tweets(cap: int) -> None:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Either a seeded stratified random split or explicit id lists."""
+    """A seeded stratified random split, or explicit id lists: tuples, with no id in them twice."""
 
     mode: str = "random_fraction"  # or "fixed_lists"
     gt_fraction: float = 0.70
@@ -94,6 +95,12 @@ class SplitSpec:
             raise ValueError(f"unknown split mode {self.mode!r}")
         check_gt_fraction(self.gt_fraction)
         check_seed(self.seed)
+        for name in ("gt_ids", "test_ids"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))  # frozen
+        counts = Counter(self.gt_ids + self.test_ids)
+        if len(counts) < len(self.gt_ids) + len(self.test_ids):
+            twice = sorted(uid for uid, n in counts.items() if n > 1)
+            raise ValueError(f"ids repeated within or across gt_ids and test_ids: {twice[:5]}")
 
 
 def _coerce_label(value) -> str | None:
@@ -324,12 +331,9 @@ def _stratified_quotas(sizes: dict[str, int], fraction: float) -> dict[str, int]
     remainders = sorted(
         sizes, key=lambda label: (-(fraction * sizes[label] - quotas[label]), label)
     )
-    i = 0
-    while sum(quotas.values()) < total_target and i < len(remainders):
-        label = remainders[i % len(remainders)]
-        if quotas[label] < sizes[label]:
-            quotas[label] += 1
-        i += 1
+    # Below a fraction of 1, a floor is under its size and the shortfall is at most one per label.
+    for label in remainders[: total_target - sum(quotas.values())]:
+        quotas[label] += 1
     return quotas
 
 
@@ -348,9 +352,6 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
                     f"split user id {uid!r} is not among the dataset's users after the "
                     "min-length filter: it is absent from the data or too short to shingle"
                 )
-        overlap = set(spec.gt_ids) & set(spec.test_ids)
-        if overlap:
-            raise ValueError(f"ids in both splits: {sorted(overlap)[:5]}")
         for uid in spec.gt_ids:
             if by_id[uid].label not in (HUMAN, BOT):
                 raise ValueError(f"ground-truth user {uid!r} has no label")

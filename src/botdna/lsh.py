@@ -11,8 +11,8 @@ In memory the index is columnar: one signature matrix, one band-digest
 matrix and one label array, a row per user in insertion order.  Storing a
 user writes only its signature and label.  ``band_digests`` digests one
 signature or a whole matrix of them in one vectorised call;
-``neighbor_votes`` makes one call per block of 1 MiB of query signatures
-(1024 at 128 permutations).  A query looks all its band digests up at once
+``neighbor_votes`` makes one call per 128 KiB step of query signatures
+(128 at 128 permutations).  A query looks all its band digests up at once
 in a single sorted table of every stored digest, keeps the hits whose band
 matches, and counts equal signature positions for the candidates with one
 vectorised compare; a dense query compares u8 dictionary codes of the
@@ -65,7 +65,6 @@ from .encoding import BOT, HUMAN, resolve_alphabets
 from .errors import DuplicateUser, FormatError
 from .minhash import (
     _TAG_BAND_DIGEST,
-    ROW_CACHE_BYTES,
     MinHashSignature,
     _mulmod_limbs,
     check_compatible,
@@ -254,8 +253,6 @@ class LshIndex:
         self._values = np.empty((0, num_perm), dtype=np.uint64)
         self._digests = np.empty((0, plan.bands), dtype=np.uint64)
         self._is_bot = np.empty(0, dtype=bool)
-        # Query signatures per band-digest call in neighbor_votes: 1 MiB of them.
-        self._block = max(1, ROW_CACHE_BYTES // (8 * num_perm))
         # Rows of the digest matrix filled so far; the rest wait for a query.
         self._digested = 0
         # (sorted digests, flat position) for the first len(self) rows;
@@ -448,8 +445,7 @@ class LshIndex:
         Neighbors come in insertion order.
         """
         check_compatible(sig, self.num_perm, self.seed)
-        values = np.asarray(sig.values, dtype=np.uint64)
-        ordinals, matches = self._candidates(values, self.band_digests(values))
+        ordinals, matches = self._candidates(sig.values, self.band_digests(sig.values))
         ids, is_bot = self._user_ids, self._is_bot
         return [
             Neighbor(ids[i], BOT if is_bot[i] else HUMAN, float(m) / self.num_perm)
@@ -466,9 +462,9 @@ class LshIndex:
         sigs = list(sigs)
         for sig in sigs:
             check_compatible(sig, self.num_perm, self.seed)
-        votes = []
-        for start in range(0, len(sigs), self._block):
-            values = np.array([sig.values for sig in sigs[start : start + self._block]], np.uint64)
+        votes, step = [], _DIGEST_STEP_BYTES // (8 * self.num_perm)  # one band_digests step
+        for start in range(0, len(sigs), step):
+            values = np.array([sig.values for sig in sigs[start : start + step]], np.uint64)
             for row, digests in zip(values, self.band_digests(values)):
                 ordinals, matches = self._candidates(row, digests)
                 kept = ordinals[matches / self.num_perm >= floor]

@@ -258,16 +258,27 @@ class MinHashSignature:
     """Fixed-length sketch of a shingle set.
 
     Comparable only against signatures produced with the same ``num_perm``
-    and ``seed``.
+    and ``seed``.  The constructor checks every rule for one (a ``str`` id
+    and ``num_perm`` integer values in [0, 2**64), kept as u64) and raises
+    ``ValueError`` naming the field it refuses.
     """
 
     __slots__ = ("user_id", "num_perm", "seed", "values")
 
     def __init__(self, user_id: str, num_perm: int, seed: int, values: np.ndarray):
+        if not isinstance(user_id, str):
+            raise ValueError(f"user_id must be a str, got {user_id!r}")
+        check_num_perm(num_perm)
+        check_seed(seed)
+        values = np.asarray(values)
+        kind = values.dtype.kind
+        if values.shape != (num_perm,) or kind not in "ui" or kind == "i" and values.min() < 0:
+            raise ValueError(f"values must be {num_perm} integers in [0, 2**64), "
+                             f"got {values.dtype} of shape {values.shape}")
         self.user_id = user_id
         self.num_perm = num_perm
         self.seed = seed
-        self.values = values
+        self.values = values.astype(np.uint64, copy=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MinHashSignature):
@@ -283,7 +294,6 @@ class MinHashSignature:
         return f"MinHashSignature(user_id={self.user_id!r}, num_perm={self.num_perm}, seed={self.seed})"
 
     def to_bytes(self) -> bytes:
-        check_seed(self.seed)
         uid = self.user_id.encode("utf-8")
         if len(uid) > 0xFFFF:  # the blob stores its length as a u16
             raise ValueError(f"user id of {len(uid)} UTF-8 bytes is over the limit of 65535")
@@ -304,15 +314,16 @@ class MinHashSignature:
             check_num_perm(num_perm)
         except ValueError as exc:
             raise FormatError(f"signature blob: {exc}") from None
-        expected = header_size + uid_len + 8 * num_perm
-        if len(data) != expected:
-            raise FormatError(f"signature blob has {len(data)} bytes, expected {expected}")
+        at = header_size + uid_len  # the values' offset
+        if len(data) != at + 8 * num_perm:
+            raise FormatError(f"signature blob has {len(data)} bytes, expected {at + 8 * num_perm}")
         try:
-            uid = data[header_size : header_size + uid_len].decode("utf-8")
+            uid = data[header_size:at].decode("utf-8")
+            return cls(uid, num_perm, seed, np.frombuffer(data, "<u8", num_perm, at).astype(np.uint64))
         except UnicodeDecodeError as exc:
             raise FormatError(f"signature user id is not UTF-8: {exc}") from exc
-        values = np.frombuffer(data, dtype="<u8", count=num_perm, offset=header_size + uid_len)
-        return cls(uid, num_perm, seed, values.astype(np.uint64))
+        except ValueError as exc:
+            raise FormatError(f"signature blob: {exc}") from None
 
     def to_debug_json(self) -> str:
         doc = {
@@ -336,17 +347,14 @@ class MinHashSignature:
         if doc.get("version") != SIGNATURE_VERSION:
             raise FormatError(f"unsupported signature version {doc.get('version')}")
         user_id, num_perm, seed, values = map(doc.get, ("user_id", "num_perm", "seed", "values"))
-        if not (isinstance(user_id, str) and type(num_perm) is int and type(seed) is int
-                and isinstance(values, list) and len(values) == num_perm
+        # Exact ints, so that JSON true is not read as 1.
+        if not (type(num_perm) is int and type(seed) is int and isinstance(values, list)
                 and all(type(v) is int and 0 <= v < 1 << 64 for v in values)):
-            raise FormatError("a signature document needs a string user_id, an int num_perm, an int seed "
-                              "and num_perm values, each in [0, 2**64)")
+            raise FormatError("a signature document needs an int num_perm and seed, and int values in [0, 2**64)")
         try:
-            check_num_perm(num_perm)
-            check_seed(seed)
+            return cls(user_id, num_perm, seed, np.array(values, dtype=np.uint64))
         except ValueError as exc:
             raise FormatError(f"signature document: {exc}") from None
-        return cls(user_id, num_perm, seed, np.array(values, dtype=np.uint64))
 
 
 def shingle(seq: DnaSequence, k: int) -> ShingleSet:
@@ -384,20 +392,15 @@ def minhash(shingles: ShingleSet, num_perm: int, seed: int) -> MinHashSignature:
 
 
 def check_compatible(sig: MinHashSignature, num_perm: int, seed: int) -> None:
-    """Raise unless ``sig`` holds the ``num_perm`` values of a sketch under ``seed``."""
+    """Raise unless ``sig`` is of the hash family ``(num_perm, seed)``; its constructor checked the rest."""
     if sig.num_perm != num_perm or sig.seed != seed:
         raise IncompatibleSignatures(
             f"signature {sig.user_id!r} (num_perm={sig.num_perm}, seed={sig.seed}) "
             f"vs (num_perm={num_perm}, seed={seed})"
         )
-    if np.shape(sig.values) != (num_perm,):
-        raise IncompatibleSignatures(
-            f"signature {sig.user_id!r} has values of shape {np.shape(sig.values)}, not ({num_perm},)"
-        )
 
 
 def estimate_jaccard(a: MinHashSignature, b: MinHashSignature) -> float:
     """Fraction of equal signature positions; estimates set Jaccard."""
-    check_compatible(a, a.num_perm, a.seed)
     check_compatible(b, a.num_perm, a.seed)
     return float(np.count_nonzero(a.values == b.values)) / a.num_perm

@@ -1,6 +1,7 @@
 """Shared synthetic-data builders for the test suite."""
 
 import json
+import struct
 
 import numpy as np
 from hypothesis import strategies as st
@@ -45,6 +46,17 @@ def make_set_pair(exact_jaccard: float, union_size: int, rng: np.random.Generato
 def exact_jaccard(a: ShingleSet, b: ShingleSet) -> float:
     union = a.shingles | b.shingles
     return len(a.shingles & b.shingles) / len(union) if union else 1.0
+
+
+def signature_blob(user_id: str, num_perm: int, seed: int, values) -> bytes:
+    """A signature blob packed field by field, as ``to_bytes`` lays it out.
+
+    It may carry what no signature holds, such as a num_perm outside the
+    rule, so that a test can show a reader refusing it.
+    """
+    uid = user_id.encode("utf-8")
+    header = struct.pack("<4sBQIH", b"BDSG", 1, seed, num_perm, len(uid))
+    return header + uid + np.asarray(values, dtype="<u8").tobytes()
 
 
 def counting_digests(monkeypatch) -> list[tuple[int, ...]]:

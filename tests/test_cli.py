@@ -294,6 +294,16 @@ class TestChecksBeforeLoad:
         err = capsys.readouterr().err
         assert name in err and "no such file" not in err
 
+    def test_repeated_split_id_exits_before_the_data_is_read(self, tmp_path, capsys):
+        # A test id three times among ten users would count that user three times.
+        (tmp_path / "gt.txt").write_text("".join(f"u{i}\n" for i in range(6)))
+        (tmp_path / "test.txt").write_text("u6\nu7\nu6\nu8\nu9\nu6\n")
+        split_file = f"{tmp_path / 'gt.txt'},{tmp_path / 'test.txt'}"
+        assert run("evaluate", tmp_path / "missing.jsonl", "--split-file", split_file) == 2
+        err = capsys.readouterr().err
+        assert "ids repeated within or across gt_ids and test_ids: ['u6']" in err
+        assert "no such file" not in err
+
     def test_settings_come_before_the_split_files(self, tmp_path, capsys):
         split_file = f"{tmp_path / 'gt.txt'},{tmp_path / 'test.txt'}"
         assert run("evaluate", tmp_path / "missing.jsonl", "--split-file", split_file, "--seed", "-1") == 2

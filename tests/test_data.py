@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from botdna.data import (
     Dataset,
     SplitSpec,
+    _stratified_quotas,
     cap_tweets,
     filter_min_length,
     load,
@@ -394,11 +395,38 @@ class TestSplit:
         assert "absent" in message and "too short" in message
 
     def test_fixed_lists_overlap_rejected(self):
-        ds = corpus_dataset(n=4)
-        uid = ds.users[0].user_id
-        spec = SplitSpec(mode="fixed_lists", gt_ids=(uid,), test_ids=(uid,))
-        with pytest.raises(ValueError):
-            split(ds, spec)
+        # Refused when the spec is made, before any dataset is split.
+        uid = corpus_dataset(n=4).users[0].user_id
+        with pytest.raises(ValueError, match=re.escape(f"across gt_ids and test_ids: {[uid]}")):
+            SplitSpec(mode="fixed_lists", gt_ids=(uid,), test_ids=(uid,))
+
+    # case -> (gt_ids, test_ids, the ids the refusal names)
+    REPEATED_IDS = {
+        "repeated in gt": (("a", "b", "a"), ("c",), ["a"]),
+        "three times in test": (("a",), ("b", "c", "b", "b"), ["b"]),
+        "in both": (("a", "b"), ("c", "b"), ["b"]),
+        "each way": (("a", "a", "b"), ("b", "c", "c"), ["a", "b", "c"]),
+        "the first five": (tuple("gfedcba") * 2, (), list("abcde")),
+    }
+
+    @pytest.mark.parametrize("case", list(REPEATED_IDS))
+    def test_fixed_lists_refuse_an_id_twice(self, case):
+        gt_ids, test_ids, named = self.REPEATED_IDS[case]
+        message = f"ids repeated within or across gt_ids and test_ids: {named}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SplitSpec(mode="fixed_lists", gt_ids=gt_ids, test_ids=test_ids)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SplitSpec(mode="fixed_lists", gt_ids=list(gt_ids), test_ids=list(test_ids))
+
+    def test_fixed_lists_are_stored_as_tuples(self):
+        ds = corpus_dataset(n=10)
+        ids = [u.user_id for u in ds.users]
+        spec = SplitSpec(mode="fixed_lists", gt_ids=ids[:6], test_ids=iter(ids[6:]))
+        assert spec.gt_ids == tuple(ids[:6]) and spec.test_ids == tuple(ids[6:])
+        assert {spec: 1}[SplitSpec(mode="fixed_lists", gt_ids=tuple(ids[:6]), test_ids=ids[6:])] == 1
+        gt, test = split(ds, spec)
+        assert [u.user_id for u in gt.users] == ids[:6]
+        assert [u.user_id for u in test.users] == ids[6:]
 
     def test_bad_fraction(self):
         ds = corpus_dataset(n=4)
@@ -406,6 +434,32 @@ class TestSplit:
             split(ds, SplitSpec(gt_fraction=0.0))
         with pytest.raises(ValueError):
             split(ds, SplitSpec(gt_fraction=1.0))
+
+
+def top_up_quotas(sizes: dict[str, int], fraction: float) -> dict[str, int]:
+    """Largest-remainder top-up by a plain loop: the oracle for ``_stratified_quotas``."""
+    total_target = round(fraction * sum(sizes.values()))
+    quotas = {label: int(fraction * n) for label, n in sizes.items()}
+    remainders = sorted(
+        sizes, key=lambda label: (-(fraction * sizes[label] - quotas[label]), label)
+    )
+    i = 0
+    while sum(quotas.values()) < total_target and i < len(remainders):
+        label = remainders[i % len(remainders)]
+        if quotas[label] < sizes[label]:
+            quotas[label] += 1
+        i += 1
+    return quotas
+
+
+@given(st.dictionaries(st.sampled_from(["bot", "human", "other"]), st.integers(0, 59), min_size=1),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@settings(max_examples=500)
+def test_stratified_quotas_equal_the_top_up_loop(sizes, fraction):
+    quotas = _stratified_quotas(sizes, fraction)
+    assert quotas == top_up_quotas(sizes, fraction)
+    assert sum(quotas.values()) == round(fraction * sum(sizes.values()))
+    assert all(0 <= quotas[label] <= size for label, size in sizes.items())
 
 
 class TestReadIdList:

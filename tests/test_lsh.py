@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import struct
 import tracemalloc
 
@@ -306,8 +307,8 @@ class TestInsertMany:
                 "label": (MinHashSignature("new", index.num_perm, 5, values), "cyborg", ValueError),
                 "incompatible": (MinHashSignature("new", index.num_perm, 6, values), "bot",
                                  IncompatibleSignatures),
-                "short values": (MinHashSignature("new", index.num_perm, 5, values[:1]), "bot",
-                                 IncompatibleSignatures),
+                "other width": (MinHashSignature("new", 2 * index.num_perm, 5, np.tile(values, 2)), "bot",
+                                IncompatibleSignatures),
             }
             if rest:
                 sig, label = rest[0]
@@ -338,22 +339,42 @@ class TestInsertMany:
 
     @pytest.mark.parametrize("shape", [(1,), (7,), (9,), (2, 4), ()])
     def test_values_of_the_wrong_shape_are_refused(self, shape):
-        # Written row by row, such values would broadcast into a whole row.
+        # Written row by row, such values would broadcast into a whole row,
+        # so no signature holds them.  A signature of the width of a 1-D
+        # shape is of another hash family, which the index refuses.
+        with pytest.raises(ValueError, match=rf"^values must be 8 integers .* of shape {re.escape(str(shape))}$"):
+            MinHashSignature("bad", 8, 1, np.full(shape, 7, dtype=np.uint64))
+        if len(shape) != 1 or shape[0] < 2:
+            return
         index = fresh_index(num_perm=8)
         good = MinHashSignature("good", 8, 1, np.arange(8, dtype=np.uint64))
         index.insert(good, "bot")
         before = snapshot(index)
-        bad = MinHashSignature("bad", 8, 1, np.full(shape, 7, dtype=np.uint64))
-        with pytest.raises(IncompatibleSignatures, match="shape"):
+        bad = MinHashSignature("bad", shape[0], 1, np.full(shape, 7, dtype=np.uint64))
+        refused = f"num_perm={shape[0]}, seed=1\\) vs \\(num_perm=8"
+        with pytest.raises(IncompatibleSignatures, match=refused):
             index.insert(bad, "bot")
         other = MinHashSignature("other", 8, 1, np.ones(8, dtype=np.uint64))
-        with pytest.raises(IncompatibleSignatures, match="shape"):
+        with pytest.raises(IncompatibleSignatures, match=refused):
             index.insert_many([other, bad], ["human", "bot"])
         assert snapshot(index) == before
-        with pytest.raises(IncompatibleSignatures, match="shape"):
+        with pytest.raises(IncompatibleSignatures, match=refused):
             index.query(bad)
-        with pytest.raises(IncompatibleSignatures, match="shape"):
+        with pytest.raises(IncompatibleSignatures, match=refused):
             index.neighbor_votes([good, bad], 0.5)
+
+    @pytest.mark.parametrize("values", [np.arange(8, dtype=np.float64), np.full(8, -1)],
+                             ids=["float64", "negative int64"])
+    def test_values_that_are_not_minhash_values_are_refused(self, values):
+        # Stored as u64, a float copy of a stored signature would find no
+        # neighbour, and -1 would stand for 2**64 - 1.
+        index = fresh_index(num_perm=8)
+        index.insert(MinHashSignature("a", 8, 1, np.arange(8, dtype=np.uint64)), "bot")
+        before = snapshot(index)
+        for use in (lambda sig: index.insert(sig, "bot"), index.query, MinHashSignature.to_bytes):
+            with pytest.raises(ValueError, match="^values must be 8 integers in"):
+                use(MinHashSignature("b", 8, 1, values))
+        assert snapshot(index) == before
 
     def test_label_count_must_match(self):
         index = fresh_index(num_perm=8)
@@ -409,7 +430,7 @@ class TestNeighborVotes:
         def check(data):
             parts, entries, probes = draw_index_parts(data)
             rows = data.draw(st.integers(1, 4), label="rows per block")
-            monkeypatch.setattr("botdna.lsh.ROW_CACHE_BYTES", rows * 8 * parts.num_perm)
+            monkeypatch.setattr("botdna.lsh._DIGEST_STEP_BYTES", rows * 8 * parts.num_perm)
             index = sequential(parts, entries)
             for floor in (0.0, 0.5, index.plan.threshold, 1.0):
                 want = []
@@ -772,6 +793,14 @@ class TestPersistence:
         for seed in (-1, 1 << 64):
             with pytest.raises(ValueError, match="seed"):
                 LshIndex(BandingPlan(0.5, 4, 2), 8, seed)
+
+    def test_non_str_id_is_refused_before_save(self, tmp_path):
+        # Stored, such an id would fail only when the index is saved.
+        index = fresh_index(num_perm=8)
+        with pytest.raises(ValueError, match="^user_id must be a str, got 7$"):
+            index.insert(MinHashSignature(7, 8, 1, np.zeros(8, dtype=np.uint64)), "bot")
+            index.save(tmp_path / "int-id.idx")
+        assert len(index) == 0
 
     def test_failed_save_leaves_no_file(self, tmp_path):
         index = fresh_index(num_perm=8)

@@ -32,6 +32,7 @@ from conftest import (
     HUMAN_KIND_CYCLES,
     exact_jaccard,
     make_set_pair,
+    signature_blob,
     synthetic_corpus,
 )
 
@@ -200,12 +201,67 @@ class TestEstimateJaccard:
             estimate_jaccard(minhash(s, 64, 1), minhash(s, 64, 2))
 
     def test_values_of_the_wrong_shape(self):
-        # Either operand: one value would otherwise broadcast against all 8.
+        # One value would broadcast against all 8, so no signature holds
+        # it; a signature of another width is of another hash family, as
+        # either operand.
         sig = minhash(shingle(seq("ACTTCA"), 2), 8, 1)
-        short = MinHashSignature("short", 8, 1, sig.values[:1])
-        for a, b in ((sig, short), (short, sig), (short, short)):
-            with pytest.raises(IncompatibleSignatures, match="shape"):
+        with pytest.raises(ValueError, match=r"values must be 8 integers in \[0, 2\*\*64\), got uint64 of shape \(1,\)"):
+            MinHashSignature("short", 8, 1, sig.values[:1])
+        short = MinHashSignature("short", 2, 1, sig.values[:2])
+        for a, b in ((sig, short), (short, sig)):
+            with pytest.raises(IncompatibleSignatures, match="num_perm=2"):
                 estimate_jaccard(a, b)
+
+
+class TestConstructor:
+    """Every rule for a signature is checked once, when it is made."""
+
+    # case -> (user_id, num_perm, seed, values, the field named)
+    REFUSED = {
+        "float64": ("u", 8, 1, np.arange(8, dtype=np.float64), "values"),
+        "negative int64": ("u", 8, 1, np.full(8, -1, dtype=np.int64), "values"),
+        "bool": ("u", 8, 1, np.ones(8, dtype=bool), "values"),
+        "object": ("u", 8, 1, np.arange(8).astype(object), "values"),
+        "2-D": ("u", 8, 1, np.zeros((2, 4), dtype=np.uint64), "values"),
+        "wrong length": ("u", 8, 1, np.zeros(7, dtype=np.uint64), "values"),
+        "int id": (7, 8, 1, np.zeros(8, dtype=np.uint64), "user_id"),
+        "num_perm 1": ("u", 1, 1, np.zeros(1, dtype=np.uint64), "num_perm"),
+        "num_perm 8193": ("u", 8193, 1, np.zeros(8193, dtype=np.uint64), "num_perm"),
+        "seed -1": ("u", 8, -1, np.zeros(8, dtype=np.uint64), "seed"),
+        "seed 2**64": ("u", 8, 2**64, np.zeros(8, dtype=np.uint64), "seed"),
+    }
+
+    @pytest.mark.parametrize("case", list(REFUSED))
+    def test_refuses_a_broken_rule_naming_the_field(self, case):
+        user_id, num_perm, seed, values, field = self.REFUSED[case]
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            MinHashSignature(user_id, num_perm, seed, values)
+
+    @pytest.mark.parametrize("dtype", ["u1", "u2", "u4", "u8", ">u8", "i1", "i8"])
+    def test_keeps_non_negative_integers_as_u64(self, dtype):
+        sig = MinHashSignature("u", 8, 1, np.arange(8).astype(dtype))
+        assert sig.values.dtype == np.uint64
+        assert sig.values.tolist() == list(range(8))
+
+    def test_keeps_u64_values_without_a_copy(self):
+        values = np.arange(8, dtype=np.uint64)
+        assert MinHashSignature("u", 8, 1, values).values is values
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_every_accepted_signature_round_trips_through_both_readers(self, data):
+        num_perm = data.draw(st.integers(2, 64), label="num_perm")
+        dtype = np.dtype(data.draw(st.sampled_from(["u1", "u2", "u4", "u8", ">u8", "i1", "i2", "i4", "i8"])))
+        ints = data.draw(st.lists(st.integers(0, int(np.iinfo(dtype).max)), min_size=num_perm,
+                                  max_size=num_perm), label="values")
+        sig = MinHashSignature(data.draw(st.text(max_size=20), label="user_id"), num_perm,
+                               data.draw(st.integers(0, 2**64 - 1), label="seed"), np.array(ints, dtype=dtype))
+        assert sig.values.tolist() == ints
+        blob = sig.to_bytes()
+        for back in (MinHashSignature.from_bytes(blob), MinHashSignature.from_debug_json(sig.to_debug_json())):
+            assert back == sig
+            assert back.values.dtype == np.uint64
+            assert back.to_bytes() == blob
 
 
 signature_params = st.tuples(
@@ -246,14 +302,15 @@ class TestSerialization:
             MinHashSignature.from_bytes(blob[:-3])
 
     def test_no_permutations_is_format_error(self):
-        blob = MinHashSignature("u", 0, 5, np.empty(0, dtype=np.uint64)).to_bytes()
+        blob = signature_blob("u", 0, 5, [])
         with pytest.raises(FormatError, match=r"num_perm must be in \[2, 8192\], got 0"):
             MinHashSignature.from_bytes(blob)
 
     def test_num_perm_over_the_limit_is_format_error(self):
         fits = MinHashSignature("u", 8192, 5, np.zeros(8192, dtype=np.uint64))
+        assert fits.to_bytes() == signature_blob("u", 8192, 5, fits.values)
         assert MinHashSignature.from_bytes(fits.to_bytes()) == fits
-        blob = MinHashSignature("u", 8193, 5, np.zeros(8193, dtype=np.uint64)).to_bytes()
+        blob = signature_blob("u", 8193, 5, np.zeros(8193))
         with pytest.raises(FormatError, match=r"num_perm must be in \[2, 8192\], got 8193"):
             MinHashSignature.from_bytes(blob)
         doc = json.loads(fits.to_debug_json()) | {"num_perm": 8193, "values": [0] * 8193}

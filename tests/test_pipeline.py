@@ -397,16 +397,14 @@ class TestGtSweep:
 
 
 class TestBlocks:
-    def test_block_is_one_mebibyte_of_signatures(self, monkeypatch):
-        # Query signatures are digested a block at a time; the stored ones
-        # are digested by the first query, in one call over all of them.
+    def test_block_is_one_digest_step_of_signatures(self, monkeypatch):
+        # Query signatures are digested 128 KiB of them at a time, the step
+        # band_digests takes; the stored ones are digested by the first
+        # query, in one call over all of them.  As num_perm is at most 8192
+        # (64 KiB), a block holds at least two.
         calls = counting_digests(monkeypatch)
         rng = np.random.Generator(np.random.Philox(key=2))
-        # A signature over the block's bytes still makes a block of one.  As
-        # num_perm is at most 8192 (64 KiB), the bytes are patched down for it.
-        for num_perm, count, blocks in [(128, 2500, [1024, 1024, 452]), (8192, 3, [1, 1, 1])]:
-            if num_perm == 8192:
-                monkeypatch.setattr("botdna.lsh.ROW_CACHE_BYTES", 1 << 15)
+        for num_perm, count, blocks in [(128, 300, [128, 128, 44]), (8192, 5, [2, 2, 1])]:
             index = LshIndex(BandingPlan(0.5, 1, num_perm), num_perm, seed=1)
             values = rng.integers(0, 1 << 61, (count, num_perm), dtype=np.uint64)
             sigs = [MinHashSignature(f"u{i}", num_perm, 1, row) for i, row in enumerate(values)]
@@ -453,11 +451,12 @@ class TestBlocks:
         cfg = RunConfig(alphabets=("B3", "B9"), k_shingle=3, threshold=0.3)
         whole = evaluate(ds, cfg).to_json(include_timings=False)
         calls = counting_digests(monkeypatch)
-        monkeypatch.setattr("botdna.lsh.ROW_CACHE_BYTES", 7 * 8 * 128)
+        monkeypatch.setattr("botdna.lsh._DIGEST_STEP_BYTES", 7 * 8 * 128)
         report = evaluate(ds, cfg)
         assert report.to_json(include_timings=False) == whole
         # Seven test signatures per digest call; the first query digests the
-        # whole ground truth in one call.
+        # whole ground truth in one call.  The patched step also steps the
+        # arithmetic inside band_digests and the build of coded columns.
         gt, tests = report.counts["ground_truth_users"], report.counts["test_users"]
         blocks = [min(7, tests - start) for start in range(0, tests, 7)]
         assert calls == [(rows, 128) for rows in [blocks[0], gt, *blocks[1:]]]
@@ -501,6 +500,15 @@ class TestConfigEcho:
         echo = config_echo(base_config())
         text = json.dumps(echo, sort_keys=True)
         assert json.loads(text) == echo
+
+    def test_list_valued_split_ids_equal_tuples(self):
+        ds = noisy_dataset()
+        ids = [u.user_id for u in preprocess(ds, base_config())[0].users]
+        as_lists = SplitSpec(mode="fixed_lists", gt_ids=ids[:30], test_ids=ids[30:])
+        as_tuples = SplitSpec(mode="fixed_lists", gt_ids=tuple(ids[:30]), test_ids=tuple(ids[30:]))
+        reports = [evaluate(ds, base_config(split=spec)).to_json(include_timings=False)
+                   for spec in (as_lists, as_tuples)]
+        assert reports[0] == reports[1]
 
     def test_fixed_lists_echo_uses_digest(self):
         cfg = base_config(split=SplitSpec(mode="fixed_lists", gt_ids=("a", "b"), test_ids=("c",)))

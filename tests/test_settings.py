@@ -22,7 +22,7 @@ from botdna.lsh import BandingPlan, LshIndex, lsh_plan
 from botdna.minhash import MinHashSignature, minhash, rng_for, shingle
 from botdna.pipeline import RunConfig, check_caps, early_detection, grid_configs, gt_sweep
 
-from conftest import synthetic_corpus
+from conftest import signature_blob, synthetic_corpus
 from test_lsh import read_index_file, small_index, write_index_file
 
 NAN = float("nan")
@@ -54,13 +54,18 @@ def probe(num_perm=8):
 
 
 def blob_round_trip(num_perm=8, seed=5):
-    sig = MinHashSignature("u", num_perm, seed, np.zeros(num_perm, dtype=np.uint64))
-    assert MinHashSignature.from_bytes(sig.to_bytes()) == sig
+    """Read a blob packed by hand, which ``to_bytes`` packs back the same."""
+    if not 0 <= seed < 1 << 64:  # no blob carries it, and no signature holds it
+        MinHashSignature("u", num_perm, seed, np.zeros(num_perm, dtype=np.uint64))
+    blob = signature_blob("u", num_perm, seed, np.zeros(num_perm))
+    assert MinHashSignature.from_bytes(blob).to_bytes() == blob
 
 
 def debug_json_round_trip(num_perm=8, seed=5):
-    sig = MinHashSignature("u", num_perm, seed, np.zeros(num_perm, dtype=np.uint64))
-    assert MinHashSignature.from_debug_json(sig.to_debug_json()) == sig
+    """Read a document written by hand, which ``to_debug_json`` writes back the same."""
+    doc = {"format": "minhash-signature", "version": 1, "user_id": "u", "num_perm": num_perm,
+           "seed": seed, "values": [0] * num_perm}
+    assert json.loads(MinHashSignature.from_debug_json(json.dumps(doc)).to_debug_json()) == doc
 
 
 def index_file(tmp_path, **changes):
@@ -87,6 +92,7 @@ def cli_option(tmp_path, capsys, option, value):
 ENTRY_POINTS = {
     "num_perm": {
         "RunConfig": lambda v, *_: RunConfig(num_perm=v),
+        "MinHashSignature": lambda v, *_: MinHashSignature("u", v, 1, np.zeros(v, dtype=np.uint64)),
         "lsh_plan": lambda v, *_: lsh_plan(0.5, v),
         "minhash": lambda v, *_: minhash(shingle(DnaSequence("u", ("B3",), "ACTA"), 2), v, 1),
         "LshIndex": lambda v, *_: LshIndex(BandingPlan(0.5, 1, v), v, 1),
@@ -95,10 +101,10 @@ ENTRY_POINTS = {
         "index file": lambda v, tmp, _: index_file(tmp, num_perm=v),
         "cli --num-perm": lambda v, tmp, cap: cli_option(tmp, cap, "--num-perm", v),
     },
-    # The blob stores its seed as a u64, so it cannot carry a refused one:
-    # to_bytes refuses it before packing.
+    # The blob stores its seed as a u64, so it cannot carry a refused one.
     "seed": {
         "RunConfig": lambda v, *_: RunConfig(seed=v),
+        "MinHashSignature": lambda v, *_: MinHashSignature("u", 8, v, np.zeros(8, dtype=np.uint64)),
         "SplitSpec": lambda v, *_: SplitSpec(seed=v),
         "rng_for": lambda v, *_: rng_for(v, 1),
         "minhash": lambda v, *_: minhash(shingle(DnaSequence("u", ("B3",), "ACTA"), 2), 8, v),
@@ -169,16 +175,23 @@ def test_entry_point_follows_the_rule(setting, entry, value, accepted, tmp_path,
 
 
 def test_readers_refuse_with_format_error():
-    # The rule's ValueError reaches a reader's caller as a FormatError.
+    # The rule's ValueError reaches a reader's caller as a FormatError.  No
+    # signature holds a refused value, so the blobs and documents are made
+    # by hand.
+    doc = json.loads(MinHashSignature("u", 2, 5, np.zeros(2, dtype=np.uint64)).to_debug_json())
     for num_perm in (1, 8193):
-        sig = MinHashSignature("u", num_perm, 5, np.zeros(num_perm, dtype=np.uint64))
-        for reader, text in ((MinHashSignature.from_bytes, sig.to_bytes()),
-                             (MinHashSignature.from_debug_json, sig.to_debug_json())):
+        for reader, text in ((MinHashSignature.from_bytes, signature_blob("u", num_perm, 5, np.zeros(num_perm))),
+                             (MinHashSignature.from_debug_json,
+                              json.dumps(doc | {"num_perm": num_perm, "values": [0] * num_perm}))):
             with pytest.raises(FormatError, match=f"num_perm must be in \\[2, 8192\\], got {num_perm}"):
                 reader(text)
-    doc = json.loads(MinHashSignature("u", 2, 5, np.zeros(2, dtype=np.uint64)).to_debug_json())
     with pytest.raises(FormatError, match=r"seed must be in \[0, 2\*\*64\), got -1"):
         MinHashSignature.from_debug_json(json.dumps(doc | {"seed": -1}))
+    # So do the constructor's other refusals.
+    with pytest.raises(FormatError, match="user_id must be a str, got 7"):
+        MinHashSignature.from_debug_json(json.dumps(doc | {"user_id": 7}))
+    with pytest.raises(FormatError, match=r"values must be 2 integers in \[0, 2\*\*64\), got uint64 of shape \(3,\)"):
+        MinHashSignature.from_debug_json(json.dumps(doc | {"values": [0, 1, 2]}))
 
 
 def test_minhash_refuses_a_width_outside_the_rule():
