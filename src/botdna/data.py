@@ -94,7 +94,7 @@ class SplitSpec:
         if self.mode not in ("random_fraction", "fixed_lists"):
             raise ValueError(f"unknown split mode {self.mode!r}")
         check_gt_fraction(self.gt_fraction)
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))  # frozen; kept as int
         for name in ("gt_ids", "test_ids"):
             object.__setattr__(self, name, tuple(getattr(self, name)))  # frozen
         counts = Counter(self.gt_ids + self.test_ids)

@@ -15,15 +15,20 @@ signature or a whole matrix of them in one vectorised call;
 (128 at 128 permutations).  A query looks all its band digests up at once
 in a single sorted table of every stored digest, keeps the hits whose band
 matches, and counts equal signature positions for the candidates with one
-vectorised compare; a dense query compares u8 dictionary codes of the
-signature columns instead of the u64 values when it can (see
-``LshIndex._coded_columns``).  The table keeps, beside each sorted digest,
-only its flat position ``ordinal * bands + band`` (int32 while the table
-has fewer than 2**31 entries), and splits the positions of the hits alone
-back into ordinal and band.  The first query after an insert rebuilds the
-table: it digests the rows stored since the last rebuild in one call, then
-re-sorts.  When the hits cover over a quarter of the table, the candidates
-come from one compare of the digest matrix instead.
+vectorised compare, summed into u8 (u16 above 255 permutations).  The
+table keeps, beside each sorted digest, only its flat position
+``ordinal * bands + band`` (int32 while the table has fewer than 2**31
+entries), and splits the positions of the hits alone back into ordinal
+and band.  The first query after an insert rebuilds the table: it digests
+the rows stored since the last rebuild in one call, then re-sorts.  When
+the hits cover over a quarter of the table (a dense query), the candidates
+come from one compare of every user's digests instead.  A dense query
+reads only u8 dictionary codes where it can: it marks candidates on the
+codes of the digest columns and counts on those of the signature columns,
+each falling back to the u64 values when some column holds more than 255
+distinct values (see ``LshIndex._coded_columns``).  The first dense query
+codes every row; later ones code only the rows inserted since, against
+the existing dictionaries.
 
 Index file layout, version 2 (integers little-endian)::
 
@@ -94,9 +99,10 @@ _HEADER_TYPES = {  # the header's fields beside its checksum; a bool is not an i
 # query), far above it the compare (every entry hit: 5-6 ms against ~54 ms).
 _DENSE_SCAN_SHARE = 0.25
 
-# A dense query counts equal positions on u8 codes of the signature columns
-# when no position holds more than 255 distinct values: codes 0-254 number a
-# position's values, and 255 is the code of a query value absent from them.
+# A dense query compares u8 codes of the signature and the digest columns
+# when no column holds more than 255 distinct values: codes 0-254 number a
+# column's values, and 255 is the code of a query value absent from them,
+# which no stored code equals.
 _ABSENT = 255
 
 
@@ -164,7 +170,7 @@ def lsh_plan(threshold: float, num_perm: int) -> BandingPlan:
     rounding of the quadrature must not pick between them.
     """
     check_threshold(threshold)
-    check_num_perm(num_perm)
+    num_perm = check_num_perm(num_perm)
     nodes, weights = _gauss_legendre(num_perm)
     below = threshold / 2 * (nodes + 1)  # nodes mapped onto [0, threshold]
     above = threshold + (1 - threshold) / 2 * (nodes + 1)  # ... onto [threshold, 1]
@@ -216,6 +222,72 @@ def _digest_params(seed: int, bands: int, rows: int) -> tuple[np.ndarray, np.nda
     return coeffs >> np.uint64(32), coeffs & np.uint64(0xFFFFFFFF), offsets
 
 
+# (dictionary, codes) of a matrix's columns, both None when it cannot be coded.
+_Coded = tuple[np.ndarray | None, np.ndarray | None]
+
+
+def _code(matrix: np.ndarray) -> _Coded:
+    """An ``(n, width)`` u64 matrix's columns as u8 codes: ``(dictionary, codes)``.
+
+    Row ``p`` of the ``(width, K)`` dictionary holds the distinct values of
+    column ``p`` in ascending order, padded to the longest row by repeating
+    its last entry, and ``codes[p, i]`` is the index of ``matrix[i, p]`` in
+    that row: equal codes mean equal values.  Both are None when some
+    column holds more than 255 distinct values.  The columns are sorted in
+    steps of 128 KiB, as ``band_digests`` steps.
+    """
+    n, width = matrix.shape
+    codes = np.empty((width, n), dtype=np.uint8)
+    words = []  # per column, its distinct values in ascending order
+    step = max(1, _DIGEST_STEP_BYTES // (8 * n))
+    for start in range(0, width, step):
+        columns = matrix[:, start : start + step].T
+        ordered = np.sort(columns, axis=1)
+        is_first = np.ones(ordered.shape, dtype=bool)
+        np.not_equal(ordered[:, 1:], ordered[:, :-1], out=is_first[:, 1:])
+        if np.count_nonzero(is_first, axis=1).max() > _ABSENT:
+            return None, None
+        for column, row, first, out in zip(columns, ordered, is_first, codes[start : start + step]):
+            words.append(row[first])
+            out[:] = np.searchsorted(words[-1], column)
+    dictionary = np.empty((width, max(map(len, words))), dtype=np.uint64)
+    for row, word in zip(dictionary, words):
+        row[: len(word)] = word
+        row[len(word) :] = word[-1]  # a query value takes the first equal entry
+    return dictionary, codes
+
+
+def _query_codes(dictionary: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The codes of one ``width``-value row, or of an ``(r, width)`` matrix of rows.
+
+    Each value takes the index of its first equal entry in its column's
+    dictionary row, or ``_ABSENT`` when the row lacks it.
+    """
+    equal = dictionary == rows[..., None]
+    return np.where(equal.any(axis=-1), equal.argmax(axis=-1), _ABSENT).astype(np.uint8)
+
+
+def _recode(coded: _Coded | None, matrix: np.ndarray, done: int) -> _Coded:
+    """``coded``, the codes of ``matrix[:done]`` (None if never built), extended to every row.
+
+    The new rows take codes in the existing dictionary, a step of 128 KiB
+    of compares at a time; a value missing from it rebuilds the codes from
+    the whole matrix.  A matrix that cannot be coded stays so: its columns
+    only gain values.
+    """
+    if coded is None:
+        return _code(matrix)
+    if coded[0] is None:
+        return coded
+    dictionary, codes = coded
+    step = max(1, _DIGEST_STEP_BYTES // dictionary.size)
+    new = np.concatenate([_query_codes(dictionary, matrix[i : i + step])
+                          for i in range(done, len(matrix), step)])
+    if np.any(new == _ABSENT):
+        return _code(matrix)
+    return dictionary, np.concatenate([codes, new.T], axis=1)
+
+
 class LshIndex:
     """Banded LSH index over labeled signatures, stored in columns.
 
@@ -227,8 +299,9 @@ class LshIndex:
     use one flat table of all ``N * bands`` digests, sorted, with each
     entry's flat position in the digest matrix.  The first query after an
     insert builds it, digesting the rows inserted since the last build, so
-    that query pays for their digests and one re-sort; inserts and queries
-    may otherwise be mixed freely.
+    that query pays for their digests and one re-sort, and the first dense
+    one also codes those rows; inserts and queries may otherwise be mixed
+    freely.
 
     ``recipe`` is the ``(alphabets, k_shingle)`` the signatures were
     sketched with, or None if unknown (an index built by hand); the index
@@ -239,8 +312,8 @@ class LshIndex:
         check_threshold(plan.threshold)
         if min(plan.bands, plan.rows) < 1 or plan.bands * plan.rows != num_perm:
             raise ValueError(f"plan {plan.bands}x{plan.rows} does not factor num_perm={num_perm}")
-        check_num_perm(num_perm)
-        check_seed(seed)
+        num_perm = check_num_perm(num_perm)
+        seed = check_seed(seed)
         if recipe is not None:
             resolve_alphabets(recipe[0])
             check_k_shingle(recipe[1])
@@ -258,9 +331,11 @@ class LshIndex:
         # (sorted digests, flat position) for the first len(self) rows;
         # None when an insert has happened since it was built.
         self._table: tuple[np.ndarray, np.ndarray] | None = None
-        # (dictionary, codes) of the first len(self) rows, both None when
-        # they cannot be coded; None when not built since the last insert.
-        self._coded: tuple[np.ndarray | None, np.ndarray | None] | None = None
+        # The codes of the first _coded_rows rows of the signature and the
+        # digest matrix, for dense queries; None until the first one.
+        self._value_codes: _Coded | None = None
+        self._digest_codes: _Coded | None = None
+        self._coded_rows = 0
 
     def __len__(self) -> int:
         return len(self._user_ids)
@@ -310,7 +385,6 @@ class LshIndex:
         self._ordinals.update(zip(ids, range(n, n + len(ids))))
         self._user_ids += ids
         self._table = None
-        self._coded = None
 
     def insert(self, sig: MinHashSignature, label: str) -> None:
         """Store one labeled signature: ``insert_many`` of one row."""
@@ -363,39 +437,20 @@ class LshIndex:
             self._table = flat[order], order
         return self._table
 
-    def _coded_columns(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """The signature columns as u8 codes: ``(dictionary, codes)``.
+    def _coded_columns(self) -> tuple[_Coded, _Coded]:
+        """The signature columns and the band-digest columns as u8 codes (see ``_code``).
 
-        Row ``p`` of the ``(num_perm, K)`` dictionary holds the distinct
-        values stored at position ``p`` in ascending order, padded to the
-        longest row by repeating its last entry, and ``codes[p, i]`` is the
-        index of ordinal ``i``'s value in that row: equal codes mean equal
-        values.  Both are None when some position holds more than 255
-        distinct values.  Built on first use after an insert, sorting the
-        values by position in steps of 128 KiB, as ``band_digests`` steps.
+        The first dense query codes every stored row; after an insert, the
+        next one codes only the rows stored since, against the existing
+        dictionaries (see ``_recode``).  Call it after ``_lookup_table``,
+        which digests the rows.
         """
-        if self._coded is None:
-            n, num_perm = len(self), self.num_perm
-            codes = np.empty((num_perm, n), dtype=np.uint8)
-            words = []  # per position, its distinct values in ascending order
-            step = max(1, _DIGEST_STEP_BYTES // (8 * n))
-            for start in range(0, num_perm, step):
-                columns = self._values[:n, start : start + step].T
-                ordered = np.sort(columns, axis=1)
-                is_first = np.ones(ordered.shape, dtype=bool)
-                np.not_equal(ordered[:, 1:], ordered[:, :-1], out=is_first[:, 1:])
-                if np.count_nonzero(is_first, axis=1).max() > _ABSENT:
-                    self._coded = None, None
-                    return self._coded
-                for column, row, first, out in zip(columns, ordered, is_first, codes[start : start + step]):
-                    words.append(row[first])
-                    out[:] = np.searchsorted(words[-1], column)
-            dictionary = np.empty((num_perm, max(map(len, words))), dtype=np.uint64)
-            for row, word in zip(dictionary, words):
-                row[: len(word)] = word
-                row[len(word) :] = word[-1]  # a query value takes the first equal entry
-            self._coded = dictionary, codes
-        return self._coded
+        n, done = len(self), self._coded_rows
+        if done < n:
+            self._value_codes = _recode(self._value_codes, self._values[:n], done)
+            self._digest_codes = _recode(self._digest_codes, self._digests[:n], done)
+            self._coded_rows = n
+        return self._value_codes, self._digest_codes
 
     def _candidates(self, values: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Candidate ordinals (ascending) and their equal-position counts.
@@ -403,8 +458,9 @@ class LshIndex:
         ``values`` is a compatible query signature's values and ``query``
         its band digests.  A user is a candidate when its digest equals the
         query's in at least one band; the same digest value in two
-        different bands does not count.  A dense query counts on the coded
-        columns when the index can be coded, otherwise on the values.
+        different bands does not count.  A dense query marks candidates on
+        the coded digest columns and counts on the coded signature columns,
+        each when it can be coded, otherwise on the u64 values.
         """
         n, bands = len(self), self.plan.bands
         digests, positions = self._lookup_table()
@@ -417,8 +473,12 @@ class LshIndex:
         if total > _DENSE_SCAN_SHARE * n * bands:
             # A dense corpus: one band-aligned compare of the digest matrix
             # is cheaper than expanding every hit.
-            is_candidate = (self._digests[:n] == query).any(axis=1)
-            dictionary, codes = self._coded_columns()
+            (dictionary, codes), (digest_dictionary, digest_codes) = self._coded_columns()
+            if digest_codes is not None:
+                query_codes = _query_codes(digest_dictionary, query)
+                is_candidate = (digest_codes == query_codes[:, None]).any(axis=0)
+            else:
+                is_candidate = (self._digests[:n] == query).any(axis=1)
         else:
             # Table positions of every hit, grouped by the query band it matched.
             starts = lo - (np.cumsum(counts) - counts)
@@ -430,14 +490,14 @@ class LshIndex:
         every = bool(is_candidate.all())
         ordinals = np.arange(n) if every else np.flatnonzero(is_candidate)
         # Equal positions are counted by summing the compare's bool view as
-        # u8 into u16, which holds any count up to MAX_NUM_PERM.
+        # u8 into the smallest type that holds a count up to num_perm.
+        count_type = np.uint8 if self.num_perm <= 255 else np.uint16
         if codes is not None:
-            equal = dictionary == values[:, None]
-            query_codes = np.where(equal.any(axis=1), equal.argmax(axis=1), _ABSENT).astype(np.uint8)
-            matches = (codes == query_codes[:, None]).view(np.uint8).sum(axis=0, dtype=np.uint16)
+            query_codes = _query_codes(dictionary, values)
+            matches = (codes == query_codes[:, None]).view(np.uint8).sum(axis=0, dtype=count_type)
             return ordinals, matches if every else matches[ordinals]
         stored = self._values[:n] if every else self._values[ordinals]
-        return ordinals, (stored == values).view(np.uint8).sum(axis=1, dtype=np.uint16)
+        return ordinals, (stored == values).view(np.uint8).sum(axis=1, dtype=count_type)
 
     def query(self, sig: MinHashSignature) -> list[Neighbor]:
         """Users sharing at least one band digest, with estimated Jaccard.

@@ -32,6 +32,7 @@ import struct
 import threading
 from dataclasses import dataclass
 from itertools import islice
+from operator import attrgetter
 
 import numpy as np
 
@@ -68,16 +69,28 @@ _TAG_HASH_FAMILY = 1
 _TAG_BAND_DIGEST = 2
 
 
-def check_num_perm(num_perm: int) -> None:
-    """Raise ``ValueError`` unless ``num_perm`` is in [2, MAX_NUM_PERM]; the one rule for it."""
+def _check_integer(name: str, value) -> int:
+    """``value`` as ``int``; ``ValueError`` unless it is an ``int`` or numpy integer (a bool is not)."""
+    # An exact int first: every signature made passes here twice.
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_num_perm(num_perm: int) -> int:
+    """``num_perm`` as ``int``; ``ValueError`` unless an integer in [2, MAX_NUM_PERM]. The one rule for it."""
+    num_perm = _check_integer("num_perm", num_perm)
     if not 2 <= num_perm <= MAX_NUM_PERM:
         raise ValueError(f"num_perm must be in [2, {MAX_NUM_PERM}], got {num_perm}")
+    return num_perm
 
 
-def check_seed(seed: int) -> None:
-    """Raise ``ValueError`` unless ``seed`` is in [0, 2**64); the one rule for a seed."""
+def check_seed(seed: int) -> int:
+    """``seed`` as ``int``; ``ValueError`` unless an integer in [0, 2**64). The one rule for a seed."""
+    seed = _check_integer("seed", seed)
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def check_k_shingle(k: int) -> None:
@@ -88,9 +101,7 @@ def check_k_shingle(k: int) -> None:
 
 def rng_for(seed: int, tag: int) -> np.random.Generator:
     """Counter-based generator for (seed, purpose) pairs, stable across runs."""
-    seed = int(seed)
-    check_seed(seed)
-    key = seed | (tag << 64)
+    key = check_seed(seed) | (tag << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -260,25 +271,38 @@ class MinHashSignature:
     Comparable only against signatures produced with the same ``num_perm``
     and ``seed``.  The constructor checks every rule for one (a ``str`` id
     and ``num_perm`` integer values in [0, 2**64), kept as u64) and raises
-    ``ValueError`` naming the field it refuses.
+    ``ValueError`` naming the field it refuses.  A checked signature is
+    read-only: its fields cannot be set, and ``values`` is a read-only
+    u64 array of its own, so no later write can undo a check.
     """
 
-    __slots__ = ("user_id", "num_perm", "seed", "values")
+    __slots__ = ("_user_id", "_num_perm", "_seed", "_values")
 
     def __init__(self, user_id: str, num_perm: int, seed: int, values: np.ndarray):
         if not isinstance(user_id, str):
             raise ValueError(f"user_id must be a str, got {user_id!r}")
-        check_num_perm(num_perm)
-        check_seed(seed)
+        num_perm = check_num_perm(num_perm)
+        seed = check_seed(seed)
         values = np.asarray(values)
         kind = values.dtype.kind
         if values.shape != (num_perm,) or kind not in "ui" or kind == "i" and values.min() < 0:
             raise ValueError(f"values must be {num_perm} integers in [0, 2**64), "
                              f"got {values.dtype} of shape {values.shape}")
-        self.user_id = user_id
-        self.num_perm = num_perm
-        self.seed = seed
-        self.values = values.astype(np.uint64, copy=False)
+        self._user_id = user_id
+        self._num_perm = num_perm
+        self._seed = seed
+        self._values = values.astype(np.uint64)  # a copy, so the caller's array stays theirs
+        self._values.setflags(write=False)
+
+    # Read-only fields: a property without a setter refuses assignment.
+    user_id = property(attrgetter("_user_id"))
+    num_perm = property(attrgetter("_num_perm"))
+    seed = property(attrgetter("_seed"))
+    values = property(attrgetter("_values"))
+
+    def __reduce__(self):
+        """Copies and unpickled signatures are made, and so checked, by the constructor."""
+        return MinHashSignature, (self.user_id, self.num_perm, self.seed, self.values)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MinHashSignature):
@@ -319,7 +343,7 @@ class MinHashSignature:
             raise FormatError(f"signature blob has {len(data)} bytes, expected {at + 8 * num_perm}")
         try:
             uid = data[header_size:at].decode("utf-8")
-            return cls(uid, num_perm, seed, np.frombuffer(data, "<u8", num_perm, at).astype(np.uint64))
+            return cls(uid, num_perm, seed, np.frombuffer(data, "<u8", num_perm, at))
         except UnicodeDecodeError as exc:
             raise FormatError(f"signature user id is not UTF-8: {exc}") from exc
         except ValueError as exc:
@@ -381,7 +405,7 @@ def minhash(shingles: ShingleSet, num_perm: int, seed: int) -> MinHashSignature:
     do not depend on what the memo holds.
     """
     global _memo
-    check_num_perm(num_perm)
+    num_perm = check_num_perm(num_perm)
     if not shingles.shingles:
         raise EmptySet(f"user {shingles.user_id!r} has an empty shingle set")
     with _memo_lock:

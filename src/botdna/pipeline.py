@@ -71,8 +71,9 @@ class RunConfig:
         resolve_alphabets(self.alphabets)
         check_k_shingle(self.k_shingle)
         check_threshold(self.threshold)
-        check_num_perm(self.num_perm)
-        check_seed(self.seed)
+        # frozen; kept as int, so a numpy integer still prints as JSON in reports
+        object.__setattr__(self, "num_perm", check_num_perm(self.num_perm))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.jaccard_floor is not None:
             check_floor(self.jaccard_floor)
         if self.max_tweets is not None:

@@ -462,7 +462,7 @@ class TestMixedInsertsAndQueries:
         seen = set()
 
         @given(st.data())
-        @settings(max_examples=150, deadline=None)
+        @settings(max_examples=300, deadline=None)
         def check(data):
             parts, entries, probes = draw_index_parts(data)
             waiting = renamed(entries, data.draw(st.integers(1, 3), label="copies"))
@@ -666,7 +666,8 @@ class TestQuery:
 
 
 class TestCodedColumns:
-    """A dense query counts equal positions on u8 codes of the signature columns."""
+    """A dense query marks candidates on u8 codes of the digest columns and
+    counts equal positions on u8 codes of the signature columns."""
 
     def test_coded_counts_match_brute_force(self, monkeypatch, tmp_path):
         # Every query with a hit takes the dense branch, so each one counts
@@ -713,20 +714,24 @@ class TestCodedColumns:
         coded = False
         for withheld in (False, True):
             if withheld:
-                coded = index._coded is not None and index._coded[1] is not None
-                index._coded = None, None  # as when some position holds over 255 values
+                built = index._value_codes, index._digest_codes
+                coded = all(c is not None and c[1] is not None for c in built)
+                # As when some position and some band hold over 255 values.
+                index._value_codes = index._digest_codes = None, None
             for probe in probes:
                 assert index.query(probe) == brute_force_neighbors(entries, index, probe)
             for floor in (0.0, 0.5, 1.0):
                 want = [brute_force_votes(entries, index, probe, floor) for probe in probes]
                 assert index.neighbor_votes(probes, floor) == want
+        index._value_codes, index._digest_codes = built
         return coded
 
     @pytest.mark.parametrize("distinct", [255, 256])
     def test_a_position_codes_up_to_255_values(self, distinct):
         # Position 0 holds ``distinct`` values, 2**64 - 1 the largest of
         # them; position 1 holds one value, so every query sharing it hits
-        # every user in band 1 and takes the dense branch.
+        # every user in band 1 and takes the dense branch.  Band 0 is
+        # position 0, so its digests code exactly when its values do.
         values = [2**64 - 256 + i for i in range(256 - distinct, 256)]
         values += [values[0]] * (256 - len(values))
         index = LshIndex(BandingPlan(0.5, 2, 1), 2, 3)
@@ -738,12 +743,16 @@ class TestCodedColumns:
         for probe in probes:
             assert index.query(probe) == brute_force_neighbors(entries, index, probe)
             assert index.neighbor_votes([probe], 1.0) == [brute_force_votes(entries, index, probe, 1.0)]
-        dictionary, codes = index._coded
+        (dictionary, codes), (digest_dictionary, digest_codes) = index._value_codes, index._digest_codes
         if distinct == 255:
             assert dictionary[0].tolist() == sorted(set(values))
             assert codes[0].tolist() == [sorted(set(values)).index(v) for v in values]
+            digests = sorted(set(index._digests[:256, 0].tolist()))
+            assert digest_dictionary[0].tolist() == digests
+            assert digest_codes[0].tolist() == [digests.index(d) for d in index._digests[:256, 0].tolist()]
         else:
             assert dictionary is None and codes is None
+            assert digest_dictionary is None and digest_codes is None
 
     def test_sparse_queries_build_no_codes(self):
         rng = np.random.Generator(np.random.Philox(key=17))
@@ -754,7 +763,105 @@ class TestCodedColumns:
         for sig in sigs:
             assert [nb.user_id for nb in index.query(sig)] == [sig.user_id]
         assert index.neighbor_votes(sigs, 0.5) == [(1, 1 - i % 2) for i in range(8)]
-        assert index._coded is None
+        assert index._value_codes is None and index._digest_codes is None
+
+    # case -> what its runs must show, besides the answers
+    MIXED_CASES = {
+        "narrow": {"counts in uint8", "extended", "rebuilt for a missing value"},
+        "wide band": {"band over 255 values, positions coded"},
+        "wide position": {"position over 255 values"},
+        "num_perm 256": {"counts in uint16"},
+    }
+
+    @pytest.mark.parametrize("case", list(MIXED_CASES))
+    def test_mixed_inserts_and_dense_queries_match_brute_force(self, monkeypatch, case):
+        # Rows arrive in drawn blocks, one-row inserts among them, and
+        # dense queries follow each block.  Candidates must be the users
+        # sharing a digest with the query in the same band, and counts the
+        # equal u64 values.  After each block the codes extend in their
+        # dictionaries, or are rebuilt exactly when a new value is missing
+        # from one.
+        monkeypatch.setattr("botdna.lsh._DENSE_SCAN_SHARE", 0.0)
+        seen = set()
+
+        @given(st.data())
+        @settings(max_examples=40, deadline=None)
+        def check(data):
+            num_perm = 256 if case == "num_perm 256" else data.draw(st.sampled_from([4, 6, 8]))
+            bands = data.draw(st.sampled_from([b for b in (1, 2, num_perm // 2, num_perm // 4)
+                                               if num_perm % b == 0 and num_perm // b >= 2]))
+            count = 300 if case.startswith("wide") else data.draw(st.integers(1, 40))
+            rng = np.random.Generator(np.random.Philox(key=data.draw(st.integers(0, 2**32), label="key")))
+            # Palette indices: a few per position, and one more that only
+            # rows after the first block may take, so that they can hold a
+            # value missing from the dictionaries.
+            narrow = data.draw(st.integers(1, 4), label="narrow")
+            cells = rng.integers(0, narrow, (count, num_perm))
+            first = data.draw(st.integers(1, count), label="first block")
+            late = rng.random((count, num_perm)) < data.draw(st.sampled_from([0.0, 0.002, 0.05]))
+            cells[first:][late[first:]] = narrow
+            if case == "wide band":  # distinct (col 0, col 1) pairs: band 0 over 255 digests
+                cells[:, 0], cells[:, 1] = np.arange(count) % 16, np.arange(count) // 16
+            elif case == "wide position":
+                cells[:, 0] = np.arange(count)
+            palette = rng.integers(0, 2**64, (num_perm, max(count, narrow + 1)), dtype=np.uint64)
+            values = palette[np.arange(num_perm), cells]
+            probes = np.concatenate([values[rng.integers(0, first, 3)],  # stored from the first block on
+                                     palette[np.arange(num_perm), rng.integers(0, narrow + 1, (2, num_perm))]])
+            probes[-1, 0] = 12345  # stored nowhere
+            index = LshIndex(BandingPlan(0.5, bands, num_perm // bands), num_perm, 7)
+            cuts = sorted({first, *data.draw(st.lists(st.integers(first, count), max_size=4), label="cuts")})
+            for a, b in zip([0, *cuts], [*cuts, count]):
+                sigs = [MinHashSignature(f"u{i}", num_perm, 7, values[i]) for i in range(a, b)]
+                if len(sigs) == 1:
+                    index.insert(sigs[0], "bot" if a % 3 else "human")
+                else:
+                    index.insert_many(sigs, ["bot" if i % 3 else "human" for i in range(a, b)])
+                before = index._value_codes, index._digest_codes, index._coded_rows
+                digests = index.band_digests(values[:b])
+                for probe in probes:
+                    query = index.band_digests(probe)
+                    ordinals, matches = index._candidates(probe, query)
+                    assert ordinals.tolist() == np.flatnonzero((digests == query).any(axis=1)).tolist()
+                    assert matches.tolist() == (values[ordinals] == probe).sum(axis=1).tolist()
+                    if len(ordinals):
+                        assert matches.dtype == (np.uint8 if num_perm <= 255 else np.uint16)
+                        seen.add(f"counts in {matches.dtype}")
+                kept = [np.flatnonzero((digests == index.band_digests(p)).any(axis=1)) for p in probes]
+                kept = [k[(values[k] == p).sum(axis=1) / num_perm >= 0.5] for k, p in zip(kept, probes)]
+                bots = np.array(["bot" if i % 3 else "human" for i in range(b)]) == "bot"
+                probe_sigs = [MinHashSignature(f"p{j}", num_perm, 7, p) for j, p in enumerate(probes)]
+                assert index.neighbor_votes(probe_sigs, 0.5) == [(len(k), int(bots[k].sum())) for k in kept]
+                if index._coded_rows:
+                    self.check_recoding(before, index, values[:b], digests, seen)
+
+        check()
+        assert seen >= self.MIXED_CASES[case]
+
+    @staticmethod
+    def check_recoding(before, index, values, digests, seen):
+        """The codes after a block: built, extended or rebuilt by the rule."""
+        *old_codes, done = before
+        after = index._value_codes, index._digest_codes
+        if after[1][0] is None and after[0][0] is not None:
+            seen.add("band over 255 values, positions coded")
+        if after[0][0] is None:
+            seen.add("position over 255 values")
+        for old, new, matrix in zip(old_codes, after, (values, digests)):
+            if old is None or old[0] is None:
+                assert old is None or new is old  # a column over 255 values keeps them
+                continue
+            dictionary = old[0]
+            missing = any(not np.isin(matrix[done:, p], dictionary[p]).all() for p in range(len(dictionary)))
+            if missing:
+                assert new[0] is not dictionary
+                seen.add("rebuilt for a missing value")
+            else:
+                assert new[0] is dictionary
+                seen.add("extended")
+            if new[0] is not None:
+                want = [np.searchsorted(row, column) for row, column in zip(new[0], matrix.T)]
+                np.testing.assert_array_equal(new[1], want)
 
 
 def read_index_file(path):

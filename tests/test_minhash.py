@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import importlib
 import json
+import pickle
 import sys
 import threading
 from functools import lru_cache
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from botdna.encoding import DnaSequence, encode_user
 from botdna.errors import EmptySet, FormatError, IncompatibleSignatures, SequenceTooShort
+from botdna.lsh import BandingPlan, LshIndex
 from botdna.minhash import (
     MEMO_ENTRIES,
     MERSENNE_61,
@@ -243,9 +246,39 @@ class TestConstructor:
         assert sig.values.dtype == np.uint64
         assert sig.values.tolist() == list(range(8))
 
-    def test_keeps_u64_values_without_a_copy(self):
+    def test_keeps_a_read_only_copy_of_the_values(self):
+        # The caller's array stays theirs and writable; a later write to it
+        # or to the signature cannot change what was checked.
         values = np.arange(8, dtype=np.uint64)
-        assert MinHashSignature("u", 8, 1, values).values is values
+        sig = MinHashSignature("u", 8, 1, values)
+        assert not np.shares_memory(sig.values, values)
+        assert values.flags.writeable and not sig.values.flags.writeable
+        values[:] = 9
+        assert sig.values.tolist() == list(range(8))
+        with pytest.raises(ValueError, match="read-only"):
+            sig.values[0] = 7
+        with pytest.raises(ValueError, match="read-only"):
+            sig.values.sort()
+
+    @pytest.mark.parametrize("field, value", [("user_id", "v"), ("num_perm", 1), ("seed", 2),
+                                              ("values", np.array([7], dtype=np.uint64))])
+    def test_fields_cannot_be_set_or_deleted(self, field, value):
+        # Assigning np.array([7]) to a checked 8-value signature's values
+        # once made insert store [7 7 7 7 7 7 7 7].
+        sig = MinHashSignature("u", 8, 1, np.arange(8, dtype=np.uint64))
+        for change in (lambda: setattr(sig, field, value), lambda: delattr(sig, field)):
+            with pytest.raises(AttributeError, match=field):
+                change()
+        index = LshIndex(BandingPlan(0.5, 4, 2), 8, 1)
+        index.insert(sig, "bot")
+        assert index._values[0].tolist() == list(range(8))
+
+    def test_copies_and_pickles_equal_the_original(self):
+        sig = MinHashSignature("u", 8, np.uint64(3), np.arange(8, dtype=np.uint64))
+        for twin in (copy.copy(sig), copy.deepcopy(sig), pickle.loads(pickle.dumps(sig))):
+            assert twin == sig and not twin.values.flags.writeable
+        assert type(sig.seed) is int
+        assert json.loads(sig.to_debug_json())["seed"] == 3
 
     @given(st.data())
     @settings(max_examples=100)
@@ -580,7 +613,8 @@ class TestRowCache:
         sig = minhash(ShingleSet("u", 3, members), 128, 1)
         assert not np.shares_memory(sig.values, minhash_module._memo.block)
         expected = sig.values.copy()
-        sig.values[:] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            sig.values[:] = 0
         assert np.array_equal(minhash(ShingleSet("u", 3, members), 128, 1).values, expected)
 
     def test_threads_share_the_cache_safely(self):

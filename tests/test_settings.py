@@ -9,6 +9,7 @@ setting before it reads any file.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,7 +93,7 @@ def cli_option(tmp_path, capsys, option, value):
 ENTRY_POINTS = {
     "num_perm": {
         "RunConfig": lambda v, *_: RunConfig(num_perm=v),
-        "MinHashSignature": lambda v, *_: MinHashSignature("u", v, 1, np.zeros(v, dtype=np.uint64)),
+        "MinHashSignature": lambda v, *_: MinHashSignature("u", v, 1, np.zeros(round(v), dtype=np.uint64)),
         "lsh_plan": lambda v, *_: lsh_plan(0.5, v),
         "minhash": lambda v, *_: minhash(shingle(DnaSequence("u", ("B3",), "ACTA"), 2), v, 1),
         "LshIndex": lambda v, *_: LshIndex(BandingPlan(0.5, 1, v), v, 1),
@@ -172,6 +173,43 @@ def test_entry_point_follows_the_rule(setting, entry, value, accepted, tmp_path,
     assert setting in message
     shown = "nan" if isinstance(value, float) and math.isnan(value) else repr(value)
     assert message.rstrip().endswith(f"got {shown}")
+
+
+# setting -> [(value, accepted)]: an integer is an int or a numpy integer,
+# never a bool or a float, even one equal to an accepted int.
+TYPES = {
+    "num_perm": [(8.0, False), (np.float64(8), False), (True, False), (np.int64(8), True), (np.uint16(8), True)],
+    "seed": [(1.0, False), (True, False), (np.bool_(True), False), (np.uint64(1), True), (np.int8(1), True)],
+}
+TYPED_ENTRY_POINTS = {
+    "num_perm": ["RunConfig", "MinHashSignature", "lsh_plan", "minhash", "LshIndex"],
+    "seed": ["RunConfig", "MinHashSignature", "SplitSpec", "rng_for", "minhash", "LshIndex"],
+}
+
+
+@pytest.mark.parametrize("setting,entry,value,accepted", [
+    pytest.param(setting, entry, value, accepted, id=f"{setting}-{entry}-{type(value).__name__}")
+    for setting, values in TYPES.items()
+    for entry in TYPED_ENTRY_POINTS[setting]
+    for value, accepted in values
+])
+def test_entry_point_takes_only_integers(setting, entry, value, accepted):
+    # A float num_perm was once stored, and to_bytes then died in struct.
+    call = ENTRY_POINTS[setting][entry]
+    if accepted:
+        call(value, None, None)
+        return
+    with pytest.raises(ValueError, match=f"^{setting} must be an integer, got {re.escape(repr(value))}$"):
+        call(value, None, None)
+
+
+def test_numpy_integers_are_kept_as_int():
+    # So that every report, document and index file holding them is JSON.
+    cfg = RunConfig(num_perm=np.int64(16), seed=np.uint64(3), split=SplitSpec(seed=np.int32(4)))
+    sig = MinHashSignature("u", np.int64(8), np.uint64(3), np.zeros(8, dtype=np.uint64))
+    index = LshIndex(BandingPlan(0.5, 4, 2), np.int64(8), np.uint64(3))
+    for value in (cfg.num_perm, cfg.seed, cfg.split.seed, sig.num_perm, sig.seed, index.num_perm, index.seed):
+        assert type(value) is int
 
 
 def test_readers_refuse_with_format_error():
