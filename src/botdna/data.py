@@ -39,7 +39,7 @@ from pathlib import Path
 
 from .encoding import BOT, HUMAN, POST_KIND_CODES, UserTimeline, to_int64
 from .errors import FormatError, IntegrityError, UnknownUser
-from .minhash import check_seed, rng_for
+from .minhash import _check_integer, check_seed, rng_for
 
 MALFORMED_LIMIT = 0.01
 
@@ -74,10 +74,12 @@ def check_gt_fraction(fraction: float) -> None:
         raise ValueError(f"gt_fraction must be in (0, 1), got {fraction}")
 
 
-def check_max_tweets(cap: int) -> None:
-    """Raise ``ValueError`` unless the post cap is positive; the one rule for ``max_tweets``."""
+def check_max_tweets(cap: int) -> int:
+    """``cap`` as ``int``; ``ValueError`` unless a positive integer. The one rule for ``max_tweets``."""
+    cap = _check_integer("max_tweets", cap)
     if cap < 1:
         raise ValueError(f"max_tweets must be positive, got {cap}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -319,7 +321,7 @@ def filter_min_length(ds: Dataset, k: int, alphabets) -> tuple[Dataset, int]:
 
 def cap_tweets(ds: Dataset, max_tweets: int) -> Dataset:
     """Keep only each user's chronologically first max_tweets posts."""
-    check_max_tweets(max_tweets)
+    max_tweets = check_max_tweets(max_tweets)
     users = [u.first(max_tweets) if len(u) > max_tweets else u for u in ds.users]
     return Dataset(ds.name, users, ds.provenance, ds.malformed_count)
 

@@ -106,16 +106,26 @@ _DENSE_SCAN_SHARE = 0.25
 _ABSENT = 255
 
 
-def check_threshold(threshold: float) -> None:
-    """Raise ``ValueError`` unless ``threshold`` is in (0, 1]; the one rule for it."""
+def _check_number(name: str, value) -> None:
+    """Raise ``ValueError`` for a bool, which compares as 0 or 1 but is no share."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def check_threshold(threshold: float) -> float:
+    """``threshold``; ``ValueError`` unless a number in (0, 1] (not a bool or NaN). The one rule for it."""
+    _check_number("threshold", threshold)
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    return threshold
 
 
-def check_floor(floor: float) -> None:
-    """Raise ``ValueError`` unless ``floor`` is in [0, 1]; the one rule for a Jaccard floor."""
+def check_floor(floor: float) -> float:
+    """``floor``; ``ValueError`` unless a number in [0, 1] (not a bool or NaN). The one rule for a Jaccard floor."""
+    _check_number("jaccard_floor", floor)
     if not 0.0 <= floor <= 1.0:
         raise ValueError(f"jaccard_floor must be in [0, 1], got {floor}")
+    return floor
 
 
 @dataclass(frozen=True)
@@ -316,7 +326,7 @@ class LshIndex:
         seed = check_seed(seed)
         if recipe is not None:
             resolve_alphabets(recipe[0])
-            check_k_shingle(recipe[1])
+            recipe = recipe[0], check_k_shingle(recipe[1])
         self.plan = plan
         self.num_perm = num_perm
         self.seed = seed

@@ -7,9 +7,17 @@ resulting set is compressed into ``num_perm`` minimum hash values.  Each
 deterministically from a counter-based PRNG keyed by ``seed``.  Two
 signatures built with the same ``(num_perm, seed)`` estimate the Jaccard
 similarity of the underlying shingle sets as the fraction of equal
-positions.  A bounded process-wide memo numbers every shingle it has
-seen, keeps its base hash, and keeps the permuted values (the row) of the
-most recent ones, so shingles shared across users are hashed once.
+positions.
+
+``shingle`` gives each window an integer code: the 17 symbols of the
+alphabets are the digits 1..17 of a bijective base-17 number, so a window
+of width ``k`` <= 15 is an exact int64, and windows of different widths
+never share a code.  A bounded process-wide memo numbers every shingle it
+has seen, keyed by code (or by string, for a set made from strings), keeps
+its base hash, and keeps the permuted values (the row) of the most recent
+ones, so shingles shared across users are hashed once.  A code's base hash
+is the ``shingle_hash`` of its window, sliced from the sequence at the
+window's first start; the memo never decodes a code to its string.
 
 Binary signature layout (all integers little-endian)::
 
@@ -30,13 +38,13 @@ import hashlib
 import json
 import struct
 import threading
-from dataclasses import dataclass
-from itertools import islice
+from collections.abc import Iterable
+from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
 
-from .encoding import DnaSequence
+from .encoding import ALPHABETS, DnaSequence
 from .errors import EmptySet, FormatError, IncompatibleSignatures, SequenceTooShort
 
 MERSENNE_61 = np.uint64((1 << 61) - 1)
@@ -53,6 +61,15 @@ _S3, _S29, _S32, _S61 = (np.array(s, dtype=np.uint64) for s in (3, 29, 32, 61))
 ROW_CACHE_BYTES = 1 << 20
 # The memo's bound on distinct shingles per hash family.
 MEMO_ENTRIES = 1 << 20
+
+# The digits 1..17 of the shingle codes, in alphabet order; a byte that is
+# no symbol maps to 0.
+SYMBOLS = "".join(symbol for alphabet in ALPHABETS.values() for symbol in alphabet.symbols)
+_DIGITS = np.zeros(256, dtype=np.int64)
+_DIGITS[np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8)] = np.arange(1, len(SYMBOLS) + 1)
+# The widest window whose code fits in int64: 15 symbols of digit 17 make
+# (17**16 - 17) / 16 < 2**63, and 16 do not.
+MAX_K_SHINGLE = 15
 
 # The largest num_perm ``check_num_perm`` allows a stored signature, a plan
 # or an index: the largest size the Gauss-Legendre convergence check in
@@ -93,10 +110,12 @@ def check_seed(seed: int) -> int:
     return seed
 
 
-def check_k_shingle(k: int) -> None:
-    """Raise ``ValueError`` unless the shingle width ``k`` is positive; the one rule for it."""
-    if k < 1:
-        raise ValueError(f"k_shingle must be positive, got {k}")
+def check_k_shingle(k: int) -> int:
+    """``k`` as ``int``; ``ValueError`` unless an integer in [1, MAX_K_SHINGLE]. The one rule for a shingle width."""
+    k = _check_integer("k_shingle", k)
+    if not 1 <= k <= MAX_K_SHINGLE:
+        raise ValueError(f"k_shingle must be in [1, {MAX_K_SHINGLE}], got {k}")
+    return k
 
 
 def rng_for(seed: int, tag: int) -> np.random.Generator:
@@ -157,6 +176,22 @@ def shingle_hash(shingle: str) -> int:
     return int.from_bytes(hashlib.blake2b(shingle.encode("utf-8"), digest_size=8).digest(), "little")
 
 
+_BLAKE2B_8 = hashlib.blake2b(digest_size=8)
+
+
+def _window_hashes(windows: Iterable[bytes]) -> np.ndarray:
+    """``shingle_hash`` of each window's UTF-8 bytes, as u64.
+
+    Copying a made hasher takes about half the time of making one.
+    """
+    digests, copy = [], _BLAKE2B_8.copy
+    for window in windows:
+        hasher = copy()
+        hasher.update(window)
+        digests.append(hasher.digest())
+    return np.frombuffer(b"".join(digests), dtype="<u8")
+
+
 def _hash_family(seed: int, num_perm: int) -> tuple[np.ndarray, np.ndarray]:
     rng = rng_for(seed, _TAG_HASH_FAMILY)
     a = rng.integers(1, int(MERSENNE_61), size=num_perm, dtype=np.uint64)
@@ -164,20 +199,26 @@ def _hash_family(seed: int, num_perm: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-class _Ids(dict):
-    """Shingle -> id, numbering each new shingle in order of first lookup."""
+def _keys(shingles: ShingleSet) -> list:
+    """A set's memo keys: its codes, or the strings of a set made from strings."""
+    return list(shingles.shingles) if shingles.codes is None else shingles.codes.tolist()
 
-    def __missing__(self, shingle: str) -> int:
-        self[shingle] = i = len(self)
-        return i
+
+def _base_hashes(shingles: ShingleSet, keys: list, at: np.ndarray) -> np.ndarray:
+    """The base hashes of ``keys[at]``; a code's window is sliced from the sequence at its first start."""
+    if shingles.codes is None:
+        return _window_hashes(map(str.encode, map(keys.__getitem__, at.tolist())))
+    data, first = shingles.symbols.encode("ascii"), shingles.starts[at]
+    return _window_hashes(map(data.__getitem__, map(slice, first.tolist(), (first + shingles.k).tolist())))
 
 
 class _ShingleMemo:
     """Every shingle sketched under one hash family, by integer id.
 
-    ``ids`` numbers the shingles in order of first use.  By id, ``base``
-    keeps the shingle's base hash reduced mod p, and ``slot`` the row of
-    ``block`` that holds its permuted values ``(a*x + b) mod p`` over all
+    ``ids`` numbers the shingles in order of first use, keyed by code or,
+    for a set made from strings, by string.  By id, ``base`` keeps the
+    shingle's base hash reduced mod p, and ``slot`` the row of ``block``
+    that holds its permuted values ``(a*x + b) mod p`` over all
     ``num_perm`` permutations, or -1.  The block holds at most
     ``ROW_CACHE_BYTES``; when a set's missing rows do not fit, every slot
     is dropped and filling starts again from row 0.  A set larger than the
@@ -193,7 +234,7 @@ class _ShingleMemo:
         self.block = np.empty((ROW_CACHE_BYTES // (8 * num_perm), num_perm), dtype=np.uint64)
         self.owner = np.empty(len(self.block), dtype=np.intp)  # the id in each filled row
         self.filled = 0
-        self.ids = _Ids()
+        self.ids: dict[int | str, int] = {}
         self.base = np.empty(0, dtype=np.uint64)
         self.slot = np.empty(0, dtype=np.intp)
 
@@ -203,33 +244,33 @@ class _ShingleMemo:
         out += self.b  # < 2**64
         return fold_m61(out, out=out)
 
-    def _lookup(self, members: frozenset[str]) -> np.ndarray:
-        """The ids of a set's shingles; new ones are numbered and hashed."""
+    def _lookup(self, shingles: ShingleSet, keys: list) -> np.ndarray:
+        """The ids of a set's distinct keys; new ones are numbered and hashed."""
         ids = self.ids
-        known = len(ids)
-        found = np.fromiter(map(ids.__getitem__, members), dtype=np.intp, count=len(members))
-        total = len(ids)
-        if total > known:
+        found = np.fromiter(map(ids.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
+        if found.min() < 0:
+            fresh = np.flatnonzero(found < 0)
+            known = len(ids)
+            total = known + len(fresh)
             if total > len(self.base):
                 size = min(MEMO_ENTRIES, max(total, 2 * len(self.base)))
                 self.base, self.slot = np.resize(self.base, size), np.resize(self.slot, size)
-            # A dict keeps insertion order: the newest shingles come last.
-            xs = np.fromiter(map(shingle_hash, islice(reversed(ids), total - known)),
-                             dtype=np.uint64, count=total - known)
-            fold_m61(xs[::-1], out=self.base[known:total])
+            found[fresh] = numbers = np.arange(known, total)
+            ids.update(zip(map(keys.__getitem__, fresh.tolist()), numbers.tolist()))
+            fold_m61(_base_hashes(shingles, keys, fresh), out=self.base[known:total])
             self.slot[known:total] = -1
         return found
 
-    def sketch(self, members: frozenset[str]) -> np.ndarray:
+    def sketch(self, shingles: ShingleSet) -> np.ndarray:
         """The column-wise minimum of a set's permuted rows, as a new array."""
-        n = len(members)
+        keys = _keys(shingles)
+        n = len(keys)
         if n > MEMO_ENTRIES:  # more shingles than the memo may hold
-            xs = np.fromiter(map(shingle_hash, members), dtype=np.uint64, count=n)
-            return self.permuted(fold_m61(xs)).min(axis=0)
+            return self.permuted(fold_m61(_base_hashes(shingles, keys, np.arange(n)))).min(axis=0)
         if len(self.ids) + n > MEMO_ENTRIES:
             self.ids.clear()
             self.filled = 0
-        found = self._lookup(members)
+        found = self._lookup(shingles, keys)
         if n > len(self.block):
             return self.permuted(self.base[found]).min(axis=0)
         slots = self.slot[found]
@@ -256,13 +297,67 @@ _memo: _ShingleMemo | None = None
 _memo_lock = threading.Lock()
 
 
-@dataclass(frozen=True)
 class ShingleSet:
-    """The distinct k-symbol windows of one user's sequence."""
+    """The distinct k-symbol windows of one user's sequence.
 
-    user_id: str
-    k: int
-    shingles: frozenset[str]
+    ``shingle`` makes one from a sequence.  It keeps the source
+    ``symbols``, the windows' int64 ``codes`` in ascending order, and in
+    ``starts`` where each code's window first occurs in ``symbols``.
+    ``ShingleSet(user_id, k, shingles)`` makes one from any strings, of any
+    width; it has no codes, and ``codes``, ``starts`` and ``symbols`` are
+    None.  ``shingles`` is the ``frozenset[str]`` of the windows, decoded
+    from the codes the first time it is read.  A set is read-only: its
+    fields cannot be set, and ``codes`` and ``starts`` are read-only
+    arrays, since the memo keeps each code's hash for every later set.
+    """
+
+    __slots__ = ("_user_id", "_k", "_codes", "_starts", "_symbols", "_shingles")
+
+    def __init__(self, user_id: str, k: int, shingles: frozenset[str]):
+        self._user_id, self._k, self._shingles = user_id, k, shingles
+        self._codes = self._starts = self._symbols = None
+
+    @classmethod
+    def _coded(cls, user_id: str, k: int, symbols: str, codes: np.ndarray, starts: np.ndarray) -> ShingleSet:
+        coded = cls(user_id, k, None)
+        codes.setflags(write=False)
+        starts.setflags(write=False)
+        coded._codes, coded._starts, coded._symbols = codes, starts, symbols
+        return coded
+
+    # Read-only fields: a property without a setter refuses assignment.
+    user_id = property(attrgetter("_user_id"))
+    k = property(attrgetter("_k"))
+    codes = property(attrgetter("_codes"))
+    starts = property(attrgetter("_starts"))
+    symbols = property(attrgetter("_symbols"))
+
+    def __reduce__(self):
+        """Copies and unpickled sets are made, and so made read-only, by the constructors."""
+        if self._codes is None:
+            return ShingleSet, (self._user_id, self._k, self._shingles)
+        return ShingleSet._coded, (self._user_id, self._k, self._symbols, self._codes, self._starts)
+
+    @property
+    def shingles(self) -> frozenset[str]:
+        if self._shingles is None:
+            k, symbols = self._k, self._symbols
+            self._shingles = frozenset([symbols[i : i + k] for i in self._starts.tolist()])
+        return self._shingles
+
+    def __len__(self) -> int:
+        return len(self.shingles) if self.codes is None else len(self.codes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ShingleSet):
+            return NotImplemented
+        return (self.user_id, self.k, self.shingles) == (other.user_id, other.k, other.shingles)
+
+    def __hash__(self) -> int:
+        return hash((self.user_id, self.k, self.shingles))
+
+    def __repr__(self) -> str:
+        return f"ShingleSet(user_id={self.user_id!r}, k={self.k}, size={len(self)})"
 
 
 class MinHashSignature:
@@ -382,19 +477,35 @@ class MinHashSignature:
 
 
 def shingle(seq: DnaSequence, k: int) -> ShingleSet:
-    """All length-k windows of the sequence, as a set.
+    """All length-k windows of the sequence, as a coded set.
 
     Windows are taken over the flat symbol string, so with several
-    alphabets a window can straddle post boundaries.
+    alphabets a window can straddle post boundaries.  A window's code is
+    built by k-1 multiply-adds over the symbols' digits, and one stable
+    sort puts the codes in order with each one's first start.  A symbol
+    of no alphabet raises ``ValueError``.
     """
-    check_k_shingle(k)
+    k = check_k_shingle(k)
     symbols = seq.symbols
     if len(symbols) < k:
         raise SequenceTooShort(
             f"user {seq.user_id!r}: sequence length {len(symbols)} < k={k}"
         )
-    windows = frozenset(symbols[i : i + k] for i in range(len(symbols) - k + 1))
-    return ShingleSet(seq.user_id, k, windows)
+    # "replace" keeps one byte per symbol, and its "?" is no digit.
+    digits = _DIGITS[np.frombuffer(symbols.encode("ascii", "replace"), dtype=np.uint8)]
+    if not digits.all():
+        raise ValueError(f"user {seq.user_id!r}: symbol {symbols[np.argmin(digits)]!r} is in no alphabet")
+    n = len(symbols) - k + 1
+    codes = digits[:n].copy()
+    for i in range(1, k):
+        codes *= len(SYMBOLS)
+        codes += digits[i : i + n]
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    return ShingleSet._coded(seq.user_id, k, symbols, codes[first], order[first])
 
 
 def minhash(shingles: ShingleSet, num_perm: int, seed: int) -> MinHashSignature:
@@ -406,12 +517,12 @@ def minhash(shingles: ShingleSet, num_perm: int, seed: int) -> MinHashSignature:
     """
     global _memo
     num_perm = check_num_perm(num_perm)
-    if not shingles.shingles:
+    if not len(shingles):
         raise EmptySet(f"user {shingles.user_id!r} has an empty shingle set")
     with _memo_lock:
         if _memo is None or _memo.family != (seed, num_perm):
             _memo = _ShingleMemo(seed, num_perm)
-        values = _memo.sketch(shingles.shingles)
+        values = _memo.sketch(shingles)
     return MinHashSignature(shingles.user_id, num_perm, seed, values)
 
 

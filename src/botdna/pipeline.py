@@ -30,7 +30,7 @@ from .data import Dataset, SplitSpec, cap_tweets, check_max_tweets, filter_min_l
 from .encoding import (BOT, CANONICAL_ALPHABET_ORDER, HUMAN, DnaSequence, UserTimeline, encode_user,
                        resolve_alphabets)
 from .lsh import LshIndex, check_floor, check_threshold, lsh_plan
-from .minhash import MinHashSignature, check_k_shingle, check_num_perm, check_seed, minhash, shingle
+from .minhash import MinHashSignature, _check_integer, check_k_shingle, check_num_perm, check_seed, minhash, shingle
 
 ALPHABET_SUBSETS = (
     ("B3",),
@@ -69,15 +69,14 @@ class RunConfig:
     def __post_init__(self):
         # Each field by its module's rule, so a bad value fails before any file is read.
         resolve_alphabets(self.alphabets)
-        check_k_shingle(self.k_shingle)
-        check_threshold(self.threshold)
-        # frozen; kept as int, so a numpy integer still prints as JSON in reports
-        object.__setattr__(self, "num_perm", check_num_perm(self.num_perm))
-        object.__setattr__(self, "seed", check_seed(self.seed))
+        checked = {"k_shingle": check_k_shingle(self.k_shingle), "threshold": check_threshold(self.threshold),
+                   "num_perm": check_num_perm(self.num_perm), "seed": check_seed(self.seed)}
         if self.jaccard_floor is not None:
-            check_floor(self.jaccard_floor)
+            checked["jaccard_floor"] = check_floor(self.jaccard_floor)
         if self.max_tweets is not None:
-            check_max_tweets(self.max_tweets)
+            checked["max_tweets"] = check_max_tweets(self.max_tweets)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)  # frozen; an integer is kept as int, so that reports print it as JSON
 
     def effective_floor(self) -> float:
         return self.threshold if self.jaccard_floor is None else self.jaccard_floor
@@ -288,10 +287,12 @@ def grid_configs(
     return list(groups.values())
 
 
-def check_jobs(jobs: int) -> None:
-    """Raise ``ValueError`` unless ``jobs`` is at least 1; the one rule for it."""
+def check_jobs(jobs: int) -> int:
+    """``jobs`` as ``int``; ``ValueError`` unless an integer of at least 1. The one rule for it."""
+    jobs = _check_integer("jobs", jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return jobs
 
 
 def grid_search(
@@ -315,7 +316,7 @@ def grid_search(
     Ties break toward smaller k, then larger threshold.  Cell execution
     order never affects the ranking.
     """
-    check_jobs(jobs)
+    jobs = check_jobs(jobs)
     groups = grid_configs(base, ks, thresholds, alphabet_subsets)
     workers = min(jobs, len(groups))
     if workers > 1:
@@ -328,9 +329,7 @@ def grid_search(
 
 def check_caps(caps) -> list[int]:
     """``caps`` as a list if each is a valid ``max_tweets`` and they ascend, else ``ValueError``."""
-    caps = list(caps)
-    for cap in caps:
-        check_max_tweets(cap)
+    caps = [check_max_tweets(cap) for cap in caps]
     if caps != sorted(caps):
         raise ValueError(f"caps must be ascending, got {caps}")
     return caps

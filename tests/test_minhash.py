@@ -3,16 +3,18 @@ import hashlib
 import importlib
 import json
 import pickle
+import re
 import sys
 import threading
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from botdna.encoding import DnaSequence, encode_user
+from botdna.encoding import ALPHABETS, DnaSequence, encode_user
 from botdna.errors import EmptySet, FormatError, IncompatibleSignatures, SequenceTooShort
 from botdna.lsh import BandingPlan, LshIndex
 from botdna.minhash import (
@@ -85,6 +87,11 @@ class TestShingle:
         with pytest.raises(ValueError):
             shingle(seq("AC"), 0)
 
+    @pytest.mark.parametrize("symbols,bad", [("ACZ", "Z"), ("act", "a"), ("AC\u00e9", "\u00e9"), ("A?C", "?")])
+    def test_a_symbol_of_no_alphabet_raises(self, symbols, bad):
+        with pytest.raises(ValueError, match=re.escape(f"symbol {bad!r} is in no alphabet")):
+            shingle(seq(symbols), 1)
+
     @given(st.text(alphabet="ACT", min_size=1, max_size=60), st.integers(1, 10))
     def test_window_laws(self, symbols, k):
         if len(symbols) < k:
@@ -94,6 +101,118 @@ class TestShingle:
         got = shingle(seq(symbols), k)
         assert all(len(s) == k for s in got.shingles)
         assert 1 <= len(got.shingles) <= len(symbols) - k + 1
+
+
+# The oracle's digits: each alphabet's symbols in B3, B5, B9 order, from 1.
+DIGITS = {s: d for d, s in enumerate((s for a in ("B3", "B5", "B9") for s in ALPHABETS[a].symbols), 1)}
+ALPHABET_SUBSETS = [ids for n in (1, 2, 3) for ids in combinations(("B3", "B5", "B9"), n)]
+
+
+# 90 symbols drawn at random from all 17.
+MIXED = ("NUFITAIBNMIIGUNULGATHCDABIGJGKUFXCUIMBJDJLGFJNEABHEXMBDXTIITFTJUADJJXCCGEBLNCDATXCMJDBUCEE")
+
+
+def oracle_code(window):
+    """The bijective base-17 number whose digits are the window's symbols."""
+    code = 0
+    for symbol in window:
+        code = code * 17 + DIGITS[symbol]
+    return code
+
+
+def oracle_windows(symbols, k):
+    return {symbols[i : i + k] for i in range(len(symbols) - k + 1)}
+
+
+class TestShingleCodes:
+    def test_the_symbols_are_17_distinct_digits(self):
+        # A code is a bijection of its window only while no two alphabets share a symbol.
+        assert len(DIGITS) == len(minhash_module.SYMBOLS) == 17
+
+    @given(data=st.data())
+    @settings(max_examples=300)
+    def test_codes_equal_the_string_windows(self, data):
+        # Over each alphabet subset, and so over all 17 symbols.
+        ids = data.draw(st.sampled_from(ALPHABET_SUBSETS), label="alphabets")
+        symbols = "".join(s for i in ids for s in ALPHABETS[i].symbols)
+        self.check(data.draw(st.text(alphabet=symbols, max_size=60), label="symbols"),
+                   data.draw(st.integers(1, 15), label="k"))
+
+    @pytest.mark.parametrize("symbols,k", [
+        ("L" * 15, 15), ("L" * 40, 15),  # the largest code, (17**16 - 17) / 16
+        ("LLLLLLLLLLLLLLK", 15), ("ACT", 4), ("A", 15), ("", 1),
+        ("ACTXUHMNBDEFGJKIL", 15), ("ACTXUHMNBDEFGJKIL" * 3, 1),
+    ])
+    def test_codes_equal_the_string_windows_at_the_edges(self, symbols, k):
+        self.check(symbols, k)
+
+    @staticmethod
+    def check(symbols, k):
+        if len(symbols) < k:
+            with pytest.raises(SequenceTooShort):
+                shingle(seq(symbols), k)
+            return
+        got = shingle(seq(symbols), k)
+        windows = oracle_windows(symbols, k)
+        assert got.codes.dtype == np.int64 and got.starts.dtype == np.intp
+        assert len(got) == len(got.codes) == len(got.starts) == len(windows)
+        assert np.all(got.codes[1:] > got.codes[:-1])  # strictly ascending
+        for code, start in zip(got.codes.tolist(), got.starts.tolist()):
+            window = symbols[start : start + k]
+            assert len(window) == k
+            assert symbols.find(window) == start  # the first occurrence
+            assert code == oracle_code(window)
+        assert got.shingles == frozenset(windows)
+
+    @given(st.text(alphabet="ACTXUHMNBDEFGJKIL", min_size=15, max_size=40), st.integers(1, 15), st.integers(1, 15))
+    def test_widths_never_share_a_code(self, symbols, k, j):
+        a, b = shingle(seq(symbols), k), shingle(seq(symbols), j)
+        assert (k == j) == bool(np.intersect1d(a.codes, b.codes).size)
+
+    def test_shingles_are_decoded_only_when_read(self):
+        got = shingle(seq("ACTACTTCA"), 3)
+        minhash(got, 16, 1)
+        assert got._shingles is None  # sketching read the codes only
+        assert got.shingles == frozenset(oracle_windows("ACTACTTCA", 3))
+        assert got.shingles is got.shingles
+        assert not got.codes.flags.writeable and not got.starts.flags.writeable
+
+    @pytest.mark.parametrize("field, value", [("user_id", "v"), ("k", 5), ("codes", np.arange(3)),
+                                              ("starts", np.arange(3)), ("symbols", "LLLLLL"),
+                                              ("shingles", frozenset({"LLLL"}))])
+    def test_fields_cannot_be_set_or_deleted(self, field, value, monkeypatch):
+        # With k set to 5 on a 4-wide coded set, the memo would have kept
+        # the hashes of 5-symbol windows under the 4-window codes, and so
+        # given every later set sharing those codes a wrong signature.
+        monkeypatch.setattr(minhash_module, "_memo", None)
+        s = shingle(seq("ACTACTTCA"), 4)
+        for change in (lambda: setattr(s, field, value), lambda: delattr(s, field)):
+            with pytest.raises(AttributeError, match=field):
+                change()
+        windows = oracle_windows("ACTACTTCA", 4)
+        assert minhash(s, 16, 1).values.tolist() == oracle_minhash(windows, 16, 1)
+        assert minhash(shingle(seq("ACTACTTCA", "v"), 4), 16, 1).values.tolist() == oracle_minhash(windows, 16, 1)
+
+    @pytest.mark.parametrize("make", [lambda: shingle(seq("ACTACTTCA"), 4),
+                                      lambda: ShingleSet("u", 20, frozenset({"not a window"}))])
+    def test_copies_and_pickles_equal_the_original(self, make):
+        s = make()
+        for other in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert other == s and other.k == s.k
+            assert other.codes is None if s.codes is None else np.array_equal(other.codes, s.codes)
+            for array in (other.codes, other.starts):
+                assert array is None or not array.flags.writeable
+
+    def test_a_set_from_strings_has_no_codes(self):
+        s = ShingleSet("u", 20, frozenset({"not a window"}))
+        assert s.codes is None and s.starts is None and s.symbols is None
+        assert len(s) == 1 and s.shingles == frozenset({"not a window"})
+
+    def test_sets_of_the_same_windows_are_equal(self):
+        coded = shingle(seq("ACTAC"), 2)
+        assert coded == ShingleSet("u", 2, frozenset({"AC", "CT", "TA"}))
+        assert len({coded, ShingleSet("u", 2, frozenset({"AC", "CT", "TA"}))}) == 1
+        assert coded != ShingleSet("v", 2, coded.shingles) and coded != shingle(seq("ACTAC"), 3)
 
 
 class TestMinHash:
@@ -606,6 +725,61 @@ class TestRowCache:
 
         check()
         assert seen == {"too large", "emptied"}
+
+    def test_coded_and_string_streams_match_oracle(self, monkeypatch):
+        # Coded sets and sets made from the same windows as strings, in one
+        # stream over changing families, must each equal the uncached
+        # oracle.  With a 32-row block at 16 permutations (16 at 32) and
+        # room for 60 shingles, the stream fills and empties the block,
+        # computes sets larger than it, and crosses the memo's bound; the
+        # run must see each of these.
+        monkeypatch.setattr(minhash_module, "ROW_CACHE_BYTES", 4096)
+        monkeypatch.setattr(minhash_module, "MEMO_ENTRIES", 60)
+        monkeypatch.setattr(minhash_module, "_memo", None)
+        families = [(16, 5), (16, 6), (32, 5)]
+        seen = set()
+        calls = st.tuples(
+            st.sampled_from(families),
+            st.booleans(),  # as strings
+            st.sampled_from(["ACT", "ACTXUHMN", "BDEFGJKIL", "".join(DIGITS)]).flatmap(
+                lambda alphabet: st.text(alphabet=alphabet, min_size=4, max_size=90)),
+            st.integers(1, 4),
+        )
+
+        @given(st.lists(calls, min_size=1, max_size=8))
+        @example([((16, 5), False, "ACTACTTCA", 2), ((16, 5), True, "ACTACTTCA", 2),
+                  ((16, 5), False, MIXED[:50], 2),  # 47 windows: over the block
+                  ((16, 5), True, MIXED[50:], 2),  # emptied
+                  ((32, 5), False, MIXED, 3),  # 87 windows: too large
+                  ((16, 6), False, "ACTACTTCA", 2)])
+        @settings(max_examples=60, deadline=None)
+        def check(stream):
+            minhash(ShingleSet("reset", 1, frozenset({"x"})), 8, 99)  # a family used nowhere else
+            family = None
+            for (num_perm, seed), as_strings, symbols, k in stream:
+                coded = shingle(seq(symbols), k)
+                windows = frozenset(oracle_windows(symbols, k))
+                s = ShingleSet("u", k, windows) if as_strings else coded
+                before = minhash_module._memo
+                known = len(before.ids) if before.family == (seed, num_perm) else 0
+                sig = minhash(s, num_perm, seed)
+                assert sig.values.tolist() == oracle_minhash(windows, num_perm, seed)
+                assert coded._shingles is None or as_strings  # a coded set is never decoded
+                memo = minhash_module._memo
+                assert len(memo.ids) <= 60
+                seen.add("strings" if as_strings else "codes")
+                if family not in (None, (num_perm, seed)):
+                    seen.add("new family")
+                family = (num_perm, seed)
+                if len(windows) > 60:
+                    seen.add("too large")
+                elif known + len(windows) > 60:
+                    seen.add("emptied")
+                if 4096 // (8 * num_perm) < len(windows) <= 60:
+                    seen.add("over the block")
+
+        check()
+        assert seen == {"strings", "codes", "new family", "too large", "emptied", "over the block"}
 
     @pytest.mark.parametrize("size", [3, 2000])  # cached, and larger than the block
     def test_signature_never_shares_memory_with_cache(self, size):

@@ -21,7 +21,7 @@ from botdna.encoding import DnaSequence
 from botdna.errors import FormatError
 from botdna.lsh import BandingPlan, LshIndex, lsh_plan
 from botdna.minhash import MinHashSignature, minhash, rng_for, shingle
-from botdna.pipeline import RunConfig, check_caps, early_detection, grid_configs, gt_sweep
+from botdna.pipeline import RunConfig, check_caps, early_detection, grid_configs, grid_search, gt_sweep
 
 from conftest import signature_blob, synthetic_corpus
 from test_lsh import read_index_file, small_index, write_index_file
@@ -34,9 +34,10 @@ RULES = {
     "seed": {-1: False, 0: True, 2**64 - 1: True, 2**64: False},
     "threshold": {0.0: False, 1.0: True, 1.5: False, NAN: False},
     "jaccard_floor": {-0.1: False, 0.0: True, 1.0: True, 1.5: False, NAN: False},
-    "k_shingle": {0: False, 1: True},
+    "k_shingle": {0: False, 1: True, 15: True, 16: False},
     "gt_fraction": {0.0: False, 0.5: True, 1.0: False},
     "max_tweets": {0: False, 1: True},
+    "jobs": {0: False, 1: True},
 }
 
 
@@ -133,7 +134,7 @@ ENTRY_POINTS = {
     "k_shingle": {
         "RunConfig": lambda v, *_: RunConfig(k_shingle=v),
         "grid_configs": lambda v, *_: grid_configs(RunConfig(), [v], [0.4], [("B3",)]),
-        "shingle": lambda v, *_: shingle(DnaSequence("u", ("B3",), "ACTA"), v),
+        "shingle": lambda v, *_: shingle(DnaSequence("u", ("B3",), "ACTA" * 4), v),
         "LshIndex recipe": lambda v, *_: LshIndex(BandingPlan(0.5, 4, 2), 8, 1, (("B3",), v)),
         "index file": lambda v, tmp, _: index_file(tmp, k_shingle=v),
         "cli --k-shingle": lambda v, tmp, cap: cli_option(tmp, cap, "--k-shingle", v),
@@ -150,6 +151,11 @@ ENTRY_POINTS = {
         "check_caps": lambda v, *_: check_caps([v]),
         "early_detection": lambda v, *_: early_detection(tiny_dataset(), RunConfig(k_shingle=1), [v]),
         "cli --max-tweets": lambda v, tmp, cap: cli_option(tmp, cap, "--max-tweets", v),
+    },
+    # The command line's --jobs is refused by tests/test_cli.py before any file is read.
+    "jobs": {
+        "grid_search": lambda v, *_: grid_search(tiny_dataset(), RunConfig(k_shingle=2), ks=[2],
+                                                 thresholds=[0.5], alphabet_subsets=[("B3",)], jobs=v),
     },
 }
 
@@ -180,10 +186,16 @@ def test_entry_point_follows_the_rule(setting, entry, value, accepted, tmp_path,
 TYPES = {
     "num_perm": [(8.0, False), (np.float64(8), False), (True, False), (np.int64(8), True), (np.uint16(8), True)],
     "seed": [(1.0, False), (True, False), (np.bool_(True), False), (np.uint64(1), True), (np.int8(1), True)],
+    "k_shingle": [(4.0, False), (True, False), (np.bool_(True), False), (np.int64(4), True), (np.uint8(2), True)],
+    "max_tweets": [(2.5, False), (2.0, False), (True, False), (np.int64(2), True)],
+    "jobs": [(2.5, False), (1.0, False), (True, False), (np.int32(1), True)],
 }
 TYPED_ENTRY_POINTS = {
     "num_perm": ["RunConfig", "MinHashSignature", "lsh_plan", "minhash", "LshIndex"],
     "seed": ["RunConfig", "MinHashSignature", "SplitSpec", "rng_for", "minhash", "LshIndex"],
+    "k_shingle": ["RunConfig", "grid_configs", "shingle", "LshIndex recipe"],
+    "max_tweets": ["RunConfig", "cap_tweets", "check_caps", "early_detection"],
+    "jobs": ["grid_search"],
 }
 
 
@@ -194,7 +206,8 @@ TYPED_ENTRY_POINTS = {
     for value, accepted in values
 ])
 def test_entry_point_takes_only_integers(setting, entry, value, accepted):
-    # A float num_perm was once stored, and to_bytes then died in struct.
+    # A float num_perm was once stored, and to_bytes then died in struct;
+    # k_shingle=True once sketched with k=1.
     call = ENTRY_POINTS[setting][entry]
     if accepted:
         call(value, None, None)
@@ -203,12 +216,50 @@ def test_entry_point_takes_only_integers(setting, entry, value, accepted):
         call(value, None, None)
 
 
+# setting -> [(value, accepted)]: a share in [0, 1] is never a bool, though True compares as 1.
+NUMBERS = {
+    "threshold": [(True, False), (np.bool_(True), False), (1, True), (np.float64(0.5), True)],
+    "jaccard_floor": [(True, False), (False, False), (np.bool_(False), False), (0, True), (np.float32(0.5), True)],
+}
+NUMBER_ENTRY_POINTS = {
+    "threshold": ["RunConfig", "grid_configs", "lsh_plan", "LshIndex"],
+    "jaccard_floor": ["RunConfig", "neighbor_votes", "classify", "classify_many"],
+}
+
+
+@pytest.mark.parametrize("setting,entry,value,accepted", [
+    pytest.param(setting, entry, value, accepted, id=f"{setting}-{entry}-{value!r}")
+    for setting, values in NUMBERS.items()
+    for entry in NUMBER_ENTRY_POINTS[setting]
+    for value, accepted in values
+])
+def test_entry_point_takes_no_bool_for_a_number(setting, entry, value, accepted):
+    call = ENTRY_POINTS[setting][entry]
+    if accepted:
+        call(value, None, None)
+        return
+    with pytest.raises(ValueError, match=f"^{setting} must be a number, got {re.escape(repr(value))}$"):
+        call(value, None, None)
+
+
+def test_caps_are_integers():
+    # Every cap follows the max_tweets rule, wherever it stands in the list.
+    for caps, refused in (([20.5, 40], 20.5), ([20, 40.0], 40.0), ([True, 40], True)):
+        for call in (check_caps, lambda c: early_detection(tiny_dataset(), RunConfig(k_shingle=1), c)):
+            with pytest.raises(ValueError, match=f"^max_tweets must be an integer, got {refused!r}$"):
+                call(caps)
+    assert check_caps([np.int64(20), 40]) == [20, 40]
+    assert all(type(cap) is int for cap in check_caps([np.int64(20), np.uint16(40)]))
+
+
 def test_numpy_integers_are_kept_as_int():
     # So that every report, document and index file holding them is JSON.
-    cfg = RunConfig(num_perm=np.int64(16), seed=np.uint64(3), split=SplitSpec(seed=np.int32(4)))
+    cfg = RunConfig(num_perm=np.int64(16), seed=np.uint64(3), k_shingle=np.int8(5), max_tweets=np.uint32(7),
+                    split=SplitSpec(seed=np.int32(4)))
     sig = MinHashSignature("u", np.int64(8), np.uint64(3), np.zeros(8, dtype=np.uint64))
-    index = LshIndex(BandingPlan(0.5, 4, 2), np.int64(8), np.uint64(3))
-    for value in (cfg.num_perm, cfg.seed, cfg.split.seed, sig.num_perm, sig.seed, index.num_perm, index.seed):
+    index = LshIndex(BandingPlan(0.5, 4, 2), np.int64(8), np.uint64(3), (("B3",), np.int16(4)))
+    for value in (cfg.num_perm, cfg.seed, cfg.k_shingle, cfg.max_tweets, cfg.split.seed, sig.num_perm, sig.seed,
+                  index.num_perm, index.seed, index.recipe[1]):
         assert type(value) is int
 
 
