@@ -32,7 +32,7 @@ def _parse_alphabets(text: str) -> tuple[str, ...]:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """Comma-separated ints, with 'a..b' / 'a..b..step' inclusive ranges."""
+    """Comma-separated ints, with 'a..b' / 'a..b..step' ranges that include b when the steps reach it."""
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
@@ -46,10 +46,17 @@ def _parse_int_list(text: str) -> list[int]:
                 lo, hi, step = (int(p) for p in pieces)
             else:
                 raise ValueError(f"bad range {part!r}")
-            out.extend(range(lo, hi + 1, step))
+            out.extend(range(lo, hi + (1 if step > 0 else -1), step))
         else:
             out.append(int(part))
     return out
+
+
+def _nonempty(option: str, values: list) -> list:
+    """``values``; ``ValueError`` naming ``option`` when it expanded to no value."""
+    if not values:
+        raise ValueError(f"{option} gives no value")
+    return values
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -227,7 +234,7 @@ def _cmd_grid_search(args) -> int:
 
 def _cmd_early_detection(args) -> int:
     cfg = _config(args)
-    caps = pipeline.check_caps(args.caps)
+    caps = pipeline.check_caps(_nonempty("--caps", args.caps))
     series = pipeline.early_detection(load(args.data, args.format), cfg, caps=caps)
     _emit(_series_json("max_tweets", series, args), args.out)
     if args.csv_out:
@@ -239,7 +246,7 @@ def _cmd_early_detection(args) -> int:
 
 def _cmd_gt_sweep(args) -> int:
     cfg = _config(args)
-    for fraction in args.fractions:
+    for fraction in _nonempty("--fractions", args.fractions):
         check_gt_fraction(fraction)
     series = pipeline.gt_sweep(load(args.data, args.format), cfg, fractions=args.fractions)
     _emit(_series_json("gt_fraction", series, args), args.out)

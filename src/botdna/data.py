@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -170,15 +171,26 @@ class _Utf8Lines:
         return invalid
 
 
+# A tweet's post fields, in ``PostRecord`` order, read in one call when it has all five.
+_TWEET_FIELDS = operator.itemgetter("ts", "kind", "urls", "hashtags", "mentions")
+
+
+def _tweet_fields(tweet: dict) -> tuple:
+    """``_TWEET_FIELDS`` of a tweet that may leave out an entity count, which is then 0."""
+    return tweet["ts"], tweet["kind"], tweet.get("urls", 0), tweet.get("hashtags", 0), tweet.get("mentions", 0)
+
+
 def _jsonl_timeline(user_id: str, label: str | None, tweets: list) -> tuple[UserTimeline | None, int]:
     """The timeline of the user's well-formed tweets (None if none is) and the malformed count."""
     if not tweets:
         return None, 0
     try:  # every tweet at once, checked by column
-        codes = [POST_KIND_CODES[t["kind"]] for t in tweets]
-        timeline = UserTimeline.from_columns(
-            user_id, label, [t["ts"] for t in tweets], codes, [t.get("urls", 0) for t in tweets],
-            [t.get("hashtags", 0) for t in tweets], [t.get("mentions", 0) for t in tweets])
+        try:
+            ts, kinds, *counts = zip(*map(_TWEET_FIELDS, tweets))
+        except KeyError:  # some tweet leaves out a field
+            ts, kinds, *counts = zip(*map(_tweet_fields, tweets))
+        codes = list(map(POST_KIND_CODES.__getitem__, kinds))
+        timeline = UserTimeline.from_columns(user_id, label, ts, codes, *counts)
         # Every value passes if the least ones do; sorted, timestamps[0] is the least.
         _check_signs(timeline.timestamps[0], timeline.urls.min(), timeline.hashtags.min(), timeline.mentions.min())
         return timeline, 0
@@ -187,8 +199,7 @@ def _jsonl_timeline(user_id: str, label: str | None, tweets: list) -> tuple[User
     posts = []  # some tweet is malformed: find which, one by one
     for tweet in tweets:
         try:
-            posts.append(_post_fields(tweet["ts"], tweet["kind"], tweet.get("urls", 0), tweet.get("hashtags", 0),
-                                      tweet.get("mentions", 0)))
+            posts.append(_post_fields(*_tweet_fields(tweet)))
         except _RECORD_ERRORS:
             pass
     timeline = UserTimeline.from_columns(user_id, label, *zip(*posts)) if posts else None

@@ -58,9 +58,12 @@ class PostRecord(NamedTuple):
 def to_int64(value) -> int:
     """``value`` as an int64, or ``ValueError``.
 
-    Integers, integral floats and integer strings pass; a non-integral
-    value is never truncated, and a value outside int64 never wraps.
+    Integers, integral floats and integer strings pass; a bool fails,
+    though it compares equal to 0 or 1; a non-integral value is never
+    truncated, and a value outside int64 never wraps.
     """
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"not an integer: {value!r}")
     try:
         number = int(value)
     except (TypeError, OverflowError):  # int(None), int(float("inf"))
@@ -74,10 +77,12 @@ def to_int64(value) -> int:
 
 def _int64_column(values) -> np.ndarray:
     """``values`` as an int64 column, each value held to ``to_int64``."""
-    try:  # only exact integers inside int64 pack: no float, string or wider value
-        return np.frombuffer(struct.pack(f"{len(values)}q", *values), dtype=np.int64)
-    except (struct.error, TypeError):
-        return np.array([to_int64(v) for v in values], dtype=np.int64)
+    if bool not in set(map(type, values)):  # struct would pack a bool as 0 or 1
+        try:  # only exact integers inside int64 pack: no float, string or wider value
+            return np.frombuffer(struct.pack(f"{len(values)}q", *values), dtype=np.int64)
+        except (struct.error, TypeError):
+            pass
+    return np.array([to_int64(v) for v in values], dtype=np.int64)
 
 
 class _Posts:

@@ -7,14 +7,23 @@ probability ``1 - (1 - s**rows)**bands`` for true similarity ``s``.
 ``lsh_plan`` picks the factorization whose curve best matches a target
 similarity threshold.
 
+A digest is only a bucket key: band ``b`` of values ``v`` digests to
+``offset[b] + sum_r coeff[b, r] * v[b, r]`` in wrapping u64 arithmetic
+(modulo 2**64), with coefficients and offsets drawn from the seed.  The
+coefficients are odd, so invertible modulo 2**64, and two groups that
+differ in exactly one value never share a digest.  Groups that differ in
+more may, rarely; such a user is a candidate whose equal positions are
+then counted on the values themselves, as for any other.
+
 In memory the index is columnar: one signature matrix, one band-digest
 matrix and one label array, a row per user in insertion order.  Storing a
 user writes only its signature and label.  ``band_digests`` digests one
-signature or a whole matrix of them in one vectorised call;
-``neighbor_votes`` makes one call per 128 KiB step of query signatures
-(128 at 128 permutations).  A query looks all its band digests up at once
-in a single sorted table of every stored digest, keeps the hits whose band
-matches, and counts equal signature positions for the candidates with one
+signature or a whole matrix of them on one path: one multiply, one row-sum
+and one add per 128 KiB step of values (128 signatures at 128
+permutations); ``neighbor_votes`` makes one call per such step of query
+signatures.  A query looks all its band digests up at once in a single
+sorted table of every stored digest, keeps the hits whose band matches,
+and counts equal signature positions for the candidates with one
 vectorised compare, summed into u8 (u16 above 255 permutations).  The
 table keeps, beside each sorted digest, only its flat position
 ``ordinal * bands + band`` (int32 while the table has fewer than 2**31
@@ -58,6 +67,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -71,12 +81,10 @@ from .errors import DuplicateUser, FormatError
 from .minhash import (
     _TAG_BAND_DIGEST,
     MinHashSignature,
-    _mulmod_limbs,
     check_compatible,
     check_k_shingle,
     check_num_perm,
     check_seed,
-    fold_m61,
     rng_for,
 )
 
@@ -210,26 +218,18 @@ class Neighbor(NamedTuple):
 _DIGEST_STEP_BYTES = 1 << 17
 
 
-def _band_sums(values: np.ndarray, a_hi: np.ndarray, a_lo: np.ndarray) -> np.ndarray:
-    """Per band, the sum of ``a * value mod p`` over an ``(n, bands, rows)`` array of values."""
-    grid = fold_m61(values)
-    fold_m61(_mulmod_limbs(a_hi, a_lo, grid, out=grid), out=grid)
-    return grid.sum(axis=-1, dtype=np.uint64)
-
-
 @lru_cache(maxsize=64)
-def _digest_params(seed: int, bands: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """High and low 32-bit limbs of the digest coefficients, and the offsets.
+def _digest_params(seed: int, bands: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The digest coefficients, odd 64-bit values, and the offsets.
 
-    The limbs are ``(1, bands, rows)`` and the offsets ``(1, bands)``: with
-    a leading axis of one, a one-row block skips broadcasting, which costs
-    numpy about a microsecond per operation.
+    The coefficients are ``(1, bands, rows)`` and the offsets ``(1, bands)``:
+    with a leading axis of one, a one-row call skips broadcasting, which
+    costs numpy about a microsecond per operation.
     """
     rng = rng_for(seed, _TAG_BAND_DIGEST)
-    prime = (1 << 61) - 1
-    coeffs = rng.integers(1, prime, size=(1, bands, rows), dtype=np.uint64)
+    coeffs = rng.integers(0, 1 << 64, size=(1, bands, rows), dtype=np.uint64) | np.uint64(1)
     offsets = rng.integers(0, 1 << 64, size=(1, bands), dtype=np.uint64)
-    return coeffs >> np.uint64(32), coeffs & np.uint64(0xFFFFFFFF), offsets
+    return coeffs, offsets
 
 
 # (dictionary, codes) of a matrix's columns, both None when it cannot be coded.
@@ -363,18 +363,18 @@ class LshIndex:
 
         ``values`` is one signature's ``num_perm`` values, giving ``bands``
         digests, or an ``(n, num_perm)`` matrix of them, giving an
-        ``(n, bands)`` matrix whose row ``i`` digests row ``i``.
+        ``(n, bands)`` matrix whose row ``i`` digests row ``i``.  Band
+        ``b`` digests to ``offset[b] + sum_r coeff[b, r] * value[b, r]``
+        modulo 2**64 (see the module docstring).
         """
         bands, rows = self.plan.bands, self.plan.rows
-        a_hi, a_lo, offsets = _digest_params(self.seed, bands, rows)
+        coeffs, offsets = _digest_params(self.seed, bands, rows)
         flat = values.reshape(-1, bands, rows)
+        digests = np.empty(flat.shape[:2], dtype=np.uint64)
         step = max(1, _DIGEST_STEP_BYTES // (8 * values.shape[-1]))
-        if len(flat) <= step:
-            digests = _band_sums(flat, a_hi, a_lo)
-        else:  # in steps, so that the arithmetic's temporaries stay small and in cache
-            digests = np.concatenate([_band_sums(flat[i : i + step], a_hi, a_lo)
-                                      for i in range(0, len(flat), step)])
-        digests += offsets  # u64 wraparound intended
+        for i in range(0, len(flat), step):  # in steps, so that the products stay small and in cache
+            sums = (flat[i : i + step] * coeffs).sum(axis=-1, dtype=np.uint64)  # wrapping, mod 2**64
+            np.add(sums, offsets, out=digests[i : i + step])
         return digests.reshape(values.shape[:-1] + (bands,))
 
     def _reserve(self, end: int) -> None:
@@ -525,10 +525,14 @@ class LshIndex:
     def neighbor_votes(self, sigs: Iterable[MinHashSignature], floor: float) -> list[tuple[int, int]]:
         """(neighbors, bot votes) per signature, checking all of them first.
 
-        The neighbors are the ``query`` candidates whose ``jaccard`` (the
-        same division, ``matches / num_perm``) reaches ``floor``.
+        The neighbors are the ``query`` candidates whose ``jaccard``,
+        ``matches / num_perm``, reaches ``floor``.  The call turns ``floor``
+        once into the least count ``need`` whose quotient, the same float64
+        division, reaches it, and keeps the candidates with ``matches >=
+        need``: the quotients rise with the count, so the two agree.
         """
         check_floor(floor)
+        need = bisect_left(range(self.num_perm + 1), floor, key=lambda m: m / self.num_perm)
         sigs = list(sigs)
         for sig in sigs:
             check_compatible(sig, self.num_perm, self.seed)
@@ -537,7 +541,7 @@ class LshIndex:
             values = np.array([sig.values for sig in sigs[start : start + step]], np.uint64)
             for row, digests in zip(values, self.band_digests(values)):
                 ordinals, matches = self._candidates(row, digests)
-                kept = ordinals[matches / self.num_perm >= floor]
+                kept = ordinals[matches >= need]
                 votes.append((len(kept), int(np.count_nonzero(self._is_bot[kept]))))
         return votes
 

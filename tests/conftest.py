@@ -67,6 +67,13 @@ def counting_digests(monkeypatch) -> list[tuple[int, ...]]:
     return calls
 
 
+def floors_around(num_perm: int, counts) -> list[float]:
+    """Each quotient ``m / num_perm`` of ``counts`` and the floats just below and above it, in [0, 1]."""
+    quotients = np.asarray(counts) / num_perm
+    near = np.concatenate([quotients, np.nextafter(quotients, -1.0), np.nextafter(quotients, 2.0)])
+    return sorted(set(near[(near >= 0.0) & (near <= 1.0)].tolist()))
+
+
 def draw_index_parts(data):
     """Draw an empty small index, labeled signatures and query signatures.
 

@@ -13,7 +13,7 @@ from botdna.errors import IncompatibleSignatures, MissingLabel
 from botdna.lsh import _DENSE_SCAN_SHARE, LshIndex, Neighbor, lsh_plan
 from botdna.minhash import MinHashSignature, minhash
 
-from conftest import draw_index_parts, exact_jaccard, make_set_pair
+from conftest import draw_index_parts, exact_jaccard, floors_around, make_set_pair
 
 
 def neighbors_from_labels(labels, query_id="q"):
@@ -112,11 +112,15 @@ class TestClassify:
         for stage in (entries[:split], entries[split:]):
             for sig, label in stage:
                 index.insert(sig, label)
+            # A quotient m / num_perm, and the floats on either side of it.
+            count = data.draw(st.integers(0, index.num_perm), label="count at the floor")
+            floors = [0.0, index.plan.threshold, 1.0] + floors_around(index.num_perm, [count])
             for probe in probes:
-                for floor in (0.0, index.plan.threshold, 1.0):
-                    got = classify(index, probe, floor)
-                    kept = [nb for nb in index.query(probe) if nb.jaccard >= floor]
-                    assert got == vote(NeighborSet(probe.user_id, kept))
+                got = [classify(index, probe, floor) for floor in floors]
+                neighbors = index.query(probe)
+                for floor, prediction in zip(floors, got):
+                    kept = [nb for nb in neighbors if nb.jaccard >= floor]
+                    assert prediction == vote(NeighborSet(probe.user_id, kept))
                 assert classify(index, probe) == classify(index, probe, index.plan.threshold)
 
     def test_classify_many_equals_classify_each(self):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from botdna import pipeline
-from botdna.cli import main
+from botdna.cli import _parse_int_list, main
 from botdna.data import Dataset
 from botdna.classify import classify_many
 from botdna.data import load
@@ -272,7 +272,36 @@ BAD_LISTS = [
     ("early-detection", "--caps", "0,20", "max_tweets"),
     ("early-detection", "--caps", "40,20", "caps must be ascending"),
     ("gt-sweep", "--fractions", "0.3,1.5", "gt_fraction"),
+    ("early-detection", "--caps", "200..20", "--caps gives no value"),
+    ("early-detection", "--caps", ",", "--caps gives no value"),
+    ("gt-sweep", "--fractions", ",", "--fractions gives no value"),
 ]
+
+PARSED_INT_LISTS = [
+    ("2,4,8", [2, 4, 8]),
+    (" 3 , 1..2 ,", [3, 1, 2]),
+    ("2..5", [2, 3, 4, 5]),
+    ("5..5", [5]),
+    ("9..2", []),
+    ("20..100..20", [20, 40, 60, 80, 100]),
+    ("1..9..3", [1, 4, 7]),
+    ("10..2..-2", [10, 8, 6, 4, 2]),
+    ("10..1..-4", [10, 6, 2]),
+    ("2..10..-2", []),
+    ("", []),
+]
+
+
+@pytest.mark.parametrize("text,expected", PARSED_INT_LISTS)
+def test_parse_int_list(text, expected):
+    # A range includes its end whenever the steps land on it, in either direction.
+    assert _parse_int_list(text) == expected
+
+
+@pytest.mark.parametrize("text", ["1..2..3..4", "1..5..0", "a", "1..b"])
+def test_parse_int_list_refuses(text):
+    with pytest.raises(ValueError):
+        _parse_int_list(text)
 
 
 class TestChecksBeforeLoad:

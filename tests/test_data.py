@@ -159,10 +159,12 @@ class TestLoadJsonl:
         "fields",
         [{"ts": 1e300}, {"ts": 100.5}, {"ts": "1.5e3"}, {"ts": 2**63}, {"ts": 0}, {"ts": True, "urls": -1},
          {"urls": 0.5}, {"mentions": 2**63}, {"kind": "teleport"}, {"kind": None}, {"kind": ["plain"]},
-         {"hashtags": None}],
+         {"hashtags": None}, {"ts": True}, {"urls": True}, {"hashtags": True}, {"mentions": False},
+         {"kind": True}],
         ids=["ts-1e300", "ts-fraction", "ts-fraction-string", "ts-past-int64", "ts-zero",
              "negative-url", "url-fraction", "mentions-past-int64", "unknown-kind", "null-kind",
-             "list-kind", "null-hashtags"],
+             "list-kind", "null-hashtags", "ts-true", "urls-true", "hashtags-true", "mentions-false",
+             "kind-true"],
     )
     def test_odd_tweet_value_is_one_malformed_record(self, tmp_path, fields):
         odd = {"ts": 200, "kind": "plain", **fields}
@@ -173,7 +175,7 @@ class TestLoadJsonl:
         assert ds.by_id()["odd"].posts == [PostRecord(100, "reply"), PostRecord(300, "retweet", 2, 0, 0)]
 
     def test_integral_values_load_exactly(self, tmp_path):
-        tweets = [{"ts": 300.0, "kind": "plain", "urls": "2"}, {"ts": "100", "kind": "reply", "urls": True},
+        tweets = [{"ts": 300.0, "kind": "plain", "urls": "2"}, {"ts": "100", "kind": "reply", "urls": 1.0},
                   {"ts": 2**63 - 1, "kind": "retweet"}]
         ds = load(write_jsonl(tmp_path / "d.jsonl", [user_doc("u1", tweets=tweets)]))
         assert ds.malformed_count == 0
@@ -230,6 +232,18 @@ class TestLoadCsv:
         ds = load(path, format="csv")
         assert ds.malformed_count == 1
         assert len(ds) == 60
+        assert sum(len(u) for u in ds.users) == 600
+
+    @pytest.mark.parametrize("field", ["ts", "urls", "hashtags", "mentions"])
+    @pytest.mark.parametrize("flag", ["True", "true", "False"])
+    def test_bool_text_is_one_malformed_row(self, tmp_path, field, flag):
+        rows = [f"u{i % 60},bot,{100 + i},plain,0,1,0" for i in range(600)]
+        odd = dict(user_id="u0", label="bot", ts="5", kind="plain", urls="0", hashtags="0", mentions="0")
+        rows.insert(300, ",".join({**odd, field: flag}.values()))
+        path = tmp_path / "d.csv"
+        path.write_text(self.HEADER + "\n" + "\n".join(rows) + "\n")
+        ds = load(path, format="csv")
+        assert ds.malformed_count == 1
         assert sum(len(u) for u in ds.users) == 600
 
     def test_header_past_the_parser_limit_is_format_error(self, tmp_path):

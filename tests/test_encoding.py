@@ -325,15 +325,26 @@ class TestUserTimeline:
         "bad",
         [post(ts=0.5), post(ts=2**63), post(ts=-(2**63) - 1), post(ts=1e300), post(ts=float("nan")),
          post(ts=float("inf")), post(ts=None), post(ts="1.5"), post(urls=0.5), post(mentions=2**64),
-         post(kind="teleport"), post(kind=None), post(kind=["plain"])],
+         post(kind="teleport"), post(kind=None), post(kind=["plain"]), post(ts=True), post(urls=True),
+         post(hashtags=False), post(mentions=np.True_)],
         ids=["half", "2**63", "below-int64", "1e300", "nan", "inf", "none", "fraction-string",
-             "half-url", "huge-mentions", "unknown-kind", "none-kind", "unhashable-kind"],
+             "half-url", "huge-mentions", "unknown-kind", "none-kind", "unhashable-kind", "bool-ts",
+             "bool-urls", "bool-hashtags", "numpy-bool-mentions"],
     )
     def test_bad_post_raises_at_construction(self, bad):
         with pytest.raises(ValueError):
             UserTimeline("u", None, [post(ts=1), bad])
 
+    @pytest.mark.parametrize("column", range(5))
+    @pytest.mark.parametrize("flag", [True, False, np.True_], ids=["True", "False", "numpy-True"])
+    def test_from_columns_refuses_a_bool(self, column, flag):
+        # A bool compares equal to 0 or 1, but it is no time, kind or count.
+        columns = [[100, 200], [0, 1], [0, 1], [0, 1], [0, 1]]
+        columns[column][0] = flag
+        with pytest.raises(ValueError, match="not an integer"):
+            UserTimeline.from_columns("u", None, *columns)
+
     def test_integral_values_are_kept_exactly(self):
-        posts = [post(ts=100.0), post(ts="200"), post(ts=np.int32(300), urls=True)]
+        posts = [post(ts=100.0), post(ts="200"), post(ts=np.int32(300), urls=1.0)]
         timeline = UserTimeline("u", None, posts)
         assert timeline.posts == [post(ts=100), post(ts=200), post(ts=300, urls=1)]

@@ -16,12 +16,13 @@ from botdna.lsh import (
     BandingPlan,
     LshIndex,
     Neighbor,
+    _digest_params,
     _gauss_legendre,
     lsh_plan,
 )
 from botdna.minhash import MinHashSignature, minhash
 
-from conftest import counting_digests, draw_index_parts, exact_jaccard, make_set_pair
+from conftest import counting_digests, draw_index_parts, exact_jaccard, floors_around, make_set_pair
 
 
 def sig_of(shingle_set, num_perm=128, seed=1):
@@ -395,14 +396,40 @@ class TestInsertMany:
         )
         index = LshIndex(BandingPlan(0.5, bands, num_perm // bands), num_perm, seed=5)
         n = data.draw(st.integers(0, 5), label="n")
-        # Full u64 range, so the fold below 2**61 - 1 is exercised too.
+        # Full u64 range, so the products and sums wrap.
         rows = st.lists(st.integers(0, (1 << 64) - 1), min_size=num_perm, max_size=num_perm)
         matrix = np.array(data.draw(st.lists(rows, min_size=n, max_size=n)), dtype=np.uint64)
         matrix = matrix.reshape(n, num_perm)
         got = index.band_digests(matrix)
         assert got.shape == (n, bands) and got.dtype == np.uint64
+        # The reference: offset + sum of coefficient * value per band, in Python integers modulo 2**64.
+        coeffs, offsets = (a.tolist()[0] for a in _digest_params(5, bands, num_perm // bands))
+        assert all(c % 2 for band in coeffs for c in band)  # odd, so invertible modulo 2**64
         for row, digests in zip(matrix, got):
             np.testing.assert_array_equal(digests, index.band_digests(row))
+            groups = np.array(row).reshape(bands, -1).tolist()
+            want = [(o + sum(map(int.__mul__, c, g))) % (1 << 64) for o, c, g in zip(offsets, coeffs, groups)]
+            assert digests.tolist() == want
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_one_changed_value_changes_its_bands_digest_only(self, data):
+        # The coefficients are odd, so invertible modulo 2**64: a band
+        # tuple that differs in exactly one position never shares its
+        # digest, while every other band keeps its own.
+        num_perm = data.draw(st.sampled_from([2, 6, 8, 12, 128]), label="num_perm")
+        bands = data.draw(
+            st.sampled_from([b for b in range(1, num_perm + 1) if num_perm % b == 0]), label="bands"
+        )
+        seed = data.draw(st.integers(0, (1 << 64) - 1), label="seed")
+        index = LshIndex(BandingPlan(0.5, bands, num_perm // bands), num_perm, seed)
+        value = st.integers(0, (1 << 64) - 1)
+        row = np.array(data.draw(st.lists(value, min_size=num_perm, max_size=num_perm)), dtype=np.uint64)
+        at = data.draw(st.integers(0, num_perm - 1), label="position")
+        changed = row.copy()
+        changed[at] = data.draw(value.filter(lambda v: v != int(row[at])), label="new value")
+        same = index.band_digests(row) == index.band_digests(changed)
+        assert same.tolist() == [b != at // index.plan.rows for b in range(bands)]
 
     def test_band_digests_of_a_block_keep_their_temporaries_small(self):
         # 1000 signatures of 128 values (1 MB): digested in steps of 128
@@ -432,10 +459,13 @@ class TestNeighborVotes:
             rows = data.draw(st.integers(1, 4), label="rows per block")
             monkeypatch.setattr("botdna.lsh._DIGEST_STEP_BYTES", rows * 8 * parts.num_perm)
             index = sequential(parts, entries)
-            for floor in (0.0, 0.5, index.plan.threshold, 1.0):
+            neighbors = [index.query(probe) for probe in probes]
+            # Every quotient m / num_perm, and the floats on either side of it.
+            floors = floors_around(index.num_perm, range(index.num_perm + 1))
+            for floor in [0.5, index.plan.threshold] + floors:
                 want = []
-                for probe in probes:
-                    kept = [nb for nb in index.query(probe) if nb.jaccard >= floor]
+                for found in neighbors:
+                    kept = [nb for nb in found if nb.jaccard >= floor]
                     want.append((len(kept), sum(nb.label == "bot" for nb in kept)))
                 assert index.neighbor_votes(iter(probes), floor) == want
 
@@ -590,23 +620,20 @@ class TestQuery:
         """An index holding the all-zero signature, and a probe whose digest
         in one band equals the stored digest of another band.
 
-        With rows=1, band b of values v digests to c[b]*v[b] mod p + o[b];
-        read c and o back through band_digests and solve for a value whose
-        band-b2 digest equals the all-zero signature's band-b1 one.
+        With rows=1, band b of values v digests to o[b] + c[b]*v[b] modulo
+        2**64, c[b] odd; read c and o back through band_digests and solve,
+        modulo 2**64, for the value whose band-b2 digest equals the
+        all-zero signature's band-b1 one.
         """
-        prime = (1 << 61) - 1
+        wrap = 1 << 64
         index = LshIndex(BandingPlan(0.01, num_perm, 1), num_perm, seed=3)
         offsets = index.band_digests(np.zeros(num_perm, dtype=np.uint64))
         coeffs = index.band_digests(np.ones(num_perm, dtype=np.uint64)) - offsets
-        gaps = {
-            (b1, b2): (int(offsets[b1]) - int(offsets[b2])) % (1 << 64)
-            for b1 in range(num_perm)
-            for b2 in range(num_perm)
-            if b1 != b2
-        }
-        (b1, b2), gap = next((pair, gap) for pair, gap in gaps.items() if 0 < gap < prime)
+        b1, b2 = 0, num_perm - 1
+        gap = (int(offsets[b1]) - int(offsets[b2])) % wrap
+        assert gap  # else the probe would equal the stored signature in band b2
         values = np.ones(num_perm, dtype=np.uint64)
-        values[b2] = gap * pow(int(coeffs[b2]), -1, prime) % prime
+        values[b2] = gap * pow(int(coeffs[b2]), -1, wrap) % wrap
         probe = MinHashSignature("probe", num_perm, 3, values)
         assert index.band_digests(values)[b2] == offsets[b1]
         index.insert(MinHashSignature("zeros", num_perm, 3, np.zeros(num_perm, dtype=np.uint64)), "bot")
