@@ -38,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .encoding import BOT, HUMAN, POST_KIND_CODES, UserTimeline, to_int64
+from .encoding import BOT, HUMAN, POST_KIND_CODES, UserTimeline, kind_codes, to_int64
 from .errors import FormatError, IntegrityError, UnknownUser
 from .minhash import _check_integer, check_seed, rng_for
 
@@ -189,8 +189,7 @@ def _jsonl_timeline(user_id: str, label: str | None, tweets: list) -> tuple[User
             ts, kinds, *counts = zip(*map(_TWEET_FIELDS, tweets))
         except KeyError:  # some tweet leaves out a field
             ts, kinds, *counts = zip(*map(_tweet_fields, tweets))
-        codes = list(map(POST_KIND_CODES.__getitem__, kinds))
-        timeline = UserTimeline.from_columns(user_id, label, ts, codes, *counts)
+        timeline = UserTimeline.from_columns(user_id, label, ts, kind_codes(kinds), *counts)
         # Every value passes if the least ones do; sorted, timestamps[0] is the least.
         _check_signs(timeline.timestamps[0], timeline.urls.min(), timeline.hashtags.min(), timeline.mentions.min())
         return timeline, 0

@@ -77,12 +77,23 @@ def to_int64(value) -> int:
 
 def _int64_column(values) -> np.ndarray:
     """``values`` as an int64 column, each value held to ``to_int64``."""
-    if bool not in set(map(type, values)):  # struct would pack a bool as 0 or 1
-        try:  # only exact integers inside int64 pack: no float, string or wider value
-            return np.frombuffer(struct.pack(f"{len(values)}q", *values), dtype=np.int64)
-        except (struct.error, TypeError):
-            pass
+    try:  # only exact integers inside int64 pack: no float, string or wider value
+        column = np.frombuffer(struct.pack(f"{len(values)}q", *values), dtype=np.int64)
+    except (struct.error, TypeError):
+        pass
+    else:
+        # struct packs a bool as 0 or 1, so a column whose least value exceeds 1 holds none.
+        if not len(column) or column.min() > 1 or bool not in set(map(type, values)):
+            return column
     return np.array([to_int64(v) for v in values], dtype=np.int64)
+
+
+def kind_codes(kinds) -> np.ndarray:
+    """The uint8 codes into ``POST_KINDS`` of ``kinds``; an unknown kind raises ``ValueError``."""
+    try:
+        return np.frombuffer(bytes(map(POST_KIND_CODES.__getitem__, kinds)), dtype=np.uint8)
+    except (KeyError, TypeError) as exc:  # TypeError: an unhashable kind
+        raise ValueError(f"unknown post kind: {exc}") from None
 
 
 class _Posts:
@@ -97,11 +108,7 @@ class _Posts:
 
     def __set__(self, timeline, posts):
         timestamps, kinds, *counts = tuple(zip(*posts)) or ((),) * len(PostRecord._fields)
-        try:
-            codes = np.frombuffer(bytes(map(POST_KIND_CODES.__getitem__, kinds)), dtype=np.uint8)
-        except (KeyError, TypeError) as exc:  # TypeError: an unhashable kind
-            raise ValueError(f"unknown post kind: {exc}") from None
-        timeline._store(_int64_column(timestamps), codes, *map(_int64_column, counts))
+        timeline._store(_int64_column(timestamps), kind_codes(kinds), *map(_int64_column, counts))
 
 
 @dataclass
@@ -128,11 +135,13 @@ class UserTimeline:
         """A timeline from equal-length post columns, ``kinds`` as codes into ``POST_KINDS``.
 
         No ``PostRecord`` is built; the values are checked as the constructor checks them.
+        ``kinds`` may be a uint8 array, which holds no bool and so is not screened for one.
         """
         columns = timestamps, kinds, urls, hashtags, mentions
         if len({len(c) for c in columns}) != 1:
             raise ValueError(f"post columns of different lengths: {[len(c) for c in columns]}")
-        codes = _int64_column(kinds)
+        is_u8 = isinstance(kinds, np.ndarray) and kinds.dtype == np.uint8
+        codes = kinds if is_u8 else _int64_column(kinds)
         if len(codes) and not (0 <= codes.min() and codes.max() < len(POST_KINDS)):
             raise ValueError(f"post kind code outside 0..{len(POST_KINDS) - 1}")
         timeline = cls.__new__(cls)

@@ -6,7 +6,9 @@ a given index), classifies the test side and scores it.  A signature
 depends only on (alphabets, k_shingle, num_perm, seed) and the post cap,
 so configs that differ only in threshold, floor or split share one sketch
 pass: ``grid_search`` sketches once per (alphabets, k_shingle) group and
-``gt_sweep`` once for all its fractions.
+``gt_sweep`` once for all its fractions.  A DNA string depends only on the
+alphabets and the post cap, so a serial ``grid_search`` also encodes each
+user once per alphabet subset and shingles that string for every k.
 
 Every protocol is deterministic for a fixed (dataset, RunConfig): splits,
 hash families, and band digests all derive from the config seed, so reruns
@@ -23,7 +25,7 @@ import time
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import product, repeat
+from itertools import groupby, product, repeat
 
 from .classify import EvaluationReport, Prediction, classify_many, score
 from .data import Dataset, SplitSpec, cap_tweets, check_max_tweets, filter_min_length, split
@@ -124,12 +126,28 @@ def _peak_rss_mb() -> float:
 
 def signature_for(timeline: UserTimeline, cfg: RunConfig) -> MinHashSignature:
     """Encode -> shingle -> minhash for one user under a config."""
-    seq = encode_user(timeline, cfg.alphabets)
+    return _sign(encode_user(timeline, cfg.alphabets), cfg)
+
+
+def _sign(seq: DnaSequence, cfg: RunConfig) -> MinHashSignature:
     return minhash(shingle(seq, cfg.k_shingle), cfg.num_perm, cfg.seed)
 
 
-def _sketch(users: list[UserTimeline], cfg: RunConfig) -> list[MinHashSignature]:
-    return [signature_for(u, cfg) for u in users]
+def _sketch(users: list[UserTimeline], cfg: RunConfig,
+            seqs: dict[str, DnaSequence] | None = None) -> list[MinHashSignature]:
+    """Every user's signature under ``cfg``.
+
+    ``seqs`` maps user ids to DNA under ``cfg.alphabets``: a user found
+    there is not encoded again, and one not found is encoded and added.
+    Keyed by id, it is sound only while each id names one timeline under
+    one post cap, as within one ``grid_search`` call.
+    """
+    if seqs is None:
+        return [signature_for(u, cfg) for u in users]
+    for u in users:
+        if u.user_id not in seqs:
+            seqs[u.user_id] = encode_user(u, cfg.alphabets)
+    return [_sign(seqs[u.user_id], cfg) for u in users]
 
 
 def new_index(cfg: RunConfig) -> LshIndex:
@@ -201,14 +219,16 @@ def _run(
     return predictions, report
 
 
-def _evaluate_shared(ds: Dataset, cfgs: list[RunConfig]) -> list[EvaluationReport]:
+def _evaluate_shared(ds: Dataset, cfgs: list[RunConfig],
+                     seqs: dict[str, DnaSequence] | None = None) -> list[EvaluationReport]:
     """Evaluate configs that differ only in threshold, floor and split.
 
     The dataset is preprocessed once, each distinct split is made once,
     and each user is sketched once, the first time a split needs them;
     all later configs reuse those signatures.  A report's ``preprocess_s``
     is the time that config added (preprocess, split, sketch), so a config
-    that reuses everything reads 0.0.
+    that reuses everything reads 0.0.  ``seqs`` is ``_sketch``'s map of
+    DNA already encoded under these configs' alphabets and post cap.
     """
     t0 = _now()
     filtered, removed = preprocess(ds, cfgs[0])
@@ -222,7 +242,7 @@ def _evaluate_shared(ds: Dataset, cfgs: list[RunConfig]) -> list[EvaluationRepor
         else:
             gt_ds, test_ds = split(filtered, cfg.split)
             fresh = [u for u in (*gt_ds.users, *test_ds.users) if u.user_id not in sigs]
-            sigs.update(zip((u.user_id for u in fresh), _sketch(fresh, cfg)))
+            sigs.update(zip((u.user_id for u in fresh), _sketch(fresh, cfg, seqs)))
             sides[cfg.split] = (
                 gt_ds.users,
                 [sigs[u.user_id] for u in gt_ds.users],
@@ -308,10 +328,14 @@ def grid_search(
     Cells that share ``(alphabets, k_shingle)`` form one group: the group
     is preprocessed, split and sketched once, and only the index, classify
     and score steps run per threshold.  The first cell of a group carries
-    the group's ``preprocess_s``; its other cells read 0.0.  With
+    the group's ``preprocess_s``; its other cells read 0.0.  Run serially,
+    the groups of one alphabet subset share its users' DNA strings, held
+    only until the subset changes: each user is encoded once per subset,
+    so the subset's first group carries the encoding in its
+    ``preprocess_s`` and later groups only shingling and sketching.  With
     ``jobs > 1`` the groups run in a process pool of ``min(jobs, groups)``
-    workers, one task per group, so the dataset is pickled once per group.
-    ``jobs < 1`` raises ``ValueError``.
+    workers, one task per group, so the dataset is pickled once per group
+    and each group encodes for itself.  ``jobs < 1`` raises ``ValueError``.
 
     Ties break toward smaller k, then larger threshold.  Cell execution
     order never affects the ranking.
@@ -323,7 +347,10 @@ def grid_search(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_evaluate_shared, repeat(ds, len(groups)), groups))
     else:
-        results = [_evaluate_shared(ds, cfgs) for cfgs in groups]
+        results = []
+        for _, subset in groupby(groups, key=lambda cfgs: cfgs[0].alphabets):
+            seqs: dict[str, DnaSequence] = {}  # every group shares ds and base.max_tweets
+            results += [_evaluate_shared(ds, cfgs, seqs) for cfgs in subset]
     return sorted((r for reports in results for r in reports), key=_rank_key)
 
 

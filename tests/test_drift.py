@@ -39,6 +39,9 @@ CASES = {
     "evaluate-split-file": ("evaluate", "{gt}", "--split-file", "{root}/gt_ids.txt,{root}/test_ids.txt"),
     "grid-search": ("grid-search", "{gt}", "--k-grid", "3,4", "--threshold-grid", "0.3,0.6",
                     "--alphabet-grid", "B3/B3,B5"),
+    # Serially a grid shares each alphabet subset's encodings; in a pool each group encodes alone.
+    "grid-search-jobs-2": ("grid-search", "{gt}", "--k-grid", "3,4", "--threshold-grid", "0.3,0.6",
+                           "--alphabet-grid", "B3/B3,B5", "--jobs", "2"),
     "early-detection": ("early-detection", "{gt}", "--caps", "20,40,80"),
     "gt-sweep": ("gt-sweep", "{gt}", "--fractions", "0.2,0.5"),
     "cross-dataset": ("cross-dataset", "{gt}", "{other}"),
@@ -49,6 +52,7 @@ PINNED = {
     "evaluate": "2c8e0dc0837919a0a03fa5a24c0f611bffa45ba6fbd3be7f9bd381facc7ba901",
     "evaluate-split-file": "62f6593824143210b825f4906199bce281a081a78a5a700a3928a7a71a38a0bb",
     "grid-search": "cacabed744174199df7f1c4840625b1fadb8da76e10af1d15a11e4c58dd2bb3a",
+    "grid-search-jobs-2": "cacabed744174199df7f1c4840625b1fadb8da76e10af1d15a11e4c58dd2bb3a",
     "early-detection": "aa3ae8e185a39898068348cebe4e374275da90f5364ab1f1aaedc8cbab2ecc5f",
     "gt-sweep": "0621c10fdf27a5a315fcec11e1cbd545485203717a305a41dd7dbe591d60cb77",
     "cross-dataset": "90dc97d4ccc721f4a550706aa7cff0eff55707428f77d97b03477369b32a2641",

@@ -309,8 +309,13 @@ class TestUserTimeline:
         posts = [post(ts=300, kind="reply", mentions=2), post(ts=100, urls=1), post(ts=100, kind="retweet")]
         columns = [[300, 100, 100], [2, 0, 1], [0, 1, 0], [0, 0, 0], [2, 0, 0]]
         assert UserTimeline.from_columns("u", "bot", *columns) == UserTimeline("u", "bot", posts)
+        kinds = np.array(columns[1], dtype=np.uint8)
+        timeline = UserTimeline.from_columns("u", "bot", columns[0], kinds, *columns[2:])
+        assert timeline == UserTimeline("u", "bot", posts)
+        assert kinds.flags.writeable  # the caller's array is copied, not frozen
 
-    @pytest.mark.parametrize("codes", [[0, 3], [-1, 0], [0]], ids=["code-3", "code-minus-1", "too-few"])
+    @pytest.mark.parametrize("codes", [[0, 3], [-1, 0], [0], np.array([0, 3], dtype=np.uint8)],
+                             ids=["code-3", "code-minus-1", "too-few", "u8-code-3"])
     def test_from_columns_rejects_bad_kind_codes(self, codes):
         with pytest.raises(ValueError):
             UserTimeline.from_columns("u", None, [1, 2], codes, [0, 0], [0, 0], [0, 0])
@@ -343,6 +348,12 @@ class TestUserTimeline:
         columns[column][0] = flag
         with pytest.raises(ValueError, match="not an integer"):
             UserTimeline.from_columns("u", None, *columns)
+
+    @pytest.mark.parametrize("timestamps", [[200, True], [True, 200]], ids=["bool-last", "bool-first"])
+    def test_from_columns_refuses_a_bool_beside_a_later_time(self, timestamps):
+        # The bool packs as 1, the column's least value, so it is still screened for.
+        with pytest.raises(ValueError, match="not an integer"):
+            UserTimeline.from_columns("u", None, timestamps, [0, 1], [0, 0], [0, 0], [0, 0])
 
     def test_integral_values_are_kept_exactly(self):
         posts = [post(ts=100.0), post(ts="200"), post(ts=np.int32(300), urls=1.0)]

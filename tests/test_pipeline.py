@@ -280,6 +280,47 @@ class TestGridSearch:
         assert len(set(filtered)) > 1  # the short users drop out of some groups only
         assert minhash_counter.calls == len(minhash_counter.keys) == sum(filtered)
 
+    def test_encodes_once_per_user_and_alphabet_subset(self, monkeypatch):
+        calls = []
+        encode_user = pipeline.encode_user
+
+        def counting(timeline, alphabets):
+            calls.append((timeline.user_id, tuple(alphabets)))
+            return encode_user(timeline, alphabets)
+
+        monkeypatch.setattr(pipeline, "encode_user", counting)
+        ds = noisy_dataset()
+        base = base_config(max_tweets=20)
+        subsets, ks = [("B3",), ("B3", "B9")], [5, 2]  # the short users join at the second k
+        grid_search(ds, base, ks=ks, thresholds=[0.3, 0.6], alphabet_subsets=subsets)
+        sketched = {
+            (u.user_id, a)
+            for a in subsets
+            for k in ks
+            for u in preprocess(ds, replace(base, alphabets=a, k_shingle=k))[0].users
+        }
+        assert len({uid for uid, _ in sketched}) == len(ds)
+        assert len(calls) == len(sketched) and set(calls) == sketched
+
+    def test_encodings_do_not_outlive_a_call(self):
+        # Same user ids, other posts: DNA kept from the first call would
+        # make the second call's cells disagree with evaluate.
+        base = base_config(max_tweets=20)
+        kwargs = dict(ks=[3, 5], thresholds=[0.3, 0.6], alphabet_subsets=[("B3",), ("B3", "B9")])
+        runs = []
+        for ds in (noisy_dataset(seed=7), noisy_dataset(seed=8)):
+            reports = grid_search(ds, base, **kwargs)
+            for report in reports:
+                cfg = replace(base, alphabets=tuple(report.config["alphabets"]),
+                              k_shingle=report.config["k_shingle"],
+                              threshold=report.config["threshold"])
+                assert report.to_json(include_timings=False) == evaluate(ds, cfg).to_json(
+                    include_timings=False
+                )
+            runs.append(([u.user_id for u in ds.users], [r.to_json(include_timings=False) for r in reports]))
+        (first_ids, first), (second_ids, second) = runs
+        assert first_ids == second_ids and first != second
+
     def test_shared_preprocess_time_is_on_first_cell_only(self):
         reports = grid_search(separable_dataset(n=20), base_config(), ks=[4],
                               thresholds=[0.2, 0.4, 0.6], alphabet_subsets=[("B3",)])
@@ -308,10 +349,11 @@ class TestGridSearch:
             grid_search(separable_dataset(n=4), base_config(), ks=[4], thresholds=[0.4], jobs=jobs)
 
     def test_parallel_jobs_match_sequential(self):
-        ds = separable_dataset(n=16, posts=40)
-        kwargs = dict(ks=[2, 4], thresholds=[0.4], alphabet_subsets=[("B3",)])
-        sequential = grid_search(ds, base_config(), jobs=1, **kwargs)
-        parallel = grid_search(ds, base_config(), jobs=2, **kwargs)
+        # Serially the groups of a subset share its encodings; in the pool each encodes for itself.
+        ds = noisy_dataset()
+        kwargs = dict(ks=[2, 5], thresholds=[0.4], alphabet_subsets=[("B3",), ("B5", "B9")])
+        sequential = grid_search(ds, base_config(max_tweets=20), jobs=1, **kwargs)
+        parallel = grid_search(ds, base_config(max_tweets=20), jobs=2, **kwargs)
         assert [r.to_json(include_timings=False) for r in sequential] == [
             r.to_json(include_timings=False) for r in parallel
         ]
