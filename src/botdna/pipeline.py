@@ -1,14 +1,15 @@
 """End-to-end evaluation protocols: encode, sketch, index, classify, score.
 
-Every protocol sketches its users with ``signature_for`` and hands the
-signatures to one core (``_run``) that indexes the ground truth (or takes
-a given index), classifies the test side and scores it.  A signature
-depends only on (alphabets, k_shingle, num_perm, seed) and the post cap,
-so configs that differ only in threshold, floor or split share one sketch
-pass: ``grid_search`` sketches once per (alphabets, k_shingle) group and
-``gt_sweep`` once for all its fractions.  A DNA string depends only on the
-alphabets and the post cap, so a serial ``grid_search`` also encodes each
-user once per alphabet subset and shingles that string for every k.
+Every protocol sketches its users as ``signature_for`` does (encode,
+shingle, minhash) and hands the signatures to one core (``_run``) that
+indexes the ground truth (or takes a given index), classifies the test
+side and scores it.  A signature depends only on (alphabets, k_shingle,
+num_perm, seed) and the post cap, so configs that differ only in
+threshold, floor or split share one sketch pass: ``grid_search``
+sketches once per (alphabets, k_shingle) group and ``gt_sweep`` once for
+all its fractions.  A DNA string depends only on the alphabets and the
+post cap, so a serial ``grid_search`` also encodes each user once per
+alphabet subset and shingles that string for every k.
 
 Every protocol is deterministic for a fixed (dataset, RunConfig): splits,
 hash families, and band digests all derive from the config seed, so reruns
@@ -140,10 +141,10 @@ def _sketch(users: list[UserTimeline], cfg: RunConfig,
     ``seqs`` maps user ids to DNA under ``cfg.alphabets``: a user found
     there is not encoded again, and one not found is encoded and added.
     Keyed by id, it is sound only while each id names one timeline under
-    one post cap, as within one ``grid_search`` call.
+    one post cap, as within one ``grid_search`` call; without it a fresh
+    map serves this call alone.
     """
-    if seqs is None:
-        return [signature_for(u, cfg) for u in users]
+    seqs = {} if seqs is None else seqs
     for u in users:
         if u.user_id not in seqs:
             seqs[u.user_id] = encode_user(u, cfg.alphabets)
