@@ -21,23 +21,35 @@ user writes only its signature and label.  ``band_digests`` digests one
 signature or a whole matrix of them on one path: one multiply, one row-sum
 and one add per 128 KiB step of values (128 signatures at 128
 permutations); ``neighbor_votes`` makes one call per such step of query
-signatures.  A query looks all its band digests up at once in a single
-sorted table of every stored digest, keeps the hits whose band matches,
-and counts equal signature positions for the candidates with one
-vectorised compare, summed into u8 (u16 above 255 permutations).  The
-table keeps, beside each sorted digest, only its flat position
+signatures.
+
+Queries are looked up a block at a time (``LshIndex._match_block``), and
+``query`` is a block of one.  ``neighbor_votes`` splits each step of
+query signatures into blocks whose (queries x users) matrices take at
+most another 128 KiB, so a block holds fewer queries as the index grows.
+A block looks every band digest of every query up in a single sorted
+table of all stored digests, with one pair of ``searchsorted`` calls.
+The table keeps, beside each sorted digest, only its flat position
 ``ordinal * bands + band`` (int32 while the table has fewer than 2**31
 entries), and splits the positions of the hits alone back into ordinal
 and band.  The first query after an insert rebuilds the table: it digests
-the rows stored since the last rebuild in one call, then re-sorts.  When
-the hits cover over a quarter of the table (a dense query), the candidates
-come from one compare of every user's digests instead.  A dense query
-reads only u8 dictionary codes where it can: it marks candidates on the
-codes of the digest columns and counts on those of the signature columns,
-each falling back to the u64 values when some column holds more than 255
-distinct values (see ``LshIndex._coded_columns``).  The first dense query
-codes every row; later ones code only the rows inserted since, against
-the existing dictionaries.
+the rows stored since the last rebuild in one call, then re-sorts.
+
+Each query of a block takes one of two paths, by its own share of the
+table.  When its hits cover over a quarter of the table (a dense query),
+its candidates come from one compare of every user's digests, and its
+counts from one compare of every user's values, several dense queries per
+compare.  Those compares read only u8 dictionary codes where they can:
+the digest columns' codes to mark candidates and the signature columns'
+codes to count, each falling back to the u64 values when some column
+holds more than 255 distinct values (see ``LshIndex._coded_columns``).
+The first dense query codes every row; later ones code only the rows
+inserted since, against the existing dictionaries.  The hits of every
+other query in the block are expanded together: each hit is checked for
+its band, the (query, user) pairs are marked once each, and their equal
+positions are counted on the u64 values.  Counts are summed into u8 (u16
+above 255 permutations).  ``neighbor_votes`` then reduces each block to
+(neighbours, bot votes) per query with two row sums.
 
 Index file layout, version 2 (integers little-endian)::
 
@@ -100,11 +112,13 @@ _HEADER_TYPES = {  # the header's fields beside its checksum; a bool is not an i
 
 # Share of the digest table a query must hit before its candidates are
 # marked by one compare of the whole users x bands digest matrix instead of
-# by expanding each hit.  The compare costs about the same at any share,
-# while the expansion grows with the hits.  On a 2-vCPU VM they cost the
-# same at a share of ~0.2 with 1k users and ~0.25-0.27 with 10k and 100k.  Far below
-# it the expansion wins (100k users, one hit: ~65 us against 7-10 ms per
-# query), far above it the compare (every entry hit: 5-6 ms against ~54 ms).
+# by expanding each hit; the rule holds per query, in a block too.  The
+# compare costs about the same at any share, while the expansion grows with
+# the hits.  Measured one query per lookup, before queries went in blocks,
+# on a 2-vCPU VM, they cost the same at a share of ~0.2 with 1k users and
+# ~0.25-0.27 with 10k and 100k.  Far below it the expansion won (100k
+# users, one hit: ~65 us against 7-10 ms per query), far above it the
+# compare (every entry hit: 5-6 ms against ~54 ms).
 _DENSE_SCAN_SHARE = 0.25
 
 # A dense query compares u8 codes of the signature and the digest columns
@@ -217,7 +231,6 @@ class Neighbor(NamedTuple):
 # The values ``band_digests`` digests at a time: 128 signatures at 128 permutations.
 _DIGEST_STEP_BYTES = 1 << 17
 
-
 @lru_cache(maxsize=64)
 def _digest_params(seed: int, bands: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """The digest coefficients, odd 64-bit values, and the offsets.
@@ -268,34 +281,78 @@ def _code(matrix: np.ndarray) -> _Coded:
 
 
 def _query_codes(dictionary: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The codes of one ``width``-value row, or of an ``(r, width)`` matrix of rows.
+    """The u8 codes of an ``(r, width)`` matrix of rows, ``r >= 1``, against a dictionary.
 
     Each value takes the index of its first equal entry in its column's
-    dictionary row, or ``_ABSENT`` when the row lacks it.
+    dictionary row, or ``_ABSENT`` when the row lacks it.  The rows are
+    compared a step of 128 KiB of compares at a time.
     """
-    equal = dictionary == rows[..., None]
-    return np.where(equal.any(axis=-1), equal.argmax(axis=-1), _ABSENT).astype(np.uint8)
+    step = max(1, _DIGEST_STEP_BYTES // dictionary.size)
+    if len(rows) > step:
+        return np.concatenate([_query_codes(dictionary, rows[i : i + step]) for i in range(0, len(rows), step)])
+    equal = dictionary == rows[:, :, None]
+    return np.where(np.logical_or.reduce(equal, axis=-1), equal.argmax(axis=-1), _ABSENT).astype(np.uint8)
 
 
 def _recode(coded: _Coded | None, matrix: np.ndarray, done: int) -> _Coded:
     """``coded``, the codes of ``matrix[:done]`` (None if never built), extended to every row.
 
-    The new rows take codes in the existing dictionary, a step of 128 KiB
-    of compares at a time; a value missing from it rebuilds the codes from
-    the whole matrix.  A matrix that cannot be coded stays so: its columns
-    only gain values.
+    The new rows take codes in the existing dictionary; a value missing
+    from it rebuilds the codes from the whole matrix.  A matrix that cannot
+    be coded stays so: its columns only gain values.
     """
     if coded is None:
         return _code(matrix)
     if coded[0] is None:
         return coded
     dictionary, codes = coded
-    step = max(1, _DIGEST_STEP_BYTES // dictionary.size)
-    new = np.concatenate([_query_codes(dictionary, matrix[i : i + step])
-                          for i in range(done, len(matrix), step)])
+    new = _query_codes(dictionary, matrix[done:])
     if np.any(new == _ABSENT):
         return _code(matrix)
     return dictionary, np.concatenate([codes, new.T], axis=1)
+
+
+def _count_type(num_perm: int) -> type:
+    """The smallest type that holds a count of equal positions up to ``num_perm``.
+
+    Counts are taken by summing a compare's bool view as u8 into it.
+    """
+    return np.uint8 if num_perm <= 255 else np.uint16
+
+
+@lru_cache(maxsize=64)
+def _least_count(num_perm: int, floor: float) -> int:
+    """The least count ``m`` of equal positions whose quotient ``m / num_perm`` reaches ``floor``."""
+    return bisect_left(range(num_perm + 1), floor, key=lambda m: m / num_perm)
+
+
+def _expand(positions: np.ndarray, bands: int, lo: np.ndarray, counts: np.ndarray,
+            is_candidate: np.ndarray) -> None:
+    """Mark in ``is_candidate`` the users whose table entries some queries hit in the same band.
+
+    ``positions`` is the lookup table's column of flat positions ``ordinal
+    * bands + band``.  ``lo`` and ``counts`` hold, per query row and band,
+    the first entry the query's digest hit and how many it hit.  Rows with
+    more hits in all than take 128 KiB of temporaries (at about 64 bytes a
+    hit) are expanded in halves, down to one row.
+    """
+    flat = counts.ravel()
+    ends = flat.cumsum()
+    if ends[-1] > _DIGEST_STEP_BYTES // 64 and len(counts) > 1:
+        half = len(counts) // 2
+        _expand(positions, bands, lo[:half], counts[:half], is_candidate[:half])
+        _expand(positions, bands, lo[half:], counts[half:], is_candidate[half:])
+        return
+    # Table positions of every hit, grouped by the (query row, band) slot it matched.
+    hits = np.arange(ends[-1]) + (lo.ravel() - (ends - flat)).repeat(flat)
+    slots = np.arange(flat.size).repeat(flat)
+    owners, entry_bands = np.divmod(positions[hits], bands)
+    if len(counts) == 1:  # one row: its slots are its bands and its owners its keys
+        is_candidate[0, owners[entry_bands == slots]] = True
+        return
+    rows, query_bands = np.divmod(slots, bands)
+    keys = rows * is_candidate.shape[1] + owners
+    is_candidate.ravel()[keys[entry_bands == query_bands]] = True
 
 
 class LshIndex:
@@ -370,8 +427,11 @@ class LshIndex:
         bands, rows = self.plan.bands, self.plan.rows
         coeffs, offsets = _digest_params(self.seed, bands, rows)
         flat = values.reshape(-1, bands, rows)
-        digests = np.empty(flat.shape[:2], dtype=np.uint64)
         step = max(1, _DIGEST_STEP_BYTES // (8 * values.shape[-1]))
+        if len(flat) <= step:  # one step: no loop
+            sums = np.add.reduce(flat * coeffs, axis=-1, dtype=np.uint64)  # wrapping, mod 2**64
+            return (sums + offsets).reshape(values.shape[:-1] + (bands,))
+        digests = np.empty(flat.shape[:2], dtype=np.uint64)
         for i in range(0, len(flat), step):  # in steps, so that the products stay small and in cache
             sums = (flat[i : i + step] * coeffs).sum(axis=-1, dtype=np.uint64)  # wrapping, mod 2**64
             np.add(sums, offsets, out=digests[i : i + step])
@@ -462,52 +522,82 @@ class LshIndex:
             self._coded_rows = n
         return self._value_codes, self._digest_codes
 
-    def _candidates(self, values: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Candidate ordinals (ascending) and their equal-position counts.
+    def _match_block(self, values: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which users are candidates for each query of a block, and their equal-position counts.
 
-        ``values`` is a compatible query signature's values and ``query``
-        its band digests.  A user is a candidate when its digest equals the
-        query's in at least one band; the same digest value in two
-        different bands does not count.  A dense query marks candidates on
-        the coded digest columns and counts on the coded signature columns,
-        each when it can be coded, otherwise on the u64 values.
+        ``values`` is a ``(q, num_perm)`` matrix of compatible query values,
+        ``q >= 1``, and ``query`` their ``(q, bands)`` band digests.  Returns
+        two ``(q, n)`` matrices: ``is_candidate[j, i]`` is true when user
+        ``i``'s digest equals query ``j``'s in at least one band (the same
+        digest value in two different bands does not count), and
+        ``matches[j, i]`` counts their equal signature positions wherever
+        ``is_candidate`` is true (elsewhere it is undefined).
+
+        Every digest of the block is looked up in the table with one pair of
+        ``searchsorted`` calls.  A query whose hits cover more than
+        ``_DENSE_SCAN_SHARE`` of the table is dense, and ``_scan`` compares
+        every stored row with it.  The hits of all other queries are
+        expanded together and checked for their band, the (query, user)
+        pairs they mark are counted on the u64 values, 128 KiB of them at a
+        time.  A block of one row skips the row bookkeeping.
         """
         n, bands = len(self), self.plan.bands
         digests, positions = self._lookup_table()
-        lo = np.searchsorted(digests, query, side="left")
-        counts = np.searchsorted(digests, query, side="right") - lo
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-        dictionary = codes = None
-        if total > _DENSE_SCAN_SHARE * n * bands:
-            # A dense corpus: one band-aligned compare of the digest matrix
-            # is cheaper than expanding every hit.
-            (dictionary, codes), (digest_dictionary, digest_codes) = self._coded_columns()
-            if digest_codes is not None:
-                query_codes = _query_codes(digest_dictionary, query)
-                is_candidate = (digest_codes == query_codes[:, None]).any(axis=0)
+        lo = digests.searchsorted(query, side="left")
+        counts = digests.searchsorted(query, side="right") - lo
+        dense = np.add.reduce(counts, axis=1) > _DENSE_SCAN_SHARE * n * bands
+        dense_rows = np.count_nonzero(dense)
+        if dense_rows == len(values):
+            return self._scan(values, query)
+        is_candidate = np.zeros((len(values), n), dtype=bool)
+        matches = np.empty((len(values), n), dtype=_count_type(self.num_perm))
+        if dense_rows:
+            counts[dense] = 0
+        _expand(positions, bands, lo, counts, is_candidate)
+        # Only the sparse rows are marked yet: count their candidate pairs.
+        pairs = is_candidate.ravel().nonzero()[0]
+        step = max(1, _DIGEST_STEP_BYTES // (8 * self.num_perm))
+        for i in range(0, len(pairs), step):
+            at = pairs[i : i + step]
+            if len(values) == 1:  # one row: its pairs are its ordinals
+                same = self._values[at] == values
             else:
-                is_candidate = (self._digests[:n] == query).any(axis=1)
+                rows, ordinals = np.divmod(at, n)
+                same = self._values[ordinals] == values[rows]
+            matches.ravel()[at] = np.add.reduce(same.view(np.uint8), axis=1, dtype=matches.dtype)
+        if dense_rows:
+            at = np.flatnonzero(dense)
+            is_candidate[at], matches[at] = self._scan(values[at], query[at])
+        return is_candidate, matches
+
+    def _scan(self, values: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``_match_block`` for dense queries: compare every stored row's digests and values.
+
+        Each compare reads the u8 codes of its columns, or the u64 values
+        where they cannot be coded (see ``_coded_columns``).  The queries
+        are coded in one call per matrix and compared as many at a time as
+        fit in 128 KiB of compare results.
+        """
+        n = len(self)
+        (dictionary, codes), (digest_dictionary, digest_codes) = self._coded_columns()
+        # Stored columns, queries shaped to broadcast against them, and the axis of the columns.
+        if digest_codes is not None:
+            digest_columns, query, band_axis = digest_codes, _query_codes(digest_dictionary, query)[:, :, None], 1
         else:
-            # Table positions of every hit, grouped by the query band it matched.
-            starts = lo - (np.cumsum(counts) - counts)
-            hits = np.arange(total) + np.repeat(starts, counts)
-            owners, entry_bands = np.divmod(positions[hits], bands)
-            same_band = entry_bands == np.repeat(np.arange(bands), counts)
-            is_candidate = np.zeros(n, dtype=bool)
-            is_candidate[owners[same_band]] = True
-        every = bool(is_candidate.all())
-        ordinals = np.arange(n) if every else np.flatnonzero(is_candidate)
-        # Equal positions are counted by summing the compare's bool view as
-        # u8 into the smallest type that holds a count up to num_perm.
-        count_type = np.uint8 if self.num_perm <= 255 else np.uint16
+            digest_columns, query, band_axis = self._digests[:n], query[:, None], 2
         if codes is not None:
-            query_codes = _query_codes(dictionary, values)
-            matches = (codes == query_codes[:, None]).view(np.uint8).sum(axis=0, dtype=count_type)
-            return ordinals, matches if every else matches[ordinals]
-        stored = self._values[:n] if every else self._values[ordinals]
-        return ordinals, (stored == values).view(np.uint8).sum(axis=1, dtype=count_type)
+            value_columns, values, value_axis = codes, _query_codes(dictionary, values)[:, :, None], 1
+        else:
+            value_columns, values, value_axis = self._values[:n], values[:, None], 2
+        is_candidate = np.empty((len(values), n), dtype=bool)
+        matches = np.empty((len(values), n), dtype=_count_type(self.num_perm))
+        step = max(1, _DIGEST_STEP_BYTES // (self.num_perm * n))
+        for i in range(0, len(values), step):
+            at = slice(i, i + step)
+            np.logical_or.reduce(digest_columns == query[at], axis=band_axis, out=is_candidate[at])
+            same = (value_columns == values[at]).view(np.uint8)
+            np.add.reduce(same, axis=value_axis, dtype=matches.dtype, out=matches[at])
+        return is_candidate, matches
 
     def query(self, sig: MinHashSignature) -> list[Neighbor]:
         """Users sharing at least one band digest, with estimated Jaccard.
@@ -515,11 +605,12 @@ class LshIndex:
         Neighbors come in insertion order.
         """
         check_compatible(sig, self.num_perm, self.seed)
-        ordinals, matches = self._candidates(sig.values, self.band_digests(sig.values))
+        is_candidate, matches = self._match_block(sig.values[None], self.band_digests(sig.values)[None])
+        ordinals = is_candidate[0].nonzero()[0]
         ids, is_bot = self._user_ids, self._is_bot
         return [
             Neighbor(ids[i], BOT if is_bot[i] else HUMAN, float(m) / self.num_perm)
-            for i, m in zip(ordinals.tolist(), matches.tolist())
+            for i, m in zip(ordinals.tolist(), matches[0, ordinals].tolist())
         ]
 
     def neighbor_votes(self, sigs: Iterable[MinHashSignature], floor: float) -> list[tuple[int, int]]:
@@ -529,20 +620,31 @@ class LshIndex:
         ``matches / num_perm``, reaches ``floor``.  The call turns ``floor``
         once into the least count ``need`` whose quotient, the same float64
         division, reaches it, and keeps the candidates with ``matches >=
-        need``: the quotients rise with the count, so the two agree.
+        need``: the quotients rise with the count, so the two agree.  The
+        signatures are digested one ``band_digests`` step at a time, and
+        each step is looked up in blocks (``_match_block``) whose ``(q, n)``
+        matrices take at most another step: the larger the index, the
+        fewer queries a block holds.
         """
         check_floor(floor)
-        need = bisect_left(range(self.num_perm + 1), floor, key=lambda m: m / self.num_perm)
+        need = _least_count(self.num_perm, floor)
         sigs = list(sigs)
         for sig in sigs:
             check_compatible(sig, self.num_perm, self.seed)
+        is_bot = self._is_bot[: len(self)]
+        # Queries per block: its (queries x users) matrices, about 4 bytes a cell, take at most one step.
+        block = max(1, _DIGEST_STEP_BYTES // (4 * max(len(is_bot), 1)))
         votes, step = [], _DIGEST_STEP_BYTES // (8 * self.num_perm)  # one band_digests step
         for start in range(0, len(sigs), step):
             values = np.array([sig.values for sig in sigs[start : start + step]], np.uint64)
-            for row, digests in zip(values, self.band_digests(values)):
-                ordinals, matches = self._candidates(row, digests)
-                kept = ordinals[matches >= need]
-                votes.append((len(kept), int(np.count_nonzero(self._is_bot[kept]))))
+            digests = self.band_digests(values)
+            for i in range(0, len(values), block):
+                is_candidate, matches = self._match_block(values[i : i + block], digests[i : i + block])
+                kept = np.greater_equal(matches, need)
+                kept &= is_candidate
+                neighbors = np.add.reduce(kept, axis=1, dtype=np.intp)
+                kept &= is_bot
+                votes += zip(neighbors.tolist(), np.add.reduce(kept, axis=1, dtype=np.intp).tolist())
         return votes
 
     # --- persistence ---------------------------------------------------

@@ -326,6 +326,8 @@ def grid_search(
 ) -> list[EvaluationReport]:
     """Evaluate every grid cell under the shared split seed; rank by F1.
 
+    The dataset is capped to ``base.max_tweets`` once, before any group,
+    and no group cuts it again; ``preprocess_s`` does not count that cap.
     Cells that share ``(alphabets, k_shingle)`` form one group: the group
     is preprocessed, split and sketched once, and only the index, classify
     and score steps run per threshold.  The first cell of a group carries
@@ -343,6 +345,8 @@ def grid_search(
     """
     jobs = check_jobs(jobs)
     groups = grid_configs(base, ks, thresholds, alphabet_subsets)
+    if base.max_tweets is not None:  # every cell shares the cap: capped here, no group caps again
+        ds = cap_tweets(ds, base.max_tweets)
     workers = min(jobs, len(groups))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -368,7 +372,8 @@ def early_detection(ds: Dataset, cfg: RunConfig, caps=DEFAULT_EARLY_DETECTION_CA
 
     The ground-truth/test membership is decided once on the uncapped
     dataset and frozen; users whose capped sequence falls below the
-    shingle width are dropped from their side for that K.
+    shingle width are dropped from their side for that K.  Each cap is
+    applied once, and ``evaluate`` runs on the capped dataset.
     """
     caps = check_caps(caps)
     filtered, _ = preprocess(ds, cfg)
@@ -378,7 +383,8 @@ def early_detection(ds: Dataset, cfg: RunConfig, caps=DEFAULT_EARLY_DETECTION_CA
 
     results = []
     for cap in caps:
-        capped, _ = filter_min_length(cap_tweets(ds, cap), cfg.k_shingle, cfg.alphabets)
+        capped_ds = cap_tweets(ds, cap)  # evaluate's own cap then finds nothing to cut
+        capped, _ = filter_min_length(capped_ds, cfg.k_shingle, cfg.alphabets)
         surviving = {u.user_id for u in capped.users}
         spec = SplitSpec(
             mode="fixed_lists",
@@ -386,7 +392,7 @@ def early_detection(ds: Dataset, cfg: RunConfig, caps=DEFAULT_EARLY_DETECTION_CA
             test_ids=tuple(u for u in test_ids if u in surviving),
         )
         run_cfg = replace(cfg, max_tweets=cap, split=spec)
-        results.append((cap, evaluate(ds, run_cfg)))
+        results.append((cap, evaluate(capped_ds, run_cfg)))
     return results
 
 

@@ -846,11 +846,13 @@ class TestCodedColumns:
                     index.insert_many(sigs, ["bot" if i % 3 else "human" for i in range(a, b)])
                 before = index._value_codes, index._digest_codes, index._coded_rows
                 digests = index.band_digests(values[:b])
-                for probe in probes:
+                # One block of every probe; each row must be that probe's answer.
+                is_candidate, matches = index._match_block(probes, index.band_digests(probes))
+                for probe, marked, counted in zip(probes, is_candidate, matches):
+                    ordinals = np.flatnonzero(marked)
                     query = index.band_digests(probe)
-                    ordinals, matches = index._candidates(probe, query)
                     assert ordinals.tolist() == np.flatnonzero((digests == query).any(axis=1)).tolist()
-                    assert matches.tolist() == (values[ordinals] == probe).sum(axis=1).tolist()
+                    assert counted[ordinals].tolist() == (values[ordinals] == probe).sum(axis=1).tolist()
                     if len(ordinals):
                         assert matches.dtype == (np.uint8 if num_perm <= 255 else np.uint16)
                         seen.add(f"counts in {matches.dtype}")
@@ -889,6 +891,97 @@ class TestCodedColumns:
             if new[0] is not None:
                 want = [np.searchsorted(row, column) for row, column in zip(new[0], matrix.T)]
                 np.testing.assert_array_equal(new[1], want)
+
+
+def cross_band_values(index, stored, b1, b2, rng):
+    """Random values whose band-``b2`` digest equals ``stored``'s band-``b1`` digest.
+
+    Band ``b`` of values ``v`` digests to ``offset[b] + sum_r coeff[b, r] *
+    v[b, r]`` modulo 2**64 with odd coefficients, so the first value of
+    band ``b2`` is solved for, the others being random.
+    """
+    rows, wrap = index.plan.rows, 1 << 64
+    coeffs, offsets = _digest_params(index.seed, index.plan.bands, rows)
+    values = rng.integers(0, 2**64, index.num_perm, dtype=np.uint64)
+    target = int(index.band_digests(stored)[b1])
+    rest = int(offsets[0, b2]) + sum(int(coeffs[0, b2, r]) * int(values[b2 * rows + r]) for r in range(1, rows))
+    values[b2 * rows] = (target - rest) * pow(int(coeffs[0, b2, 0]), -1, wrap) % wrap
+    assert index.band_digests(values)[b2] == index.band_digests(stored)[b1]
+    return values
+
+
+class TestBlockLookups:
+    """``neighbor_votes`` and ``query`` take candidates and counts from one block routine."""
+
+    @pytest.mark.parametrize("num_perm", [128, 256])
+    @pytest.mark.parametrize("wide", [False, True], ids=["coded", "position over 255 values"])
+    def test_blocks_match_brute_force(self, monkeypatch, num_perm, wide):
+        # The step is patched down to a few queries, so the probes span
+        # several blocks, and the blocks' own steps (hit expansion, pair
+        # counts, dense compares, query codes) are small too.  A block mixes
+        # dense probes, near copies of a family that fills most of the
+        # index, with expanded ones: stored users, near copies of them, and
+        # probes whose digest equals a stored one only in another band.
+        seen = set()
+
+        @given(st.data())
+        @settings(max_examples=20, deadline=None)
+        def check(data):
+            rows = data.draw(st.sampled_from([1, 2, 4]), label="rows")
+            block = data.draw(st.integers(2, 4), label="queries per step")
+            monkeypatch.setattr("botdna.lsh._DIGEST_STEP_BYTES", block * 8 * num_perm)
+            rng = np.random.Generator(np.random.Philox(key=data.draw(st.integers(0, 2**32), label="key")))
+            count = 260 if wide else data.draw(st.integers(8, 40), label="users")
+            family = data.draw(st.integers(count * 3 // 5, count - 2), label="family")
+            base = rng.integers(0, 2**64, num_perm, dtype=np.uint64)
+            values = rng.integers(0, 2**64, (count, num_perm), dtype=np.uint64)
+            values[:family] = np.where(rng.random((family, num_perm)) < 0.03, values[:family], base)
+            if wide:
+                values[:, 0] = np.arange(count)
+            index = LshIndex(BandingPlan(0.5, num_perm // rows, rows), num_perm, 9)
+            labels = ["bot" if i % 3 else "human" for i in range(count)]
+            entries = [(MinHashSignature(f"u{i}", num_perm, 9, v), label)
+                       for i, (v, label) in enumerate(zip(values, labels))]
+            index.insert_many(*zip(*entries))
+            bands = index.plan.bands
+            probes = [np.where(rng.random(num_perm) < 0.03, rng.integers(0, 2**64, num_perm, dtype=np.uint64), base)
+                      for _ in range(data.draw(st.integers(1, 4), label="dense probes"))]
+            loners = list(range(family, count))
+            probes += [values[i] for i in loners[:2]]
+            probes += [np.where(rng.random(num_perm) < 0.5, values[i], rng.integers(0, 2**64, num_perm, dtype=np.uint64))
+                       for i in loners[2:4]]
+            b1, b2 = rng.choice(bands, 2, replace=False) if bands > 1 else (0, 0)
+            if bands > 1:
+                probes.append(cross_band_values(index, values[loners[0]], b1, b2, rng))
+            order = data.draw(st.permutations(range(len(probes))), label="order")
+            sigs = [MinHashSignature(f"p{j}", num_perm, 9, probes[j]) for j in order]
+
+            table = index.band_digests(values).ravel()
+            dense = [np.isin(table, index.band_digests(sig.values)).sum() > 0.25 * table.size for sig in sigs]
+            if any(dense[i : i + block] != [dense[i]] * len(dense[i : i + block]) for i in range(0, len(sigs), block)):
+                seen.add("a block mixing dense and expanded queries")
+            want = [brute_force_neighbors(entries, index, sig) for sig in sigs]
+            # Floors at the neighbours' own estimates, where one count more or less flips a vote.
+            estimates = sorted({nb.jaccard for found in want for nb in found})
+            for floor in [0.0] + (data.draw(st.lists(st.sampled_from(estimates), max_size=3)) if estimates else []):
+                votes = [(len(k), sum(nb.label == "bot" for nb in k))
+                         for k in ([nb for nb in found if nb.jaccard >= floor] for found in want)]
+                assert index.neighbor_votes(sigs, floor) == votes
+            assert [index.query(sig) for sig in sigs] == want
+            # All the probes as one block: each row holds its probe's candidates and counts.
+            rows = np.array([sig.values for sig in sigs])
+            is_candidate, matches = index._match_block(rows, index.band_digests(rows))
+            for marked, counted, found in zip(is_candidate, matches, want):
+                got = [(entries[i][0].user_id, int(counted[i]) / num_perm) for i in np.flatnonzero(marked)]
+                assert got == [(nb.user_id, nb.jaccard) for nb in found]
+            if bands > 1:
+                seen.add("a digest equal in another band")
+            coded = index._value_codes is not None and index._value_codes[0] is not None
+            seen.add("values coded" if coded else "values not coded")
+
+        check()
+        assert seen == {"a block mixing dense and expanded queries", "a digest equal in another band",
+                        "values not coded" if wide else "values coded"}
 
 
 def read_index_file(path):

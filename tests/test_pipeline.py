@@ -62,6 +62,13 @@ def minhash_counter(monkeypatch):
     return counter
 
 
+def counting_cuts(monkeypatch) -> list[str]:
+    """Patch ``UserTimeline.first`` to log the id of each timeline it cuts."""
+    cuts, first = [], UserTimeline.first
+    monkeypatch.setattr(UserTimeline, "first", lambda self, n: cuts.append(self.user_id) or first(self, n))
+    return cuts
+
+
 class FakePool:
     """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
 
@@ -348,6 +355,20 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search(separable_dataset(n=4), base_config(), ks=[4], thresholds=[0.4], jobs=jobs)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cuts_each_long_timeline_once(self, monkeypatch, jobs):
+        # Every cell shares base.max_tweets: the grid caps the dataset once,
+        # before its four groups, and no group caps it again.
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(FakePool, "created", [])
+        cuts = counting_cuts(monkeypatch)
+        ds = noisy_dataset()
+        grid_search(ds, base_config(max_tweets=20), jobs=jobs, ks=[2, 5], thresholds=[0.4],
+                    alphabet_subsets=[("B3",), ("B3", "B9")])
+        assert FakePool.created == ([2] if jobs == 2 else [])
+        longer = [u.user_id for u in ds.users if len(u) > 20]
+        assert longer and sorted(cuts) == sorted(longer)
+
     def test_parallel_jobs_match_sequential(self):
         # Serially the groups of a subset share its encodings; in the pool each encodes for itself.
         ds = noisy_dataset()
@@ -381,6 +402,14 @@ class TestEarlyDetection:
     def test_caps_must_ascend(self):
         with pytest.raises(ValueError):
             early_detection(separable_dataset(n=4), base_config(), caps=[40, 20])
+
+    def test_cuts_each_long_timeline_once_per_cap(self, monkeypatch):
+        ds = noisy_dataset()
+        caps = [10, 20]
+        cuts = counting_cuts(monkeypatch)
+        series = early_detection(ds, base_config(), caps=caps)
+        longer = [u.user_id for cap in caps for u in ds.users if len(u) > cap]
+        assert len(series) == 2 and sorted(cuts) == sorted(longer)
 
 
 class TestGtSweep:
