@@ -228,8 +228,11 @@ class Neighbor(NamedTuple):
     jaccard: float
 
 
-# The values ``band_digests`` digests at a time: 128 signatures at 128 permutations.
+# The values ``band_digests`` digests at a time: 128 signatures at 128
+# permutations.  Each temporary of a lookup (see ``_match_block``) stays
+# within one such step too.
 _DIGEST_STEP_BYTES = 1 << 17
+
 
 @lru_cache(maxsize=64)
 def _digest_params(seed: int, bands: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -332,9 +335,10 @@ def _expand(positions: np.ndarray, bands: int, lo: np.ndarray, counts: np.ndarra
 
     ``positions`` is the lookup table's column of flat positions ``ordinal
     * bands + band``.  ``lo`` and ``counts`` hold, per query row and band,
-    the first entry the query's digest hit and how many it hit.  Rows with
-    more hits in all than take 128 KiB of temporaries (at about 64 bytes a
-    hit) are expanded in halves, down to one row.
+    the first entry the query's digest hit and how many it hit.  When the
+    rows' hits together would take over 128 KiB of temporaries (about 64
+    bytes a hit), the rows are expanded in halves, down to one row.
+    ``is_candidate`` must be C-contiguous: it is marked through ``ravel``.
     """
     flat = counts.ravel()
     ends = flat.cumsum()
