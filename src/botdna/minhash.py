@@ -296,6 +296,27 @@ class _ShingleMemo:
 _memo: _ShingleMemo | None = None
 _memo_lock = threading.Lock()
 
+# How many of a set's least codes ``habit_anchor`` reads per step: a dense
+# set stops at its first, so none reads a whole set into a list.
+_ANCHOR_STEP = 16
+
+
+def habit_anchor(shingles: ShingleSet) -> int:
+    """The least code whose window recurs in the set's own sequence, else the least code.
+
+    A recurring window is a habit, and users of one behaviour family share
+    theirs.  Sketched in order of their anchors, such users follow one
+    another, so the rows they share are still in the memo's block when the
+    next one comes.  The set must be coded, as ``shingle`` makes it.
+    """
+    symbols, k, codes, starts = shingles.symbols, shingles.k, shingles.codes, shingles.starts
+    for lo in range(0, len(codes), _ANCHOR_STEP):
+        hi = lo + _ANCHOR_STEP
+        for code, start in zip(codes[lo:hi].tolist(), starts[lo:hi].tolist()):
+            if symbols.find(symbols[start : start + k], start + 1) >= 0:
+                return code
+    return int(codes[0])
+
 
 class ShingleSet:
     """The distinct k-symbol windows of one user's sequence.

@@ -1,15 +1,22 @@
 """End-to-end evaluation protocols: encode, sketch, index, classify, score.
 
-Every protocol sketches its users as ``signature_for`` does (encode,
-shingle, minhash) and hands the signatures to one core (``_run``) that
-indexes the ground truth (or takes a given index), classifies the test
-side and scores it.  A signature depends only on (alphabets, k_shingle,
-num_perm, seed) and the post cap, so configs that differ only in
-threshold, floor or split share one sketch pass: ``grid_search``
-sketches once per (alphabets, k_shingle) group and ``gt_sweep`` once for
-all its fractions.  A DNA string depends only on the alphabets and the
-post cap, so a serial ``grid_search`` also encodes each user once per
-alphabet subset and shingles that string for every k.
+Every protocol, ``build_index`` too, sketches its users through one loop
+(``_signatures``) that makes what ``signature_for`` makes (encode, shingle,
+minhash), and hands the signatures to one core (``_run``) that indexes
+the ground truth (or takes a given index), classifies the test side and
+scores it.  The loop takes users a step of ``SKETCH_STEP`` at a time and
+minhashes a step in habit order (``minhash.habit_anchor``), so that
+users who share shingles follow one another while the memo's row block
+still holds their rows; signatures come out in input order, and
+``build_index`` holds at most one step of them outside the index.
+
+A signature depends only on (alphabets, k_shingle, num_perm, seed) and
+the post cap, so configs that differ only in threshold, floor or split
+share one sketch pass: ``grid_search`` sketches once per (alphabets,
+k_shingle) group and ``gt_sweep`` once for all its fractions.  A DNA
+string depends only on the alphabets and the post cap, so a serial
+``grid_search`` also encodes each user once per alphabet subset and
+shingles that string for every k.
 
 Every protocol is deterministic for a fixed (dataset, RunConfig): splits,
 hash families, and band digests all derive from the config seed, so reruns
@@ -23,8 +30,7 @@ from __future__ import annotations
 import hashlib
 import resource
 import time
-from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from itertools import groupby, product, repeat
 
@@ -33,7 +39,8 @@ from .data import Dataset, SplitSpec, cap_tweets, check_max_tweets, filter_min_l
 from .encoding import (BOT, CANONICAL_ALPHABET_ORDER, HUMAN, DnaSequence, UserTimeline, encode_user,
                        resolve_alphabets)
 from .lsh import LshIndex, check_floor, check_threshold, lsh_plan
-from .minhash import MinHashSignature, _check_integer, check_k_shingle, check_num_perm, check_seed, minhash, shingle
+from .minhash import (MinHashSignature, _check_integer, check_k_shingle, check_num_perm, check_seed, habit_anchor,
+                      minhash, shingle)
 
 ALPHABET_SUBSETS = (
     ("B3",),
@@ -127,28 +134,63 @@ def _peak_rss_mb() -> float:
 
 def signature_for(timeline: UserTimeline, cfg: RunConfig) -> MinHashSignature:
     """Encode -> shingle -> minhash for one user under a config."""
-    return _sign(encode_user(timeline, cfg.alphabets), cfg)
+    return minhash(shingle(encode_user(timeline, cfg.alphabets), cfg.k_shingle), cfg.num_perm, cfg.seed)
 
 
-def _sign(seq: DnaSequence, cfg: RunConfig) -> MinHashSignature:
-    return minhash(shingle(seq, cfg.k_shingle), cfg.num_perm, cfg.seed)
+# Users per ``_signatures`` step.  A step holds all its users' shingle sets
+# (~3.7 KiB each for a 200-post user under B3+B5+B9 at k=6, ~1.8 KiB under
+# B3 at k=4) and trades each for its signature (~1.2 KiB at 128
+# permutations), so it peaks at ~7.5 MiB for 200-post sparse users.
+SKETCH_STEP = 2048
 
 
-def _sketch(users: list[UserTimeline], cfg: RunConfig,
-            seqs: dict[str, DnaSequence] | None = None) -> list[MinHashSignature]:
-    """Every user's signature under ``cfg``.
+def _dna(user: UserTimeline, cfg: RunConfig, seqs: dict[str, DnaSequence] | None) -> DnaSequence:
+    """``user``'s DNA under ``cfg.alphabets``, from ``seqs`` when found there; one encoded is added to it."""
+    if seqs is None:
+        return encode_user(user, cfg.alphabets)
+    seq = seqs.get(user.user_id)
+    if seq is None:
+        seq = seqs[user.user_id] = encode_user(user, cfg.alphabets)
+    return seq
+
+
+def _sketch_step(users: list[UserTimeline], cfg: RunConfig,
+                 seqs: dict[str, DnaSequence] | None) -> list[MinHashSignature]:
+    """The users' signatures in input order, minhashed in order of their sets' habit anchors."""
+    sets = [shingle(_dna(u, cfg, seqs), cfg.k_shingle) for u in users]
+    anchors = [habit_anchor(s) for s in sets]
+    sigs = [None] * len(sets)
+    for i in sorted(range(len(sets)), key=anchors.__getitem__):  # stable: ties keep input order
+        sigs[i] = minhash(sets[i], cfg.num_perm, cfg.seed)
+        sets[i] = None  # freed once sketched, so the step's sets and signatures do not peak together
+    return sigs
+
+
+def _signatures(users: list[UserTimeline], cfg: RunConfig,
+                seqs: dict[str, DnaSequence] | None = None) -> Iterator[MinHashSignature]:
+    """Every user's signature under ``cfg``, as ``signature_for`` makes it, in input order.
+
+    Users go ``SKETCH_STEP`` at a time: a step shingles all its users,
+    then minhashes them in habit order, by each set's ``habit_anchor``, so
+    that users who share shingles follow one another and reuse the rows
+    the memo's block still holds.  A signature does not depend on what the
+    memo holds, so the order changes no value.  Lazy: a step is made when
+    its first signature is asked for, and only that step's sets and
+    signatures are held here.
 
     ``seqs`` maps user ids to DNA under ``cfg.alphabets``: a user found
     there is not encoded again, and one not found is encoded and added.
     Keyed by id, it is sound only while each id names one timeline under
-    one post cap, as within one ``grid_search`` call; without it a fresh
-    map serves this call alone.
+    one post cap, as within one ``grid_search`` call; without it each user
+    is encoded and nothing is kept.
     """
-    seqs = {} if seqs is None else seqs
-    for u in users:
-        if u.user_id not in seqs:
-            seqs[u.user_id] = encode_user(u, cfg.alphabets)
-    return [_sign(seqs[u.user_id], cfg) for u in users]
+    for lo in range(0, len(users), SKETCH_STEP):
+        yield from _sketch_step(users[lo : lo + SKETCH_STEP], cfg, seqs)
+
+
+def _sketch(users: list[UserTimeline], cfg: RunConfig) -> list[MinHashSignature]:
+    """``_signatures`` as a list."""
+    return list(_signatures(users, cfg))
 
 
 def new_index(cfg: RunConfig) -> LshIndex:
@@ -164,10 +206,13 @@ def _index(users: list[UserTimeline], sigs: Iterable[MinHashSignature], cfg: Run
 
 
 def build_index(users: list[UserTimeline], cfg: RunConfig) -> LshIndex:
-    """Index every labeled user's signature."""
-    # Sketched lazily: insert_many writes each signature into the index as it
-    # comes, so none is held outside it.
-    return _index(users, (signature_for(u, cfg) for u in users), cfg)
+    """Index every labeled user's signature.
+
+    Sketched by ``_signatures``, a step at a time: ``insert_many`` writes
+    each signature into the index as it comes, so at most one step of sets
+    and signatures is held outside it.
+    """
+    return _index(users, _signatures(users, cfg), cfg)
 
 
 def preprocess(ds: Dataset, cfg: RunConfig) -> tuple[Dataset, int]:
@@ -228,7 +273,7 @@ def _evaluate_shared(ds: Dataset, cfgs: list[RunConfig],
     and each user is sketched once, the first time a split needs them;
     all later configs reuse those signatures.  A report's ``preprocess_s``
     is the time that config added (preprocess, split, sketch), so a config
-    that reuses everything reads 0.0.  ``seqs`` is ``_sketch``'s map of
+    that reuses everything reads 0.0.  ``seqs`` is ``_signatures``' map of
     DNA already encoded under these configs' alphabets and post cap.
     """
     t0 = _now()
@@ -243,7 +288,7 @@ def _evaluate_shared(ds: Dataset, cfgs: list[RunConfig],
         else:
             gt_ds, test_ds = split(filtered, cfg.split)
             fresh = [u for u in (*gt_ds.users, *test_ds.users) if u.user_id not in sigs]
-            sigs.update(zip((u.user_id for u in fresh), _sketch(fresh, cfg, seqs)))
+            sigs.update(zip((u.user_id for u in fresh), _signatures(fresh, cfg, seqs)))
             sides[cfg.split] = (
                 gt_ds.users,
                 [sigs[u.user_id] for u in gt_ds.users],
@@ -314,6 +359,17 @@ def check_jobs(jobs: int) -> int:
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     return jobs
+
+
+def ProcessPoolExecutor(max_workers: int):  # noqa: N802 - stands in for the class
+    """A ``concurrent.futures.ProcessPoolExecutor``, imported on first use.
+
+    Only a grid run in a pool needs one, and importing it loads
+    ``multiprocessing``, which ``import botdna`` otherwise never does.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 def grid_search(

@@ -25,6 +25,7 @@ from botdna.minhash import (
     ShingleSet,
     estimate_jaccard,
     fold_m61,
+    habit_anchor,
     minhash,
     mulmod_m61,
     _hash_family,
@@ -213,6 +214,33 @@ class TestShingleCodes:
         assert coded == ShingleSet("u", 2, frozenset({"AC", "CT", "TA"}))
         assert len({coded, ShingleSet("u", 2, frozenset({"AC", "CT", "TA"}))}) == 1
         assert coded != ShingleSet("v", 2, coded.shingles) and coded != shingle(seq("ACTAC"), 3)
+
+
+class TestHabitAnchor:
+    @pytest.mark.parametrize("symbols, k, anchor", [
+        ("ACTACTT", 2, "AC"),  # AC and CT recur; AC is the least
+        ("AACTCT", 2, "CT"),  # AA and AC come once: the least recurring window wins
+        ("CTTT", 2, "TT"),  # overlapping occurrences recur
+        ("ACT", 2, "AC"),  # no window recurs: the least code
+        ("TCA", 3, "TCA"),  # one window
+        # The 16 windows "A?" and the windows "?A" come once: the least
+        # recurring window lies past the first steps of least codes.
+        ("".join("A" + symbol for symbol in list(DIGITS)[1:]) + "LLL", 2, "LL"),
+    ])
+    def test_least_recurring_window_else_least_code(self, symbols, k, anchor):
+        assert habit_anchor(shingle(seq(symbols), k)) == oracle_code(anchor)
+
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_matches_counting_the_windows(self, data):
+        # Over all 17 symbols many windows come once, so the first recurring
+        # one can lie past several steps of least codes.
+        symbols = data.draw(st.text(st.sampled_from(sorted(DIGITS)), min_size=1, max_size=80), label="symbols")
+        k = data.draw(st.integers(1, min(4, len(symbols))), label="k")
+        windows = [symbols[i : i + k] for i in range(len(symbols) - k + 1)]
+        recurring = [oracle_code(w) for w in windows if windows.count(w) > 1]
+        expected = min(recurring) if recurring else min(map(oracle_code, windows))
+        assert habit_anchor(shingle(seq(symbols), k)) == expected
 
 
 class TestMinHash:

@@ -1,8 +1,16 @@
+import importlib
 import json
+import subprocess
+import sys
+import tempfile
+import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from botdna import pipeline
 from botdna.data import Dataset, SplitSpec, split
@@ -23,10 +31,48 @@ from botdna.pipeline import (
     grid_search,
     gt_sweep,
     encode_dataset,
+    new_index,
     preprocess,
+    signature_for,
 )
 
 from conftest import BOT_KIND_CYCLES, HUMAN_KIND_CYCLES, counting_digests, synthetic_corpus
+
+
+# The module itself: the package re-exports ``minhash`` the function under
+# the same name.
+minhash_module = importlib.import_module("botdna.minhash")
+
+B3_KINDS = {"A": "plain", "C": "retweet", "T": "reply"}
+
+
+def b3_user(user_id: str, symbols: str, label: str = "bot") -> UserTimeline:
+    """A timeline whose B3 DNA is ``symbols``."""
+    return UserTimeline(user_id, label, [PostRecord(60 * i, B3_KINDS[s]) for i, s in enumerate(symbols)])
+
+
+def family_corpus(families: int, size: int, posts: int, cycle: int, noise: float, seed: int):
+    """Users of behaviour families, shuffled, as evaluate-sparse's corpus is made.
+
+    A family repeats one pattern of ``cycle`` posts (kind, entities and
+    gap), each member from its own phase, with each post redrawn at rate
+    ``noise``; families alternate bot and human.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    entities = [(1, 1, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
+    gaps = [600, 10_800, 28_800, 43_200, 64_800, 79_200, 259_200, 1_209_600, 5_184_000]
+    kinds = list(B3_KINDS.values())
+    patterns = [rng.integers(0, [3, 5, 9], size=(cycle, 3)) for _ in range(families)]
+    users = []
+    for i in rng.permutation(families * size).tolist():
+        family = i % families
+        rows = patterns[family][(np.arange(posts) + rng.integers(0, cycle)) % cycle]
+        noisy = rng.random(posts) < noise
+        rows[noisy] = rng.integers(0, [3, 5, 9], size=(int(noisy.sum()), 3))
+        ts = np.cumsum([gaps[g] for g in rows[:, 2].tolist()]).tolist()
+        records = [PostRecord(t, kinds[k], *entities[e]) for t, (k, e, _) in zip(ts, rows.tolist())]
+        users.append(UserTimeline(f"f{family:02d}u{i:03d}", "bot" if family % 2 == 0 else "human", records))
+    return users
 
 
 def separable_dataset(n=40, posts=60, seed=5):
@@ -369,6 +415,15 @@ class TestGridSearch:
         longer = [u.user_id for u in ds.users if len(u) > 20]
         assert longer and sorted(cuts) == sorted(longer)
 
+    def test_import_loads_no_process_pool(self):
+        # Only a grid run in a pool imports it, with multiprocessing.
+        probe = ("import sys, botdna; print(sorted(m for m in sys.modules if m == 'multiprocessing'"
+                 " or m.startswith(('multiprocessing.', 'concurrent.futures.process'))))")
+        src = Path(pipeline.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                              cwd=src, timeout=60)
+        assert done.stdout.strip() == "[]"
+
     def test_parallel_jobs_match_sequential(self):
         # Serially the groups of a subset share its encodings; in the pool each encodes for itself.
         ds = noisy_dataset()
@@ -492,30 +547,50 @@ class TestBlocks:
             index.neighbor_votes(sigs + [MinHashSignature("bad", num_perm, 2, values[0])], 1.0)
         assert calls == []
 
-    def test_build_index_holds_no_signature_outside_the_index(self, monkeypatch):
+    def test_build_index_holds_at_most_one_step_outside_the_index(self, monkeypatch):
+        # build_index sketches a step of users at a time, and insert_many
+        # writes each signature into the index as it comes.  So when a step
+        # is shingled, every signature of the steps before is written in the
+        # index's signature matrix (its users are published only at the end
+        # of the call), and none is still alive but the last one written,
+        # which insert_many's loop names until the next one comes.  The probe
+        # tracks each signature with a weak reference.
+        monkeypatch.setattr(pipeline, "SKETCH_STEP", 4)
         cfg = RunConfig(num_perm=128)
         users = synthetic_corpus(35, 20, seed=3)
-        # The index publishes its users only at the end of the call, so the
-        # probe reads its signature matrix: when the next user is sketched,
-        # every signature sketched before is already written there.
-        built, sketched = [], []
-        insert_many, signature_for = LshIndex.insert_many, pipeline.signature_for
+        built, made, events = [], {}, []
+        insert_many, shingle, minhash = LshIndex.insert_many, pipeline.shingle, pipeline.minhash
+
+        class Tracked(MinHashSignature):
+            pass  # unlike MinHashSignature, takes weak references
 
         def recording(index, sigs, labels):
             built.append(index)
             return insert_many(index, sigs, labels)
 
-        def checking(user, cfg):
+        def shingling(seq, k):
+            events.append("shingle")
             rows = built[0]._values
-            assert len(rows) >= len(sketched)
-            assert all(np.array_equal(row, sig.values) for row, sig in zip(rows, sketched))
-            sketched.append(signature_for(user, cfg))
-            return sketched[-1]
+            assert len(rows) >= len(made)
+            for i, (user, row) in enumerate(zip(users, rows[: len(made)]), 1):
+                values, alive = made[user.user_id]
+                assert np.array_equal(row, values) and (alive() is None or i == len(made))
+            return shingle(seq, k)
+
+        def sketching(shingles, num_perm, seed):
+            events.append("minhash")
+            sig = minhash(shingles, num_perm, seed)
+            sig = Tracked(sig.user_id, sig.num_perm, sig.seed, sig.values)
+            made[sig.user_id] = (sig.values, weakref.ref(sig))
+            return sig
 
         monkeypatch.setattr(LshIndex, "insert_many", recording)
-        monkeypatch.setattr(pipeline, "signature_for", checking)
+        monkeypatch.setattr(pipeline, "shingle", shingling)
+        monkeypatch.setattr(pipeline, "minhash", sketching)
         index = build_index(users, cfg)
-        assert len(sketched) == len(index) == 35
+        assert len(made) == len(index) == 35
+        steps = [4] * 8 + [3]
+        assert events == [kind for n in steps for kind in ["shingle"] * n + ["minhash"] * n]
 
     def test_block_size_does_not_change_results(self, monkeypatch):
         ds = noisy_dataset(60)
@@ -531,6 +606,90 @@ class TestBlocks:
         gt, tests = report.counts["ground_truth_users"], report.counts["test_users"]
         blocks = [min(7, tests - start) for start in range(0, tests, 7)]
         assert calls == [(rows, 128) for rows in [blocks[0], gt, *blocks[1:]]]
+
+
+class TestSketch:
+    @staticmethod
+    def habit_users(data):
+        """Draw ``(users, k)``: B3 timelines of width ``k`` and up, with varied windows.
+
+        A user repeats a habit shared with others (equal anchors), has a
+        sequence of its own, has exactly one shingle, or has two windows,
+        neither recurring.
+        """
+        k = data.draw(st.integers(1, 4), label="k")
+        habits = data.draw(st.lists(st.text("ACT", min_size=k, max_size=6), min_size=1, max_size=3),
+                           label="habits")
+        users = []
+        for i in range(data.draw(st.integers(1, 9), label="users")):
+            kind = data.draw(st.sampled_from(["habit", "own", "one shingle", "no recurring window"]))
+            if kind == "habit":
+                symbols = data.draw(st.sampled_from(habits)) * data.draw(st.integers(1, 3))
+                symbols += data.draw(st.text("ACT", max_size=4))
+            elif kind == "own":
+                symbols = data.draw(st.text("ACT", min_size=k, max_size=12))
+            elif kind == "one shingle":
+                symbols = data.draw(st.sampled_from(["A" * (k + 2), ("ACT" * 2)[:k]]))
+            else:
+                symbols = ("ACT" * 2)[: k + 1]
+            users.append(b3_user(f"u{i}", symbols, data.draw(st.sampled_from(["bot", "human"]))))
+        return users, k
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_signatures_are_signature_for_in_input_order(self, data):
+        # Across step boundaries, on a fresh memo and on a warm one.
+        users, k = self.habit_users(data)
+        cfg = RunConfig(k_shingle=k, num_perm=16, seed=data.draw(st.integers(0, 3), label="seed"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "SKETCH_STEP", data.draw(st.sampled_from([2, 3]), label="step"))
+            mp.setattr(minhash_module, "_memo", None)
+            fresh = pipeline._sketch(users, cfg)
+            warm = pipeline._sketch(users, cfg)
+            built = build_index(users, cfg)
+        expected = [signature_for(u, cfg) for u in users]
+        assert fresh == warm == expected
+        looped = new_index(cfg)
+        for user, sig in zip(users, expected):
+            looped.insert(sig, user.label)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = Path(tmp, "built.bdix"), Path(tmp, "looped.bdix")
+            built.save(paths[0])
+            looped.save(paths[1])
+            assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_minhashes_in_habit_order_ties_in_input_order(self, monkeypatch):
+        users = [b3_user("tt0", "CTTTA"), b3_user("aa0", "CAAAT"), b3_user("tt1", "ACTTT"),
+                 b3_user("none", "ACT"), b3_user("aa1", "TAAAC")]
+        order, minhash = [], pipeline.minhash
+        monkeypatch.setattr(pipeline, "minhash", lambda s, n, seed: order.append(s.user_id) or minhash(s, n, seed))
+        cfg = RunConfig(k_shingle=2)
+        sigs = pipeline._sketch(users, cfg)
+        # Anchors: AA (the least code) for aa0 and aa1, AC (no window recurs) for none, TT for tt0 and tt1.
+        assert order == ["aa0", "aa1", "none", "tt0", "tt1"]
+        assert [sig.user_id for sig in sigs] == [u.user_id for u in users]
+
+    def test_habit_order_computes_fewer_rows(self, monkeypatch):
+        # Families of ~170-shingle users in shuffled order: the 1024-row
+        # block holds about six users' rows, so in input order it is emptied
+        # before the next member of a family comes.
+        ds = Dataset("families", family_corpus(12, 8, posts=200, cycle=32, noise=0.05, seed=20))
+        cfg = RunConfig(alphabets=("B3", "B5", "B9"), k_shingle=6, threshold=0.2,
+                        split=SplitSpec(gt_fraction=0.5, seed=1))
+        rows, permuted = [], minhash_module._ShingleMemo.permuted
+        monkeypatch.setattr(minhash_module._ShingleMemo, "permuted",
+                            lambda memo, xs, out=None: rows.append(len(xs)) or permuted(memo, xs, out))
+
+        def run():
+            monkeypatch.setattr(minhash_module, "_memo", None)
+            rows.clear()
+            return evaluate(ds, cfg).to_json(include_timings=False), sum(rows)
+
+        report, habit_rows = run()
+        monkeypatch.setattr(pipeline, "habit_anchor", lambda shingles: 0)  # all tie: input order
+        input_report, input_rows = run()
+        assert input_report == report
+        assert habit_rows < 0.8 * input_rows  # 8078 against 12751 rows when written
 
 
 class TestClassifyAgainstIndex:
