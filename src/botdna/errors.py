@@ -18,7 +18,8 @@ class EmptySet(BotDnaError):
 
 
 class IncompatibleSignatures(BotDnaError):
-    """Signatures built with different num_perm or seed cannot be compared."""
+    """Signatures that cannot be compared: built with different num_perm or seed, or
+    sketched under another encoding recipe (alphabets in order, k_shingle) than an index's."""
 
 
 class DuplicateUser(BotDnaError):

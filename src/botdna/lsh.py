@@ -15,13 +15,16 @@ differ in exactly one value never share a digest.  Groups that differ in
 more may, rarely; such a user is a candidate whose equal positions are
 then counted on the values themselves, as for any other.
 
-In memory the index is columnar: one signature matrix, one band-digest
-matrix and one label array, a row per user in insertion order.  Storing a
-user writes only its signature and label.  ``band_digests`` digests one
-signature or a whole matrix of them on one path: one multiply, one row-sum
-and one add per 128 KiB step of values (128 signatures at 128
-permutations); ``neighbor_votes`` makes one call per such step of query
-signatures.
+In memory the index stores one signature matrix and one label array, a
+row per user in insertion order, beside the user ids.  Whatever a lookup
+reads besides them, the band-digest matrix, the lookup table and the u8
+codes, is a function of the stored rows alone, rebuilt whole after any
+change: the first query digests every stored row in one call and sorts the
+table, the first dense query codes both matrices, and each insert drops
+all of it.  ``band_digests`` digests one signature or a whole matrix of
+them on one path: one multiply, one row-sum and one add per 128 KiB step of
+values (128 signatures at 128 permutations); ``neighbor_votes`` makes one
+call per such step of query signatures.
 
 Queries are looked up a block at a time (``LshIndex._match_block``), and
 ``query`` is a block of one.  ``neighbor_votes`` splits each step of
@@ -32,8 +35,7 @@ table of all stored digests, with one pair of ``searchsorted`` calls.
 The table keeps, beside each sorted digest, only its flat position
 ``ordinal * bands + band`` (int32 while the table has fewer than 2**31
 entries), and splits the positions of the hits alone back into ordinal
-and band.  The first query after an insert rebuilds the table: it digests
-the rows stored since the last rebuild in one call, then re-sorts.
+and band.
 
 Each query of a block takes one of two paths, by its own share of the
 table.  When its hits cover over a quarter of the table (a dense query),
@@ -42,13 +44,12 @@ counts from one compare of every user's values, several dense queries per
 compare.  Those compares read only u8 dictionary codes where they can:
 the digest columns' codes to mark candidates and the signature columns'
 codes to count, each falling back to the u64 values when some column
-holds more than 255 distinct values (see ``LshIndex._coded_columns``).
-The first dense query codes every row; later ones code only the rows
-inserted since, against the existing dictionaries.  The hits of every
-other query in the block are expanded together: each hit is checked for
-its band, the (query, user) pairs are marked once each, and their equal
-positions are counted on the u64 values.  Counts are summed into u8 (u16
-above 255 permutations).  ``neighbor_votes`` then reduces each block to
+holds more than 255 distinct values (see ``LshIndex._coded_columns``);
+a sparse query never codes.  The hits of every other query in the block
+are expanded together: each hit is checked for its band, the (query,
+user) pairs are marked once each, and their equal positions are counted
+on the u64 values.  Counts are summed into u8 (u16 above 255
+permutations).  ``neighbor_votes`` then reduces each block to
 (neighbours, bot votes) per query with two row sums.
 
 Index file layout, version 2 (integers little-endian)::
@@ -68,10 +69,10 @@ Index file layout, version 2 (integers little-endian)::
         N x num_perm signature values, u64, row by row
 
 ``load`` stores the file's columns without digesting them; its first query
-digests every row, as after any insert, so a round-tripped index answers
-queries exactly as the original.  Any other version (a version 1 file must
-be rebuilt), a bad header field or a body failing its checksum is a
-``FormatError``.
+builds the lookup state from them, as after any insert, so a round-tripped
+index answers queries exactly as the original.  Any other version (a
+version 1 file must be rebuilt), a bad header field or a body failing its
+checksum is a ``FormatError``.
 """
 
 from __future__ import annotations
@@ -297,24 +298,6 @@ def _query_codes(dictionary: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.where(np.logical_or.reduce(equal, axis=-1), equal.argmax(axis=-1), _ABSENT).astype(np.uint8)
 
 
-def _recode(coded: _Coded | None, matrix: np.ndarray, done: int) -> _Coded:
-    """``coded``, the codes of ``matrix[:done]`` (None if never built), extended to every row.
-
-    The new rows take codes in the existing dictionary; a value missing
-    from it rebuilds the codes from the whole matrix.  A matrix that cannot
-    be coded stays so: its columns only gain values.
-    """
-    if coded is None:
-        return _code(matrix)
-    if coded[0] is None:
-        return coded
-    dictionary, codes = coded
-    new = _query_codes(dictionary, matrix[done:])
-    if np.any(new == _ABSENT):
-        return _code(matrix)
-    return dictionary, np.concatenate([codes, new.T], axis=1)
-
-
 def _count_type(num_perm: int) -> type:
     """The smallest type that holds a count of equal positions up to ``num_perm``.
 
@@ -364,15 +347,17 @@ class LshIndex:
 
     Users are numbered by insertion order (their ordinal).  Row ``i`` of
     each column belongs to ordinal ``i``: an ``N x num_perm`` u64 signature
-    matrix, an ``N x bands`` u64 band-digest matrix and a bot-label array,
-    beside the list of user ids.  The columns grow by doubling their
-    capacity.  An insert writes only the signature and label rows.  Lookups
-    use one flat table of all ``N * bands`` digests, sorted, with each
-    entry's flat position in the digest matrix.  The first query after an
-    insert builds it, digesting the rows inserted since the last build, so
-    that query pays for their digests and one re-sort, and the first dense
-    one also codes those rows; inserts and queries may otherwise be mixed
-    freely.
+    matrix and a bot-label array, beside the list of user ids.  The two
+    columns grow by doubling their capacity, and an insert writes only
+    their rows.  The lookup state is rebuilt from the stored rows alone:
+    the first query after an insert or a load digests all ``N`` of them
+    into an ``N x bands`` matrix and sorts its ``N * bands`` digests into
+    one flat table, each entry with its flat position in the matrix, and
+    the first dense query codes both matrices (see ``_coded_columns``).
+    ``_commit``, which publishes inserted rows, drops that state.  So
+    inserts and queries may be mixed freely, each answer being that of an
+    index built fresh from the same rows, but a query after an insert pays
+    for the whole rebuild: every caller fills its index before querying it.
 
     ``recipe`` is the ``(alphabets, k_shingle)`` the signatures were
     sketched with, or None if unknown (an index built by hand); the index
@@ -387,7 +372,7 @@ class LshIndex:
         seed = check_seed(seed)
         if recipe is not None:
             resolve_alphabets(recipe[0])
-            recipe = recipe[0], check_k_shingle(recipe[1])
+            recipe = tuple(recipe[0]), check_k_shingle(recipe[1])
         self.plan = plan
         self.num_perm = num_perm
         self.seed = seed
@@ -395,18 +380,13 @@ class LshIndex:
         self._user_ids: list[str] = []
         self._ordinals: dict[str, int] = {}
         self._values = np.empty((0, num_perm), dtype=np.uint64)
-        self._digests = np.empty((0, plan.bands), dtype=np.uint64)
         self._is_bot = np.empty(0, dtype=bool)
-        # Rows of the digest matrix filled so far; the rest wait for a query.
-        self._digested = 0
-        # (sorted digests, flat position) for the first len(self) rows;
-        # None when an insert has happened since it was built.
-        self._table: tuple[np.ndarray, np.ndarray] | None = None
-        # The codes of the first _coded_rows rows of the signature and the
-        # digest matrix, for dense queries; None until the first one.
-        self._value_codes: _Coded | None = None
-        self._digest_codes: _Coded | None = None
-        self._coded_rows = 0
+        # The lookup state, a function of the stored rows that _commit drops:
+        # (digest matrix, its digests sorted, their flat positions), built by
+        # the first query, and the codes of (signature matrix, digest matrix),
+        # built by the first dense one.
+        self._lookup: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._codes: tuple[_Coded, _Coded] | None = None
 
     def __len__(self) -> int:
         return len(self._user_ids)
@@ -445,20 +425,20 @@ class LshIndex:
         """Grow the columns, by doubling, to hold at least ``end`` rows."""
         if end > len(self._is_bot):
             capacity = max(16, 2 * len(self._is_bot), end)
-            for name in ("_values", "_digests", "_is_bot"):
+            for name in ("_values", "_is_bot"):
                 old = getattr(self, name)
                 new = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
                 new[: len(old)] = old  # unpublished rows too
                 setattr(self, name, new)
 
     def _commit(self, ids: list[str]) -> None:
-        """Publish the rows written past the stored ones for ``ids``."""
+        """Publish the rows written past the stored ones for ``ids``, dropping the lookup state."""
         if not ids:
             return
         n = len(self)
         self._ordinals.update(zip(ids, range(n, n + len(ids))))
         self._user_ids += ids
-        self._table = None
+        self._lookup = self._codes = None
 
     def insert(self, sig: MinHashSignature, label: str) -> None:
         """Store one labeled signature: ``insert_many`` of one row."""
@@ -492,39 +472,31 @@ class LshIndex:
             self._is_bot[at] = label == BOT
         self._commit(list(ids))
 
-    def _lookup_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every stored digest, sorted, and its flat position in the digest matrix.
+    def _lookup_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stored rows' digest matrix, its digests sorted, and their flat positions in it.
 
-        A position is ``ordinal * bands + band``; int32 holds it unless the
-        table has 2**31 entries or more.  Rows past the digested ones are
-        digested first, in one call.
+        Built from every stored row, digested in one call, when first needed
+        after a change.  A position is ``ordinal * bands + band``; int32
+        holds it unless the table has 2**31 entries or more.
         """
-        if self._table is None:
-            n, done = len(self), self._digested
-            if done < n:
-                self._digests[done:n] = self.band_digests(self._values[done:n])
-                self._digested = n
-            flat = self._digests[:n].ravel()
+        if self._lookup is None:
+            digests = self.band_digests(self._values[: len(self)])
+            flat = digests.ravel()
             order = np.argsort(flat)
             if flat.size < 1 << 31:
                 order = order.astype(np.int32)
-            self._table = flat[order], order
-        return self._table
+            self._lookup = digests, flat[order], order
+        return self._lookup
 
     def _coded_columns(self) -> tuple[_Coded, _Coded]:
         """The signature columns and the band-digest columns as u8 codes (see ``_code``).
 
-        The first dense query codes every stored row; after an insert, the
-        next one codes only the rows stored since, against the existing
-        dictionaries (see ``_recode``).  Call it after ``_lookup_table``,
-        which digests the rows.
+        Built from every stored row when a dense query first needs them after
+        a change, so an index that only meets sparse queries never codes.
         """
-        n, done = len(self), self._coded_rows
-        if done < n:
-            self._value_codes = _recode(self._value_codes, self._values[:n], done)
-            self._digest_codes = _recode(self._digest_codes, self._digests[:n], done)
-            self._coded_rows = n
-        return self._value_codes, self._digest_codes
+        if self._codes is None:
+            self._codes = _code(self._values[: len(self)]), _code(self._lookup_table()[0])
+        return self._codes
 
     def _match_block(self, values: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Which users are candidates for each query of a block, and their equal-position counts.
@@ -546,7 +518,7 @@ class LshIndex:
         time.  A block of one row skips the row bookkeeping.
         """
         n, bands = len(self), self.plan.bands
-        digests, positions = self._lookup_table()
+        _, digests, positions = self._lookup_table()
         lo = digests.searchsorted(query, side="left")
         counts = digests.searchsorted(query, side="right") - lo
         dense = np.add.reduce(counts, axis=1) > _DENSE_SCAN_SHARE * n * bands
@@ -588,7 +560,7 @@ class LshIndex:
         if digest_codes is not None:
             digest_columns, query, band_axis = digest_codes, _query_codes(digest_dictionary, query)[:, :, None], 1
         else:
-            digest_columns, query, band_axis = self._digests[:n], query[:, None], 2
+            digest_columns, query, band_axis = self._lookup_table()[0], query[:, None], 2
         if codes is not None:
             value_columns, values, value_axis = codes, _query_codes(dictionary, values)[:, :, None], 1
         else:

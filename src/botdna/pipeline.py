@@ -38,6 +38,7 @@ from .classify import EvaluationReport, Prediction, classify_many, score
 from .data import Dataset, SplitSpec, cap_tweets, check_max_tweets, filter_min_length, split
 from .encoding import (BOT, CANONICAL_ALPHABET_ORDER, HUMAN, DnaSequence, UserTimeline, encode_user,
                        resolve_alphabets)
+from .errors import IncompatibleSignatures
 from .lsh import LshIndex, check_floor, check_threshold, lsh_plan
 from .minhash import (MinHashSignature, _check_integer, check_k_shingle, check_num_perm, check_seed, habit_anchor,
                       minhash, shingle)
@@ -478,8 +479,16 @@ def classify_against_index(
 
     Returns per-user predictions, plus a scored report when every query
     carries a truth label.  The report's ``build_s`` is 0.0: the index is
-    given.
+    given.  An index whose recipe is known must have been sketched under
+    ``cfg``'s alphabets, in the same order, and k_shingle, or
+    ``IncompatibleSignatures`` is raised; one with no recipe (built by
+    hand) is taken as it is.
     """
+    wanted = (tuple(cfg.alphabets), cfg.k_shingle)
+    if index.recipe is not None and index.recipe != wanted:
+        raise IncompatibleSignatures(f"index built with alphabets={list(index.recipe[0])}, "
+                                     f"k_shingle={index.recipe[1]}; queries sketched with "
+                                     f"alphabets={list(wanted[0])}, k_shingle={wanted[1]}")
     t0 = _now()
     filtered, removed = preprocess(ds, cfg)
     sigs = _sketch(filtered.users, cfg)

@@ -164,6 +164,29 @@ def synthetic_corpus(
     return users
 
 
+def family_corpus(families: int, size: int, posts: int, cycle: int, noise: float, seed: int):
+    """Users of behaviour families, shuffled, as evaluate-sparse's corpus is made.
+
+    A family repeats one pattern of ``cycle`` posts (kind, entities and
+    gap), each member from its own phase, with each post redrawn at rate
+    ``noise``; families alternate bot and human.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    entities = [(1, 1, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
+    gaps = [600, 10_800, 28_800, 43_200, 64_800, 79_200, 259_200, 1_209_600, 5_184_000]
+    patterns = [rng.integers(0, [3, 5, 9], size=(cycle, 3)) for _ in range(families)]
+    users = []
+    for i in rng.permutation(families * size).tolist():
+        family = i % families
+        rows = patterns[family][(np.arange(posts) + rng.integers(0, cycle)) % cycle]
+        noisy = rng.random(posts) < noise
+        rows[noisy] = rng.integers(0, [3, 5, 9], size=(int(noisy.sum()), 3))
+        ts = np.cumsum([gaps[g] for g in rows[:, 2].tolist()]).tolist()
+        records = [PostRecord(t, KINDS[k], *entities[e]) for t, (k, e, _) in zip(ts, rows.tolist())]
+        users.append(UserTimeline(f"f{family:02d}u{i:03d}", "bot" if family % 2 == 0 else "human", records))
+    return users
+
+
 def corpus_to_jsonl(users, path):
     """Serialize timelines into the neutral JSONL interchange format."""
     with open(path, "w", encoding="utf-8") as fh:

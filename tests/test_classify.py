@@ -106,7 +106,7 @@ class TestClassify:
     def test_equals_vote_over_filtered_query(self, data):
         # classify runs on the index's arrays; it must agree with voting
         # over the query API's neighbors at and around the floor.  Each
-        # stage classifies before querying, so classify meets the re-sort.
+        # stage classifies before querying, so classify meets the rebuild.
         index, entries, probes = draw_index_parts(data)
         split = data.draw(st.integers(0, len(entries)), label="split")
         for stage in (entries[:split], entries[split:]):
@@ -134,7 +134,7 @@ class TestClassify:
         def check(data):
             index, entries, probes = draw_index_parts(data)
             index.insert_many([sig for sig, _ in entries], [label for _, label in entries])
-            table = index._lookup_table()[0]
+            table = index._lookup_table()[1]
             for probe in probes:
                 hits = sum(int(np.count_nonzero(table == d)) for d in index.band_digests(probe.values))
                 if hits:

@@ -13,6 +13,7 @@ from botdna.classify import classify_many
 from botdna.errors import DuplicateUser, FormatError, IncompatibleSignatures
 from botdna.lsh import (
     _DENSE_SCAN_SHARE,
+    _DIGEST_STEP_BYTES,
     BandingPlan,
     LshIndex,
     Neighbor,
@@ -21,8 +22,10 @@ from botdna.lsh import (
     lsh_plan,
 )
 from botdna.minhash import MinHashSignature, minhash
+from botdna.pipeline import RunConfig, build_index, signature_for
 
-from conftest import counting_digests, draw_index_parts, exact_jaccard, floors_around, make_set_pair
+from conftest import (counting_digests, draw_index_parts, exact_jaccard, family_corpus, floors_around,
+                      make_set_pair)
 
 
 def sig_of(shingle_set, num_perm=128, seed=1):
@@ -174,10 +177,12 @@ class TestInsert:
             )
         assert len(index) == n
         # The lookup table holds each of the n * bands digests exactly once.
-        digests, positions = index._lookup_table()
+        matrix, digests, positions = index._lookup_table()
+        assert np.array_equal(matrix, index.band_digests(index._values[:n]))
         assert digests.shape == (n * index.plan.bands,)
         assert np.array_equal(np.sort(positions), np.arange(n * index.plan.bands))
-        assert np.array_equal(digests, np.sort(index._digests[:n].ravel()))
+        assert np.array_equal(digests, np.sort(matrix.ravel()))
+        assert np.array_equal(digests, matrix.ravel()[positions])
 
     def test_duplicate_user_rejected(self):
         index = fresh_index()
@@ -216,20 +221,42 @@ class TestInsert:
 
 
 def snapshot(index):
-    """Everything an index shows: ids, labels, columns and the ordinal map.
+    """Everything an index shows: ids, labels, columns, the ordinal map and the digest matrix.
 
-    Building the lookup table first digests any rows inserted since the
-    last query, as a query would.
+    The digest matrix is built, as a query builds it, when no query has
+    built it since the last insert.
     """
     n = len(index)
-    index._lookup_table()
     return (
         list(index._user_ids),
         index.labels,
         dict(index._ordinals),
         index._values[:n].tobytes(),
-        index._digests[:n].tobytes(),
+        index._lookup_table()[0].tobytes(),
     )
+
+
+def arrays_of(arrays):
+    """Arrays, or None in their place, as comparable (dtype, shape, bytes) triples."""
+    return [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def assert_state_is_fresh(index, entries):
+    """``index``'s lookup state, and any codes it built, equal those of a fresh index of ``entries``.
+
+    ``entries`` are the (signature, label) pairs ``index`` stores, in order;
+    a query must have built its lookup state.  Returns whether codes were
+    compared.
+    """
+    fresh = LshIndex(index.plan, index.num_perm, index.seed)
+    fresh.insert_many([sig for sig, _ in entries], [label for _, label in entries])
+    assert index._lookup is not None
+    assert arrays_of(index._lookup) == arrays_of(fresh._lookup_table())
+    if index._codes is None:
+        return False
+    (value_coded, digest_coded), (fresh_values, fresh_digests) = index._codes, fresh._coded_columns()
+    assert arrays_of(value_coded + digest_coded) == arrays_of(fresh_values + fresh_digests)
+    return True
 
 
 def sequential(parts, entries):
@@ -473,21 +500,12 @@ class TestNeighborVotes:
 
 
 class TestMixedInsertsAndQueries:
-    def test_answers_equal_a_fresh_index(self, monkeypatch, tmp_path):
+    def test_answers_equal_a_fresh_index(self, tmp_path):
         # Inserts one at a time or in blocks (empty ones, and ones failing
         # partway, among them), queries, votes and a save and load come in
         # a drawn order.  Each answer must equal that of an index built
-        # fresh from the rows stored so far, and a query after inserts must
-        # digest, in one call, only the rows stored since the last query.
-        digested = []  # (index, rows) of each call on an index's own signatures
-        band_digests = LshIndex.band_digests
-
-        def logging(self, values):
-            if np.may_share_memory(values, self._values):
-                digested.append((self, len(values)))
-            return band_digests(self, values)
-
-        monkeypatch.setattr(LshIndex, "band_digests", logging)
+        # fresh from the rows stored so far, and so must the lookup state
+        # and any codes the queries built.
         steps = ["insert", "insert_many", "failing insert_many", "query", "votes", "save and load"]
         seen = set()
 
@@ -497,25 +515,25 @@ class TestMixedInsertsAndQueries:
             parts, entries, probes = draw_index_parts(data)
             waiting = renamed(entries, data.draw(st.integers(1, 3), label="copies"))
             index = LshIndex(parts.plan, parts.num_perm, parts.seed)
-            stored, undigested = [], 0
+            stored, queried, inserted_since = [], False, False
             for step in data.draw(st.lists(st.sampled_from(steps), max_size=12), label="steps") + ["query"]:
                 if step == "save and load":
                     index.save(tmp_path / "mixed.idx")
-                    index, undigested = LshIndex.load(tmp_path / "mixed.idx"), len(stored)
+                    index, queried = LshIndex.load(tmp_path / "mixed.idx"), False
                 elif step in ("query", "votes"):
                     fresh = LshIndex(parts.plan, parts.num_perm, parts.seed)
                     fresh.insert_many([sig for sig, _ in stored], [label for _, label in stored])
-                    digested.clear()
                     if step == "query":
                         for probe in probes:
                             assert index.query(probe) == fresh.query(probe)
                     else:
                         floor = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="floor")
                         assert index.neighbor_votes(probes, floor) == fresh.neighbor_votes(probes, floor)
-                    assert [rows for owner, rows in digested if owner is index] == [undigested] * (undigested > 0)
-                    if 0 < undigested < len(stored):
-                        seen.add("digested the new rows only")
-                    undigested = 0
+                    if assert_state_is_fresh(index, stored):
+                        seen.add("codes built")
+                    if queried and inserted_since:
+                        seen.add("rebuilt after inserts")
+                    queried, inserted_since = True, False
                 else:
                     most = 1 if step == "insert" else len(waiting)
                     block = waiting[: data.draw(st.integers(0, most), label="rows")]
@@ -534,10 +552,10 @@ class TestMixedInsertsAndQueries:
                         seen.add("insert_many" if block else "empty insert_many")
                     stored += block
                     waiting = waiting[len(block) :]
-                    undigested += len(block)
+                    inserted_since = inserted_since or bool(block)
 
         check()
-        assert seen == {"digested the new rows only", "failed after written rows", "failed",
+        assert seen == {"rebuilt after inserts", "codes built", "failed after written rows", "failed",
                         "insert_many", "empty insert_many"}
 
 
@@ -652,7 +670,7 @@ class TestQuery:
     def test_candidates_and_jaccard_match_brute_force(self):
         # Candidates are exactly the users sharing a digest in some band,
         # in insertion order, each with the share of equal positions.
-        # Querying between the two insert stages checks the lazy re-sort.
+        # Querying between the two insert stages checks the rebuild after an insert.
         # A query whose digests hit more than a quarter of the lookup
         # table takes the dense scan, any other the hit expansion; the
         # drawn indexes must reach both.
@@ -741,16 +759,16 @@ class TestCodedColumns:
         coded = False
         for withheld in (False, True):
             if withheld:
-                built = index._value_codes, index._digest_codes
-                coded = all(c is not None and c[1] is not None for c in built)
+                built = index._codes
+                coded = built is not None and all(c[1] is not None for c in built)
                 # As when some position and some band hold over 255 values.
-                index._value_codes = index._digest_codes = None, None
+                index._codes = (None, None), (None, None)
             for probe in probes:
                 assert index.query(probe) == brute_force_neighbors(entries, index, probe)
             for floor in (0.0, 0.5, 1.0):
                 want = [brute_force_votes(entries, index, probe, floor) for probe in probes]
                 assert index.neighbor_votes(probes, floor) == want
-        index._value_codes, index._digest_codes = built
+        index._codes = built
         return coded
 
     @pytest.mark.parametrize("distinct", [255, 256])
@@ -770,13 +788,13 @@ class TestCodedColumns:
         for probe in probes:
             assert index.query(probe) == brute_force_neighbors(entries, index, probe)
             assert index.neighbor_votes([probe], 1.0) == [brute_force_votes(entries, index, probe, 1.0)]
-        (dictionary, codes), (digest_dictionary, digest_codes) = index._value_codes, index._digest_codes
+        (dictionary, codes), (digest_dictionary, digest_codes) = index._codes
         if distinct == 255:
             assert dictionary[0].tolist() == sorted(set(values))
             assert codes[0].tolist() == [sorted(set(values)).index(v) for v in values]
-            digests = sorted(set(index._digests[:256, 0].tolist()))
-            assert digest_dictionary[0].tolist() == digests
-            assert digest_codes[0].tolist() == [digests.index(d) for d in index._digests[:256, 0].tolist()]
+            band = index._lookup[0][:, 0].tolist()
+            assert digest_dictionary[0].tolist() == sorted(set(band))
+            assert digest_codes[0].tolist() == [sorted(set(band)).index(d) for d in band]
         else:
             assert dictionary is None and codes is None
             assert digest_dictionary is None and digest_codes is None
@@ -790,11 +808,22 @@ class TestCodedColumns:
         for sig in sigs:
             assert [nb.user_id for nb in index.query(sig)] == [sig.user_id]
         assert index.neighbor_votes(sigs, 0.5) == [(1, 1 - i % 2) for i in range(8)]
-        assert index._value_codes is None and index._digest_codes is None
+        assert index._lookup is not None and index._codes is None
+        # A large sparse index: 3000 users of 300 behaviour families under
+        # B3+B5+B9 at k=6.  One family's ten members fill one block of
+        # neighbor_votes, and each hits about its own family only.
+        cfg = RunConfig(alphabets=("B3", "B5", "B9"), k_shingle=6, threshold=0.2)
+        users = family_corpus(300, 10, posts=60, cycle=16, noise=0.05, seed=21)
+        index = build_index(users, cfg)
+        members = [signature_for(u, cfg) for u in users if u.user_id.startswith("f00u")]
+        assert len(members) == _DIGEST_STEP_BYTES // (4 * len(index)) == 10
+        votes = index.neighbor_votes(members, cfg.threshold)
+        assert all(neighbors >= 1 for neighbors, _ in votes)
+        assert index._lookup is not None and index._codes is None
 
     # case -> what its runs must show, besides the answers
     MIXED_CASES = {
-        "narrow": {"counts in uint8", "extended", "rebuilt for a missing value"},
+        "narrow": {"counts in uint8", "codes equal a fresh index's", "a value new to the codes built before"},
         "wide band": {"band over 255 values, positions coded"},
         "wide position": {"position over 255 values"},
         "num_perm 256": {"counts in uint16"},
@@ -805,9 +834,9 @@ class TestCodedColumns:
         # Rows arrive in drawn blocks, one-row inserts among them, and
         # dense queries follow each block.  Candidates must be the users
         # sharing a digest with the query in the same band, and counts the
-        # equal u64 values.  After each block the codes extend in their
-        # dictionaries, or are rebuilt exactly when a new value is missing
-        # from one.
+        # equal u64 values.  After each block the lookup state and the
+        # codes must equal a fresh index's, also when the block holds a
+        # value the codes built before it lack.
         monkeypatch.setattr("botdna.lsh._DENSE_SCAN_SHARE", 0.0)
         seen = set()
 
@@ -821,7 +850,7 @@ class TestCodedColumns:
             rng = np.random.Generator(np.random.Philox(key=data.draw(st.integers(0, 2**32), label="key")))
             # Palette indices: a few per position, and one more that only
             # rows after the first block may take, so that they can hold a
-            # value missing from the dictionaries.
+            # value missing from the codes built before them.
             narrow = data.draw(st.integers(1, 4), label="narrow")
             cells = rng.integers(0, narrow, (count, num_perm))
             first = data.draw(st.integers(1, count), label="first block")
@@ -837,14 +866,18 @@ class TestCodedColumns:
                                      palette[np.arange(num_perm), rng.integers(0, narrow + 1, (2, num_perm))]])
             probes[-1, 0] = 12345  # stored nowhere
             index = LshIndex(BandingPlan(0.5, bands, num_perm // bands), num_perm, 7)
+            entries = [(MinHashSignature(f"u{i}", num_perm, 7, values[i]), "bot" if i % 3 else "human")
+                       for i in range(count)]
             cuts = sorted({first, *data.draw(st.lists(st.integers(first, count), max_size=4), label="cuts")})
             for a, b in zip([0, *cuts], [*cuts, count]):
-                sigs = [MinHashSignature(f"u{i}", num_perm, 7, values[i]) for i in range(a, b)]
-                if len(sigs) == 1:
-                    index.insert(sigs[0], "bot" if a % 3 else "human")
+                if index._codes is not None and index._codes[0][0] is not None:
+                    dictionary = index._codes[0][0]
+                    if any(not np.isin(values[a:b, p], dictionary[p]).all() for p in range(num_perm)):
+                        seen.add("a value new to the codes built before")
+                if b - a == 1:
+                    index.insert(*entries[a])
                 else:
-                    index.insert_many(sigs, ["bot" if i % 3 else "human" for i in range(a, b)])
-                before = index._value_codes, index._digest_codes, index._coded_rows
+                    index.insert_many([sig for sig, _ in entries[a:b]], [label for _, label in entries[a:b]])
                 digests = index.band_digests(values[:b])
                 # One block of every probe; each row must be that probe's answer.
                 is_candidate, matches = index._match_block(probes, index.band_digests(probes))
@@ -861,36 +894,25 @@ class TestCodedColumns:
                 bots = np.array(["bot" if i % 3 else "human" for i in range(b)]) == "bot"
                 probe_sigs = [MinHashSignature(f"p{j}", num_perm, 7, p) for j, p in enumerate(probes)]
                 assert index.neighbor_votes(probe_sigs, 0.5) == [(len(k), int(bots[k].sum())) for k in kept]
-                if index._coded_rows:
-                    self.check_recoding(before, index, values[:b], digests, seen)
+                if assert_state_is_fresh(index, entries[:b]):
+                    seen.add("codes equal a fresh index's")
+                    self.check_codes(index, values[:b], digests, seen)
 
         check()
         assert seen >= self.MIXED_CASES[case]
 
     @staticmethod
-    def check_recoding(before, index, values, digests, seen):
-        """The codes after a block: built, extended or rebuilt by the rule."""
-        *old_codes, done = before
-        after = index._value_codes, index._digest_codes
-        if after[1][0] is None and after[0][0] is not None:
+    def check_codes(index, values, digests, seen):
+        """The codes of a coded matrix give each value's index in its column's dictionary row."""
+        (dictionary, codes), (digest_dictionary, digest_codes) = index._codes
+        if digest_dictionary is None and dictionary is not None:
             seen.add("band over 255 values, positions coded")
-        if after[0][0] is None:
+        if dictionary is None:
             seen.add("position over 255 values")
-        for old, new, matrix in zip(old_codes, after, (values, digests)):
-            if old is None or old[0] is None:
-                assert old is None or new is old  # a column over 255 values keeps them
-                continue
-            dictionary = old[0]
-            missing = any(not np.isin(matrix[done:, p], dictionary[p]).all() for p in range(len(dictionary)))
-            if missing:
-                assert new[0] is not dictionary
-                seen.add("rebuilt for a missing value")
-            else:
-                assert new[0] is dictionary
-                seen.add("extended")
-            if new[0] is not None:
-                want = [np.searchsorted(row, column) for row, column in zip(new[0], matrix.T)]
-                np.testing.assert_array_equal(new[1], want)
+        for words, coded, matrix in ((dictionary, codes, values), (digest_dictionary, digest_codes, digests)):
+            if words is not None:
+                want = [np.searchsorted(row, column) for row, column in zip(words, matrix.T)]
+                np.testing.assert_array_equal(coded, want)
 
 
 def cross_band_values(index, stored, b1, b2, rng):
@@ -976,7 +998,7 @@ class TestBlockLookups:
                 assert got == [(nb.user_id, nb.jaccard) for nb in found]
             if bands > 1:
                 seen.add("a digest equal in another band")
-            coded = index._value_codes is not None and index._value_codes[0] is not None
+            coded = index._codes is not None and index._codes[0][0] is not None
             seen.add("values coded" if coded else "values not coded")
 
         check()
@@ -1090,7 +1112,7 @@ class TestPersistence:
         assert calls == []
         assert loaded.query(probe) == want
         assert calls == [(8,), (10, 8)]
-        np.testing.assert_array_equal(loaded._digests[:10], index.band_digests(index._values[:10]))
+        np.testing.assert_array_equal(loaded._lookup[0], index.band_digests(index._values[:10]))
 
     def test_long_id_round_trips(self, tmp_path):
         uid = "é" * 35_000  # 70,000 UTF-8 bytes

@@ -36,7 +36,7 @@ from botdna.pipeline import (
     signature_for,
 )
 
-from conftest import BOT_KIND_CYCLES, HUMAN_KIND_CYCLES, counting_digests, synthetic_corpus
+from conftest import BOT_KIND_CYCLES, HUMAN_KIND_CYCLES, counting_digests, family_corpus, synthetic_corpus
 
 
 # The module itself: the package re-exports ``minhash`` the function under
@@ -49,30 +49,6 @@ B3_KINDS = {"A": "plain", "C": "retweet", "T": "reply"}
 def b3_user(user_id: str, symbols: str, label: str = "bot") -> UserTimeline:
     """A timeline whose B3 DNA is ``symbols``."""
     return UserTimeline(user_id, label, [PostRecord(60 * i, B3_KINDS[s]) for i, s in enumerate(symbols)])
-
-
-def family_corpus(families: int, size: int, posts: int, cycle: int, noise: float, seed: int):
-    """Users of behaviour families, shuffled, as evaluate-sparse's corpus is made.
-
-    A family repeats one pattern of ``cycle`` posts (kind, entities and
-    gap), each member from its own phase, with each post redrawn at rate
-    ``noise``; families alternate bot and human.
-    """
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    entities = [(1, 1, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
-    gaps = [600, 10_800, 28_800, 43_200, 64_800, 79_200, 259_200, 1_209_600, 5_184_000]
-    kinds = list(B3_KINDS.values())
-    patterns = [rng.integers(0, [3, 5, 9], size=(cycle, 3)) for _ in range(families)]
-    users = []
-    for i in rng.permutation(families * size).tolist():
-        family = i % families
-        rows = patterns[family][(np.arange(posts) + rng.integers(0, cycle)) % cycle]
-        noisy = rng.random(posts) < noise
-        rows[noisy] = rng.integers(0, [3, 5, 9], size=(int(noisy.sum()), 3))
-        ts = np.cumsum([gaps[g] for g in rows[:, 2].tolist()]).tolist()
-        records = [PostRecord(t, kinds[k], *entities[e]) for t, (k, e, _) in zip(ts, rows.tolist())]
-        users.append(UserTimeline(f"f{family:02d}u{i:03d}", "bot" if family % 2 == 0 else "human", records))
-    return users
 
 
 def separable_dataset(n=40, posts=60, seed=5):
@@ -713,6 +689,28 @@ class TestClassifyAgainstIndex:
         queries = Dataset("q", [replace(u, label=None) for u in ds.users[:6]])
         predictions, report = classify_against_index(index, queries, cfg)
         assert len(predictions) == 6 and report is None
+
+    def test_refuses_queries_of_another_recipe(self):
+        # Queries sketched under other alphabets, another order of them, or
+        # another k are compared with nothing they could match: refused
+        # before any is sketched, never answered with quiet wrong votes.
+        # An index of no recipe (built by hand) is taken as it is.
+        ds = noisy_dataset()
+        built = base_config(alphabets=("B3", "B9"), k_shingle=3)
+        gt, test = split(preprocess(ds, built)[0], built.split)
+        index = build_index(gt.users, built)
+        assert index.recipe == (("B3", "B9"), 3)
+        others = [replace(built, alphabets=alphabets, k_shingle=k)
+                  for alphabets, k in [(("B3",), 4), (("B3",), 3), (("B3", "B9"), 4), (("B9", "B3"), 3)]]
+        for cfg in others:
+            with pytest.raises(IncompatibleSignatures, match=r"alphabets=\['B3', 'B9'\], k_shingle=3"):
+                classify_against_index(index, test, cfg)
+        _, report = classify_against_index(index, test, built)
+        assert report.to_dict()["confusion"] == evaluate(ds, built).to_dict()["confusion"]
+        index.recipe = None
+        for cfg in others:
+            predictions, _ = classify_against_index(index, test, cfg)
+            assert [p.query_id for p in predictions] == [u.user_id for u in preprocess(test, cfg)[0].users]
 
 
 class TestEncodeDataset:
