@@ -12,12 +12,16 @@ positions.
 ``shingle`` gives each window an integer code: the 17 symbols of the
 alphabets are the digits 1..17 of a bijective base-17 number, so a window
 of width ``k`` <= 15 is an exact int64, and windows of different widths
-never share a code.  A bounded process-wide memo numbers every shingle it
-has seen, keyed by code (or by string, for a set made from strings), keeps
-its base hash, and keeps the permuted values (the row) of the most recent
-ones, so shingles shared across users are hashed once.  A code's base hash
-is the ``shingle_hash`` of its window, sliced from the sequence at the
-window's first start; the memo never decodes a code to its string.
+never share a code.  ``shingle_many`` shingles a list of sequences in
+groups of about ``GROUP_WINDOWS`` (8192) windows, with one sort per group;
+``shingle`` is its one-sequence case.  A bounded process-wide memo
+numbers every shingle it has seen, keeps its base hash, and keeps the
+permuted values (the row) of the most recent ones, so shingles shared
+across users are hashed once.  A code of width up to 4 (1..88,740) finds
+its number in a direct int32 table (347 KiB, allocated on first use); a
+wider code, or a string of a set made from strings, in a dict.  A code's
+base hash is the ``shingle_hash`` of its window, sliced from the sequence
+at the window's first start; the memo never decodes a code to its string.
 
 Binary signature layout (all integers little-endian)::
 
@@ -38,7 +42,7 @@ import hashlib
 import json
 import struct
 import threading
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from itertools import repeat
 from operator import attrgetter
 
@@ -50,16 +54,17 @@ from .errors import EmptySet, FormatError, IncompatibleSignatures, SequenceTooSh
 MERSENNE_61 = np.uint64((1 << 61) - 1)
 # 0-d arrays rather than numpy scalars: a ufunc takes them ~0.4 us faster.
 _P61 = np.array(MERSENNE_61)
-_MASK32 = np.array(0xFFFFFFFF, dtype=np.uint64)
-_MASK29 = np.array((1 << 29) - 1, dtype=np.uint64)
-_S3, _S29, _S32, _S61 = (np.array(s, dtype=np.uint64) for s in (3, 29, 32, 61))
+_MASK30 = np.array((1 << 30) - 1, dtype=np.uint64)
+_MASK31 = np.array((1 << 31) - 1, dtype=np.uint64)
+_S30, _S31, _S61 = (np.array(s, dtype=np.uint64) for s in (30, 31, 61))
 
 # The memo's block of rows: 1024 rows at 128 permutations.  Shingles
 # shared across users (a small alphabet and k) are computed once per
 # process; a vocabulary far larger than the block (a sparse corpus) keeps
 # emptying it and gains nothing, so the bound keeps its memory small.
 ROW_CACHE_BYTES = 1 << 20
-# The memo's bound on distinct shingles per hash family.
+# The memo's bound on distinct shingles per hash family, over its code table
+# and its dict together.
 MEMO_ENTRIES = 1 << 20
 
 # The digits 1..17 of the shingle codes, in alphabet order; a byte that is
@@ -137,37 +142,39 @@ def fold_m61(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def _mulmod_limbs(
     a_hi: np.ndarray, a_lo: np.ndarray, x: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """A value below 2**63 congruent to ``a * x`` modulo 2**61 - 1.
+    """A value below 2**63 + 2**32 congruent to ``a * x`` modulo 2**61 - 1.
 
-    ``a`` comes split into its 32-bit limbs; both operands are below 2**61.
-    The result is left unreduced so that a caller can add one more term
-    below 2**61 before its single ``fold_m61``.
+    ``a`` comes split at bit 31 into ``a_hi`` < 2**30 and ``a_lo`` < 2**31,
+    and ``x`` < 2**61 is split the same way here, so every product stays
+    below 2**62.  With 2**62 = 2 and 2**61 = 1 (mod p)::
+
+        a*x = 2*a_hi*x_hi + (a_hi*x_lo + a_lo*x_hi) * 2**31 + a_lo*x_lo
+
+    and the middle sum's bits from 30 up wrap around to bit 0.  The result
+    is left unreduced so that a caller can add one more term below 2**61
+    before its single ``fold_m61``.
     """
-    x_hi = x >> _S32
-    x_lo = x & _MASK32
-    out = np.multiply(a_hi, x_hi, out=out)  # < 2**58
-    out <<= _S3  # 2**64 = 8 (mod p)
+    x_hi = x >> _S31
+    x_lo = x & _MASK31
+    out = np.multiply(a_hi, x_hi + x_hi, out=out)  # < 2**61
     mid = a_hi * x_lo
     tmp = np.multiply(a_lo, x_hi, out=np.empty_like(mid))
     mid += tmp  # < 2**62
-    out += np.right_shift(mid, _S29, out=tmp)  # 2**61 = 1 (mod p)
-    mid &= _MASK29
-    mid <<= _S32
+    out += np.right_shift(mid, _S30, out=tmp)
+    mid &= _MASK30
+    mid <<= _S31
     out += mid
-    lo = np.multiply(a_lo, x_lo, out=mid)  # < 2**64
-    out += np.right_shift(lo, _S61, out=tmp)
-    lo &= _P61
-    out += lo
+    out += np.multiply(a_lo, x_lo, out=mid)  # < 2**62
     return out
 
 
 def mulmod_m61(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Exact (a * x) mod (2**61 - 1) for operands already below 2**61.
 
-    Splits both operands into 32-bit limbs so every intermediate stays
-    inside u64; 2**64 = 8 and 2**61 = 1 modulo the prime.
+    Splits both operands at bit 31 so every intermediate stays inside u64;
+    2**62 = 2 and 2**61 = 1 modulo the prime.
     """
-    out = _mulmod_limbs(a >> _S32, a & _MASK32, x)
+    out = _mulmod_limbs(a >> _S31, a & _MASK31, x)
     return fold_m61(out, out=out)
 
 
@@ -204,39 +211,62 @@ def _keys(shingles: ShingleSet) -> list:
     return list(shingles.shingles) if shingles.codes is None else shingles.codes.tolist()
 
 
-def _base_hashes(shingles: ShingleSet, keys: list, at: np.ndarray) -> np.ndarray:
-    """The base hashes of ``keys[at]``; a code's window is sliced from the sequence at its first start."""
+def _base_hashes(shingles: ShingleSet, keys: list | None, at: np.ndarray) -> np.ndarray:
+    """The base hashes of the set's members at ``at``: of ``keys[at]`` for a
+    set made from strings, else of its codes' windows, each sliced from the
+    sequence at the code's first start."""
     if shingles.codes is None:
         return _window_hashes(map(str.encode, map(keys.__getitem__, at.tolist())))
     data, first = shingles.symbols.encode("ascii"), shingles.starts[at]
     return _window_hashes(map(data.__getitem__, map(slice, first.tolist(), (first + shingles.k).tolist())))
 
 
+def _code_span(k: int) -> int:
+    """One more than the largest code of width ``k``, ``(17**(k+1) - 17) / 16``.
+
+    Every code of width up to ``k`` is below it.
+    """
+    return (len(SYMBOLS) ** (k + 1) - len(SYMBOLS)) // (len(SYMBOLS) - 1) + 1
+
+
+# Coded sets of width up to ``_TABLE_K`` take their ids from a direct table
+# indexed by code: codes 1..88,740, so 88,741 int32 entries (347 KiB).
+_TABLE_K = 4
+_TABLE_SIZE = _code_span(_TABLE_K)
+
+
 class _ShingleMemo:
     """Every shingle sketched under one hash family, by integer id.
 
-    ``ids`` numbers the shingles in order of first use, keyed by code or,
-    for a set made from strings, by string.  By id, ``base`` keeps the
-    shingle's base hash reduced mod p, and ``slot`` the row of ``block``
-    that holds its permuted values ``(a*x + b) mod p`` over all
-    ``num_perm`` permutations, or -1.  The block holds at most
+    Shingles are numbered in order of first use.  A coded set of width
+    ``k`` <= 4 finds its ids in ``table``, an int32 array indexed by code
+    (-1 where none), allocated on first use; wider codes, and the strings
+    of a set made from strings, find theirs in the dict ``ids``.  By id,
+    ``base`` keeps the shingle's base hash reduced mod p, and ``slot`` the
+    row of ``block`` that holds its permuted values ``(a*x + b) mod p``
+    over all ``num_perm`` permutations, or -1.  The block holds at most
     ``ROW_CACHE_BYTES``; when a set's missing rows do not fit, every slot
     is dropped and filling starts again from row 0.  A set larger than the
     block is computed without being stored.  The memo holds at most
-    ``MEMO_ENTRIES`` shingles; a set that would take it past that empties
-    it, slots and all, first.
+    ``MEMO_ENTRIES`` shingles over both maps; a set that would take it
+    past that empties both, slots and all, first.
     """
 
     def __init__(self, seed: int, num_perm: int):
         a, self.b = _hash_family(seed, num_perm)
         self.family = (seed, num_perm)
-        self.a_hi, self.a_lo = a >> np.uint64(32), a & _MASK32
+        self.a_hi, self.a_lo = a >> _S31, a & _MASK31
         self.block = np.empty((ROW_CACHE_BYTES // (8 * num_perm), num_perm), dtype=np.uint64)
         self.owner = np.empty(len(self.block), dtype=np.intp)  # the id in each filled row
         self.filled = 0
+        self.count = 0  # shingles numbered, in both maps
         self.ids: dict[int | str, int] = {}
+        self.table: np.ndarray | None = None
         self.base = np.empty(0, dtype=np.uint64)
         self.slot = np.empty(0, dtype=np.intp)
+
+    def __len__(self) -> int:
+        return self.count
 
     def permuted(self, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One permuted row per base hash (reduced mod p), computed."""
@@ -244,40 +274,58 @@ class _ShingleMemo:
         out += self.b  # < 2**64
         return fold_m61(out, out=out)
 
-    def _lookup(self, shingles: ShingleSet, keys: list) -> np.ndarray:
-        """The ids of a set's distinct keys; new ones are numbered and hashed."""
-        ids = self.ids
+    def _empty(self) -> None:
+        self.ids.clear()
+        if self.table is not None:
+            self.table.fill(-1)
+        self.count = self.filled = 0
+
+    def _number(self, shingles: ShingleSet, keys: list | None, fresh: np.ndarray) -> np.ndarray:
+        """Ids for the set's new members at ``fresh``, with their base hashes kept."""
+        known = self.count
+        self.count = total = known + len(fresh)
+        if total > len(self.base):
+            size = min(MEMO_ENTRIES, max(total, 2 * len(self.base)))
+            self.base, self.slot = np.resize(self.base, size), np.resize(self.slot, size)
+        fold_m61(_base_hashes(shingles, keys, fresh), out=self.base[known:total])
+        self.slot[known:total] = -1
+        return np.arange(known, total)
+
+    def _lookup(self, shingles: ShingleSet) -> np.ndarray:
+        """The ids of a set's distinct members; new ones are numbered and hashed."""
+        codes = shingles.codes
+        if codes is not None and shingles.k <= _TABLE_K:
+            if self.table is None:
+                self.table = np.full(_TABLE_SIZE, -1, dtype=np.int32)
+            found = self.table[codes]
+            if found.min() < 0:
+                fresh = np.flatnonzero(found < 0)
+                found[fresh] = self.table[codes[fresh]] = self._number(shingles, None, fresh)
+            return found
+        ids, keys = self.ids, _keys(shingles)
         found = np.fromiter(map(ids.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
         if found.min() < 0:
             fresh = np.flatnonzero(found < 0)
-            known = len(ids)
-            total = known + len(fresh)
-            if total > len(self.base):
-                size = min(MEMO_ENTRIES, max(total, 2 * len(self.base)))
-                self.base, self.slot = np.resize(self.base, size), np.resize(self.slot, size)
-            found[fresh] = numbers = np.arange(known, total)
+            found[fresh] = numbers = self._number(shingles, keys, fresh)
             ids.update(zip(map(keys.__getitem__, fresh.tolist()), numbers.tolist()))
-            fold_m61(_base_hashes(shingles, keys, fresh), out=self.base[known:total])
-            self.slot[known:total] = -1
         return found
 
     def sketch(self, shingles: ShingleSet) -> np.ndarray:
         """The column-wise minimum of a set's permuted rows, as a new array."""
-        keys = _keys(shingles)
-        n = len(keys)
+        n = len(shingles)
         if n > MEMO_ENTRIES:  # more shingles than the memo may hold
+            keys = _keys(shingles) if shingles.codes is None else None
             return self.permuted(fold_m61(_base_hashes(shingles, keys, np.arange(n)))).min(axis=0)
-        if len(self.ids) + n > MEMO_ENTRIES:
-            self.ids.clear()
-            self.filled = 0
-        found = self._lookup(shingles, keys)
+        if self.count + n > MEMO_ENTRIES:
+            self._empty()
+        found = self._lookup(shingles)
         if n > len(self.block):
             return self.permuted(self.base[found]).min(axis=0)
         slots = self.slot[found]
         held = slots >= 0
         missing = found[~held]
         if not len(missing):
-            return self.block[slots].min(axis=0)
+            return self.block.take(slots, axis=0).min(axis=0)
         if self.filled + len(missing) > len(self.block):
             self.slot[self.owner[: self.filled]] = -1
             self.filled = 0
@@ -289,7 +337,7 @@ class _ShingleMemo:
         self.slot[missing] = np.arange(start, stop)
         values = rows.min(axis=0)
         if held is not None and len(missing) < n:
-            np.minimum(values, self.block[slots[held]].min(axis=0), out=values)
+            np.minimum(values, self.block.take(slots[held], axis=0).min(axis=0), out=values)
         return values
 
 
@@ -497,36 +545,107 @@ class MinHashSignature:
             raise FormatError(f"signature document: {exc}") from None
 
 
+# Windows per group of ``shingle_many``: a group's int64 keys, sort order
+# and starts take ~64 KiB each, so they stay in cache while it is sorted.
+GROUP_WINDOWS = 8192
+# Up to this many windows a stable sort, which leaves each key's first
+# start first in its run, beats an unstable sort and a least-start pass.
+_STABLE_SORT_WINDOWS = 800
+
+
 def shingle(seq: DnaSequence, k: int) -> ShingleSet:
-    """All length-k windows of the sequence, as a coded set.
+    """All length-k windows of the sequence, as a coded set: ``shingle_many`` of one."""
+    return shingle_many([seq], k)[0]
+
+
+def shingle_many(seqs: Sequence[DnaSequence], k: int) -> list[ShingleSet]:
+    """Each sequence's length-k windows, as one coded set per sequence, in input order.
 
     Windows are taken over the flat symbol string, so with several
-    alphabets a window can straddle post boundaries.  A window's code is
-    built by k-1 multiply-adds over the symbols' digits, and one stable
-    sort puts the codes in order with each one's first start.  A symbol
-    of no alphabet raises ``ValueError``.
+    alphabets a window can straddle post boundaries.  The sequences are
+    shingled in groups of whole sequences holding about ``GROUP_WINDOWS``
+    windows (a longer sequence is a group of its own), and no more than an
+    int64 key ``index in group * span + code`` can tell apart, where every
+    code of width ``k`` is below ``span`` (three sequences at k=15).  Per
+    group, k-1 multiply-adds over the joined digits give every window's
+    code, windows that straddle two sequences are dropped, one sort puts
+    the keys in order, and each key's first start is the least start of its
+    run: the run's first under a stable sort, which is the faster up to
+    ``_STABLE_SORT_WINDOWS`` (800) windows, else its least under an
+    unstable sort, which is faster above.  A sequence shorter than ``k``
+    raises ``SequenceTooShort``, and a symbol of no alphabet ``ValueError``,
+    for the first offending sequence in input order, as shingling them one
+    at a time would.
     """
     k = check_k_shingle(k)
-    symbols = seq.symbols
-    if len(symbols) < k:
-        raise SequenceTooShort(
-            f"user {seq.user_id!r}: sequence length {len(symbols)} < k={k}"
-        )
+    span = _code_span(k)
+    most = ((1 << 63) - 1) // span
+    sets, lo = [], 0
+    while lo < len(seqs):
+        hi, windows = lo + 1, len(seqs[lo].symbols) - k + 1
+        while hi < len(seqs) and hi - lo < most and windows < GROUP_WINDOWS:
+            windows += len(seqs[hi].symbols) - k + 1
+            hi += 1
+        sets += _shingle_group(seqs[lo:hi], k, span)
+        lo = hi
+    return sets
+
+
+def _shingle_group(seqs: Sequence[DnaSequence], k: int, span: int) -> list[ShingleSet]:
+    """``shingle_many`` of one group, whose keys fit in int64."""
+    texts = [seq.symbols for seq in seqs]
+    joined = "".join(texts)
+    lengths = list(map(len, texts))
     # "replace" keeps one byte per symbol, and its "?" is no digit.
-    digits = _DIGITS[np.frombuffer(symbols.encode("ascii", "replace"), dtype=np.uint8)]
-    if not digits.all():
-        raise ValueError(f"user {seq.user_id!r}: symbol {symbols[np.argmin(digits)]!r} is in no alphabet")
-    n = len(symbols) - k + 1
-    codes = digits[:n].copy()
+    digits = _DIGITS.take(np.frombuffer(joined.encode("ascii", "replace"), dtype=np.uint8))
+    if min(lengths) < k or np.count_nonzero(digits) < len(digits):
+        _refuse(seqs, k, joined, lengths, digits)
+    n = len(joined) - k + 1
+    keys = digits[:n].copy()
     for i in range(1, k):
-        codes *= len(SYMBOLS)
-        codes += digits[i : i + n]
-    order = np.argsort(codes, kind="stable")
-    codes = codes[order]
-    first = np.empty(n, dtype=bool)
-    first[0] = True
-    np.not_equal(codes[1:], codes[:-1], out=first[1:])
-    return ShingleSet._coded(seq.user_id, k, symbols, codes[first], order[first])
+        keys *= len(SYMBOLS)
+        keys += digits[i : i + n]
+    if len(seqs) > 1:
+        lengths = np.array(lengths)
+        ends = lengths.cumsum()
+        kept = np.ones(n, dtype=bool)
+        kept[(ends[:-1, None] - np.arange(1, k)).ravel()] = False  # the k-1 windows ending past each sequence
+        at = kept.nonzero()[0]
+        keys = keys.take(at)
+        keys += np.arange(0, span * len(seqs), span, dtype=np.int64).repeat(lengths - (k - 1))
+    stable = len(keys) <= _STABLE_SORT_WINDOWS
+    order = keys.argsort(kind="stable" if stable else None)
+    keys = keys.take(order)
+    head = np.empty(len(keys), dtype=bool)
+    head[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    heads = head.nonzero()[0]
+    keys = keys.take(heads)
+    # The first start of a key is the first of its run in a stable order, else the run's least.
+    starts = order.take(heads) if stable else np.minimum.reduceat(order, heads)
+    if len(seqs) == 1:
+        return [ShingleSet._coded(seqs[0].user_id, k, joined, keys, starts)]
+    owner = keys // span
+    keys -= owner * span  # the codes
+    starts = at.take(starts)
+    starts -= (ends - lengths).take(owner)
+    keys.setflags(write=False)
+    starts.setflags(write=False)
+    cuts = owner.searchsorted(np.arange(len(seqs) + 1)).tolist()
+    return [ShingleSet._coded(seq.user_id, k, text, keys[a:b], starts[a:b])
+            for seq, text, a, b in zip(seqs, texts, cuts, cuts[1:])]
+
+
+def _refuse(seqs: Sequence[DnaSequence], k: int, joined: str, lengths: list[int], digits: np.ndarray) -> None:
+    """Raise for the group's first sequence that is shorter than ``k`` or holds a symbol of no alphabet."""
+    short = np.flatnonzero(np.array(lengths) < k)
+    bad = np.flatnonzero(digits == 0)
+    first_short = short[0] if len(short) else len(seqs)
+    first_bad = np.searchsorted(np.cumsum(lengths), bad[0], side="right") if len(bad) else len(seqs)
+    if first_short <= first_bad:  # a short sequence is refused before its symbols are read
+        seq = seqs[first_short]
+        raise SequenceTooShort(f"user {seq.user_id!r}: sequence length {len(seq.symbols)} < k={k}")
+    raise ValueError(f"user {seqs[first_bad].user_id!r}: symbol {joined[bad[0]]!r} is in no alphabet")
 
 
 def minhash(shingles: ShingleSet, num_perm: int, seed: int) -> MinHashSignature:

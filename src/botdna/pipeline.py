@@ -4,10 +4,12 @@ Every protocol, ``build_index`` too, sketches its users through one loop
 (``_signatures``) that makes what ``signature_for`` makes (encode, shingle,
 minhash), and hands the signatures to one core (``_run``) that indexes
 the ground truth (or takes a given index), classifies the test side and
-scores it.  The loop takes users a step of ``SKETCH_STEP`` at a time and
-minhashes a step in habit order (``minhash.habit_anchor``), so that
-users who share shingles follow one another while the memo's row block
-still holds their rows; signatures come out in input order, and
+scores it.  The loop takes users a step of ``SKETCH_STEP`` at a time,
+shingles the step with one ``shingle_many`` call (one sort per group of
+about 8192 windows), and minhashes it in habit order
+(``minhash.habit_anchor``), one ``minhash`` call per user, so that users
+who share shingles follow one another while the memo's row block still
+holds their rows; signatures come out in input order, and
 ``build_index`` holds at most one step of them outside the index.
 
 A signature depends only on (alphabets, k_shingle, num_perm, seed) and
@@ -41,7 +43,7 @@ from .encoding import (BOT, CANONICAL_ALPHABET_ORDER, HUMAN, DnaSequence, UserTi
 from .errors import IncompatibleSignatures
 from .lsh import LshIndex, check_floor, check_threshold, lsh_plan
 from .minhash import (MinHashSignature, _check_integer, check_k_shingle, check_num_perm, check_seed, habit_anchor,
-                      minhash, shingle)
+                      minhash, shingle, shingle_many)
 
 ALPHABET_SUBSETS = (
     ("B3",),
@@ -141,7 +143,13 @@ def signature_for(timeline: UserTimeline, cfg: RunConfig) -> MinHashSignature:
 # Users per ``_signatures`` step.  A step holds all its users' shingle sets
 # (~3.7 KiB each for a 200-post user under B3+B5+B9 at k=6, ~1.8 KiB under
 # B3 at k=4) and trades each for its signature (~1.2 KiB at 128
-# permutations), so it peaks at ~7.5 MiB for 200-post sparse users.
+# permutations), so it peaks at ~7.5 MiB for 200-post sparse users.  The
+# step is shingled a group of about ``minhash.GROUP_WINDOWS`` (8192)
+# windows at a time, peaking at 0.3-0.6 MiB of working arrays per group
+# (traced on random sequences: 200 symbols of B3 at k=4, 600 of all 17 at
+# k=6); the sets
+# of one group are views of its code and start arrays, which are freed
+# with the group's last set.
 SKETCH_STEP = 2048
 
 
@@ -157,8 +165,11 @@ def _dna(user: UserTimeline, cfg: RunConfig, seqs: dict[str, DnaSequence] | None
 
 def _sketch_step(users: list[UserTimeline], cfg: RunConfig,
                  seqs: dict[str, DnaSequence] | None) -> list[MinHashSignature]:
-    """The users' signatures in input order, minhashed in order of their sets' habit anchors."""
-    sets = [shingle(_dna(u, cfg, seqs), cfg.k_shingle) for u in users]
+    """The users' signatures in input order.
+
+    Shingled with one ``shingle_many`` call, minhashed in order of their sets' habit anchors.
+    """
+    sets = shingle_many([_dna(u, cfg, seqs) for u in users], cfg.k_shingle)
     anchors = [habit_anchor(s) for s in sets]
     sigs = [None] * len(sets)
     for i in sorted(range(len(sets)), key=anchors.__getitem__):  # stable: ties keep input order
@@ -171,10 +182,10 @@ def _signatures(users: list[UserTimeline], cfg: RunConfig,
                 seqs: dict[str, DnaSequence] | None = None) -> Iterator[MinHashSignature]:
     """Every user's signature under ``cfg``, as ``signature_for`` makes it, in input order.
 
-    Users go ``SKETCH_STEP`` at a time: a step shingles all its users,
-    then minhashes them in habit order, by each set's ``habit_anchor``, so
-    that users who share shingles follow one another and reuse the rows
-    the memo's block still holds.  A signature does not depend on what the
+    Users go ``SKETCH_STEP`` at a time: a step shingles all its users
+    with one ``shingle_many`` call, then minhashes them in habit order, by
+    each set's ``habit_anchor``, so that users who share shingles follow
+    one another and reuse the rows the memo's block still holds.  A signature does not depend on what the
     memo holds, so the order changes no value.  Lazy: a step is made when
     its first signature is asked for, and only that step's sets and
     signatures are held here.

@@ -31,6 +31,7 @@ from botdna.minhash import (
     _hash_family,
     shingle,
     shingle_hash,
+    shingle_many,
 )
 
 from conftest import (
@@ -67,6 +68,23 @@ class TestModularArithmetic:
     def test_mulmod_extremes(self):
         worst = np.array([M61 - 1], dtype=np.uint64)
         assert int(mulmod_m61(worst, worst)[0]) == ((M61 - 1) * (M61 - 1)) % M61
+
+    # Operands at the 31-bit limb split, at the middle sum's 30-bit split,
+    # and at the top of the field, each a few units either side.
+    LIMB_EDGES = st.builds(lambda base, delta: min(max(base + delta, 0), M61 - 1),
+                           st.sampled_from([0, 1 << 30, 1 << 31, 1 << 60, M61 - 1]), st.integers(-3, 3))
+
+    @given(st.lists(LIMB_EDGES, min_size=1, max_size=8), st.lists(LIMB_EDGES, min_size=1, max_size=8),
+           st.integers(0, 3))
+    @settings(max_examples=200)
+    def test_limbs_match_python_mod_at_the_boundaries(self, a, x, seed):
+        got = mulmod_m61(np.array(a, dtype=np.uint64)[:, None], np.array(x, dtype=np.uint64)[None, :])
+        assert got.tolist() == [[(ai * xi) % M61 for xi in x] for ai in a]
+        # The memo's row: every permutation of the family against each base.
+        family_a, family_b = _hash_family(seed, 8)
+        rows = minhash_module._ShingleMemo(seed, 8).permuted(np.array(x, dtype=np.uint64))
+        assert rows.tolist() == [[(ai * xi + bi) % M61 for ai, bi in zip(family_a.tolist(), family_b.tolist())]
+                                 for xi in x]
 
 
 class TestShingle:
@@ -143,6 +161,8 @@ class TestShingleCodes:
         ("L" * 15, 15), ("L" * 40, 15),  # the largest code, (17**16 - 17) / 16
         ("LLLLLLLLLLLLLLK", 15), ("ACT", 4), ("A", 15), ("", 1),
         ("ACTXUHMNBDEFGJKIL", 15), ("ACTXUHMNBDEFGJKIL" * 3, 1),
+        # Over 800 windows: the unstable sort.
+        pytest.param("ACT" * 400, 4, id="ACT*400-4"), pytest.param("ACTXUHMNBDEFGJKIL" * 100, 6, id="all17*100-6"),
     ])
     def test_codes_equal_the_string_windows_at_the_edges(self, symbols, k):
         self.check(symbols, k)
@@ -153,7 +173,10 @@ class TestShingleCodes:
             with pytest.raises(SequenceTooShort):
                 shingle(seq(symbols), k)
             return
-        got = shingle(seq(symbols), k)
+        TestShingleCodes.check_set(shingle(seq(symbols), k), symbols, k)
+
+    @staticmethod
+    def check_set(got, symbols, k):
         windows = oracle_windows(symbols, k)
         assert got.codes.dtype == np.int64 and got.starts.dtype == np.intp
         assert len(got) == len(got.codes) == len(got.starts) == len(windows)
@@ -214,6 +237,111 @@ class TestShingleCodes:
         assert coded == ShingleSet("u", 2, frozenset({"AC", "CT", "TA"}))
         assert len({coded, ShingleSet("u", 2, frozenset({"AC", "CT", "TA"}))}) == 1
         assert coded != ShingleSet("v", 2, coded.shingles) and coded != shingle(seq("ACTAC"), 3)
+
+
+class TestShingleMany:
+    """The step routine against shingling one sequence at a time."""
+
+    @staticmethod
+    def same(got, expected):
+        assert (got.user_id, got.k, got.symbols) == (expected.user_id, expected.k, expected.symbols)
+        assert got.codes.dtype == expected.codes.dtype and got.starts.dtype == expected.starts.dtype
+        assert got.codes.tolist() == expected.codes.tolist()
+        assert got.starts.tolist() == expected.starts.tolist()
+        assert not got.codes.flags.writeable and not got.starts.flags.writeable
+
+    @staticmethod
+    def outcome(make):
+        """``make()``'s sets, or the type and message of what it raised."""
+        try:
+            return make()
+        except (SequenceTooShort, ValueError) as exc:
+            return type(exc), str(exc)
+
+    def test_equals_shingling_each_sequence(self, monkeypatch):
+        # With the group budget patched down to a few windows, groups split
+        # inside the list; at k=15 an int64 key tells only three sequences
+        # apart.  Both sorts run: the stable one up to a few hundred windows
+        # and the unstable one, with its least-start pass, when the bound is
+        # patched to 0.  A drawn list may hold sequences shorter than k and
+        # symbols of no alphabet; the routine must then raise what the
+        # first of them raises alone.
+        groups, group = [], minhash_module._shingle_group
+        monkeypatch.setattr(minhash_module, "_shingle_group",
+                            lambda seqs, k, span: groups.append(len(seqs)) or group(seqs, k, span))
+        seen = set()
+
+        @given(data=st.data())
+        @settings(max_examples=300, deadline=None)
+        def check(data):
+            k = data.draw(st.one_of(st.just(15), st.integers(1, 14)), label="k")  # 15 half the time: the key bound
+            faulty = data.draw(st.booleans(), label="faulty")
+            symbols = "".join(DIGITS) + "Z?\u00e9" * faulty
+            texts = st.one_of(st.text(symbols, min_size=k, max_size=3 * k + 4),
+                              st.text("".join(DIGITS), min_size=k, max_size=k),  # one window
+                              # A motif repeated: windows recur, so runs of equal keys are long.
+                              st.builds(str.__mul__, st.text("".join(DIGITS), min_size=1, max_size=4),
+                                        st.integers(k, 60)),
+                              st.text(symbols, max_size=k - 1) if faulty and k > 1 else st.nothing())
+            seqs = [seq(text, f"u{i}") for i, text in enumerate(data.draw(st.lists(texts, min_size=1, max_size=12),
+                                                                        label="texts"))]
+            expected = self.outcome(lambda: [shingle(s, k) for s in seqs])
+            with pytest.MonkeyPatch.context() as mp:
+                budget = data.draw(st.sampled_from([1, 5, 40, 8192]), label="budget")
+                mp.setattr(minhash_module, "GROUP_WINDOWS", budget)
+                stable = data.draw(st.sampled_from([0, 800]), label="stable up to")
+                mp.setattr(minhash_module, "_STABLE_SORT_WINDOWS", stable)
+                groups.clear()
+                got = self.outcome(lambda: shingle_many(seqs, k))
+                if isinstance(expected, list):
+                    split = len(groups) > 1
+                    for s, one in zip(seqs, expected):  # the one-sequence path under the drawn sort
+                        self.same(shingle(s, k), one)
+            if isinstance(expected, tuple):
+                assert got == expected
+                seen.add(expected[0].__name__)
+                return
+            seen.update({"stable" if stable else "unstable", "split" if split else "one group"})
+            if k == 15 and len(seqs) > 3:
+                seen.add("k=15 over three")
+            assert len(got) == len(expected)
+            for a, b in zip(got, expected):
+                self.same(a, b)
+                TestShingleCodes.check_set(a, a.symbols, k)
+
+        check()
+        assert seen == {"SequenceTooShort", "ValueError", "stable", "unstable", "split", "one group",
+                        "k=15 over three"}
+
+    @pytest.mark.parametrize("texts, budget, refused", [
+        (["ACT", "AZ", "ACTZ"], 8192, (SequenceTooShort, "u1")),  # short, and a symbol of no alphabet
+        (["ACTT", "ACZT", "A"], 8192, (ValueError, "u1")),
+        (["A", "ACZT"], 8192, (SequenceTooShort, "u0")),
+        (["ACTT"] * 5 + ["ACT\u00e9", "AC"], 4, (ValueError, "u5")),  # in a later group
+        (["ACTT"] * 5 + ["AC", "AC?"], 4, (SequenceTooShort, "u5")),
+    ])
+    def test_refuses_the_first_offending_sequence(self, texts, budget, refused, monkeypatch):
+        seqs = [seq(text, f"u{i}") for i, text in enumerate(texts)]
+        expected = self.outcome(lambda: [shingle(s, 3) for s in seqs])
+        monkeypatch.setattr(minhash_module, "GROUP_WINDOWS", budget)
+        assert self.outcome(lambda: shingle_many(seqs, 3)) == expected
+        kind, user = refused
+        assert expected[0] is kind and expected[1].startswith(f"user {user!r}: ")
+
+    def test_groups_hold_as_many_sequences_as_their_keys_tell_apart(self, monkeypatch):
+        groups, group = [], minhash_module._shingle_group
+        monkeypatch.setattr(minhash_module, "_shingle_group",
+                            lambda seqs, k, span: groups.append(len(seqs)) or group(seqs, k, span))
+        seqs = [seq("LLLLLLLLLLLLLLLK", f"u{i}") for i in range(7)]
+        assert [s.codes.tolist() for s in shingle_many(seqs, 15)] == [[oracle_code("LLLLLLLLLLLLLLK"),
+                                                                       oracle_code("LLLLLLLLLLLLLLL")]] * 7
+        assert groups == [3, 3, 1]
+        groups.clear()
+        shingle_many([seq("ACT" * 70, f"u{i}") for i in range(100)], 4)  # 207 windows each
+        assert groups == [40, 40, 20]
+
+    def test_an_empty_list_makes_no_sets(self):
+        assert shingle_many([], 4) == []
 
 
 class TestHabitAnchor:
@@ -624,12 +752,36 @@ def capacity(num_perm):
     return ROW_CACHE_BYTES // (8 * num_perm)
 
 
+SYMBOL_OF = {d: s for s, d in DIGITS.items()}
+
+
+def oracle_window(code):
+    """The window whose bijective base-17 code is ``code``."""
+    symbols = []
+    while code:
+        code, digit = divmod(code - 1, 17)
+        symbols.append(SYMBOL_OF[digit + 1])
+    return "".join(reversed(symbols))
+
+
+def memo_entries(memo):
+    """Every (window, id) the memo holds, from its dict and its code table."""
+    entries = [(oracle_window(key) if isinstance(key, int) else key, i) for key, i in memo.ids.items()]
+    if memo.table is not None:
+        codes = np.flatnonzero(memo.table >= 0)
+        assert codes.max(initial=0) <= (17**5 - 17) // 16  # widths up to 4 only
+        entries += [(oracle_window(code), int(memo.table[code])) for code in codes.tolist()]
+    return entries
+
+
 def resident(memo):
-    """The shingles whose rows the memo's block holds, after checking every base hash."""
-    assert len(memo.ids) <= len(memo.base) <= minhash_module.MEMO_ENTRIES
-    for member, i in memo.ids.items():
+    """The shingles whose rows the memo's block holds, after checking every base hash in both maps."""
+    entries = memo_entries(memo)
+    assert len(entries) == len(memo) <= len(memo.base) <= minhash_module.MEMO_ENTRIES
+    assert sorted(i for _, i in entries) == list(range(len(memo)))  # one id each, from 0
+    for member, i in entries:
         assert int(memo.base[i]) == shingle_hash(member) % M61
-    return {member for member, i in memo.ids.items() if memo.slot[i] >= 0}
+    return {member for member, i in entries if memo.slot[i] >= 0}
 
 
 # Blocks of 64, 64 and 32 rows: small enough that sets drawn from a
@@ -740,7 +892,7 @@ class TestRowCache:
             for (num_perm, seed), i in calls:
                 members = pool[i % len(pool)]
                 before = minhash_module._memo
-                known = len(before.ids) if before.family == (seed, num_perm) else 0
+                known = len(before) if before.family == (seed, num_perm) else 0
                 sig = minhash(ShingleSet("u", 4, members), num_perm, seed)
                 assert sig.values.tolist() == oracle_minhash(members, num_perm, seed)
                 memo = minhash_module._memo
@@ -749,7 +901,7 @@ class TestRowCache:
                     seen.add("too large")
                 elif known + len(members) > 40:
                     seen.add("emptied")
-                    assert set(memo.ids) == members
+                    assert set(memo.ids) == members and len(memo) == len(members)
 
         check()
         assert seen == {"too large", "emptied"}
@@ -759,8 +911,11 @@ class TestRowCache:
         # stream over changing families, must each equal the uncached
         # oracle.  With a 32-row block at 16 permutations (16 at 32) and
         # room for 60 shingles, the stream fills and empties the block,
-        # computes sets larger than it, and crosses the memo's bound; the
-        # run must see each of these.
+        # computes sets larger than it, and crosses the memo's bound; with
+        # k from 1 to 6, coded sets take their ids from the code table
+        # (widths up to 4) and from the dict (5 and 6).  The run must see
+        # each of these, and every entry of both maps must hold its
+        # window's hash.
         monkeypatch.setattr(minhash_module, "ROW_CACHE_BYTES", 4096)
         monkeypatch.setattr(minhash_module, "MEMO_ENTRIES", 60)
         monkeypatch.setattr(minhash_module, "_memo", None)
@@ -770,8 +925,8 @@ class TestRowCache:
             st.sampled_from(families),
             st.booleans(),  # as strings
             st.sampled_from(["ACT", "ACTXUHMN", "BDEFGJKIL", "".join(DIGITS)]).flatmap(
-                lambda alphabet: st.text(alphabet=alphabet, min_size=4, max_size=90)),
-            st.integers(1, 4),
+                lambda alphabet: st.text(alphabet=alphabet, min_size=6, max_size=90)),
+            st.integers(1, 6),
         )
 
         @given(st.lists(calls, min_size=1, max_size=8))
@@ -779,7 +934,9 @@ class TestRowCache:
                   ((16, 5), False, MIXED[:50], 2),  # 47 windows: over the block
                   ((16, 5), True, MIXED[50:], 2),  # emptied
                   ((32, 5), False, MIXED, 3),  # 87 windows: too large
-                  ((16, 6), False, "ACTACTTCA", 2)])
+                  ((16, 6), False, "ACTACTTCA", 2),
+                  ((16, 6), False, "ACTACTTCA", 5),  # wide codes beside the table's
+                  ((16, 6), False, MIXED[:57], 4)])  # emptied, table and dict both
         @settings(max_examples=60, deadline=None)
         def check(stream):
             minhash(ShingleSet("reset", 1, frozenset({"x"})), 8, 99)  # a family used nowhere else
@@ -789,13 +946,15 @@ class TestRowCache:
                 windows = frozenset(oracle_windows(symbols, k))
                 s = ShingleSet("u", k, windows) if as_strings else coded
                 before = minhash_module._memo
-                known = len(before.ids) if before.family == (seed, num_perm) else 0
+                known = len(before) if before.family == (seed, num_perm) else 0
+                tabled = np.count_nonzero(before.table >= 0) if known and before.table is not None else 0
                 sig = minhash(s, num_perm, seed)
                 assert sig.values.tolist() == oracle_minhash(windows, num_perm, seed)
                 assert coded._shingles is None or as_strings  # a coded set is never decoded
                 memo = minhash_module._memo
-                assert len(memo.ids) <= 60
-                seen.add("strings" if as_strings else "codes")
+                resident(memo)
+                assert len(memo) <= 60
+                seen.add("strings" if as_strings else "table" if k <= 4 else "wide codes")
                 if family not in (None, (num_perm, seed)):
                     seen.add("new family")
                 family = (num_perm, seed)
@@ -803,11 +962,18 @@ class TestRowCache:
                     seen.add("too large")
                 elif known + len(windows) > 60:
                     seen.add("emptied")
+                    # Emptying cleared both maps: only this set's shingles are left.
+                    in_table = not as_strings and k <= 4
+                    assert len(memo) == len(memo.ids) + len(windows) * in_table == len(windows)
+                    assert memo.table is None or np.count_nonzero(memo.table >= 0) == len(windows) * in_table
+                    if tabled:
+                        seen.add("emptied the table")
                 if 4096 // (8 * num_perm) < len(windows) <= 60:
                     seen.add("over the block")
 
         check()
-        assert seen == {"strings", "codes", "new family", "too large", "emptied", "over the block"}
+        assert seen == {"strings", "table", "wide codes", "new family", "too large", "emptied", "emptied the table",
+                        "over the block"}
 
     @pytest.mark.parametrize("size", [3, 2000])  # cached, and larger than the block
     def test_signature_never_shares_memory_with_cache(self, size):

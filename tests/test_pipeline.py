@@ -535,7 +535,7 @@ class TestBlocks:
         cfg = RunConfig(num_perm=128)
         users = synthetic_corpus(35, 20, seed=3)
         built, made, events = [], {}, []
-        insert_many, shingle, minhash = LshIndex.insert_many, pipeline.shingle, pipeline.minhash
+        insert_many, shingle_many, minhash = LshIndex.insert_many, pipeline.shingle_many, pipeline.minhash
 
         class Tracked(MinHashSignature):
             pass  # unlike MinHashSignature, takes weak references
@@ -544,14 +544,14 @@ class TestBlocks:
             built.append(index)
             return insert_many(index, sigs, labels)
 
-        def shingling(seq, k):
-            events.append("shingle")
+        def shingling(seqs, k):
+            events.append(("shingle", len(seqs)))
             rows = built[0]._values
             assert len(rows) >= len(made)
             for i, (user, row) in enumerate(zip(users, rows[: len(made)]), 1):
                 values, alive = made[user.user_id]
                 assert np.array_equal(row, values) and (alive() is None or i == len(made))
-            return shingle(seq, k)
+            return shingle_many(seqs, k)
 
         def sketching(shingles, num_perm, seed):
             events.append("minhash")
@@ -561,12 +561,12 @@ class TestBlocks:
             return sig
 
         monkeypatch.setattr(LshIndex, "insert_many", recording)
-        monkeypatch.setattr(pipeline, "shingle", shingling)
+        monkeypatch.setattr(pipeline, "shingle_many", shingling)
         monkeypatch.setattr(pipeline, "minhash", sketching)
         index = build_index(users, cfg)
         assert len(made) == len(index) == 35
         steps = [4] * 8 + [3]
-        assert events == [kind for n in steps for kind in ["shingle"] * n + ["minhash"] * n]
+        assert events == [kind for n in steps for kind in [("shingle", n)] + ["minhash"] * n]
 
     def test_block_size_does_not_change_results(self, monkeypatch):
         ds = noisy_dataset(60)
