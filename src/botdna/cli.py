@@ -14,7 +14,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import pipeline
-from .data import SplitSpec, check_gt_fraction, load, read_id_list
+from .data import SplitSpec, load, read_id_list
 from .errors import BotDnaError, IntegrityError
 from .lsh import LshIndex
 from .pipeline import RunConfig, canonical_alphabets
@@ -246,8 +246,7 @@ def _cmd_early_detection(args) -> int:
 
 def _cmd_gt_sweep(args) -> int:
     cfg = _config(args)
-    for fraction in _nonempty("--fractions", args.fractions):
-        check_gt_fraction(fraction)
+    pipeline.check_fractions(_nonempty("--fractions", args.fractions))
     series = pipeline.gt_sweep(load(args.data, args.format), cfg, fractions=args.fractions)
     _emit(_series_json("gt_fraction", series, args), args.out)
     if args.csv_out:

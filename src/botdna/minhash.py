@@ -13,8 +13,8 @@ positions.
 alphabets are the digits 1..17 of a bijective base-17 number, so a window
 of width ``k`` <= 15 is an exact int64, and windows of different widths
 never share a code.  ``shingle_many`` shingles a list of sequences in
-groups of about ``GROUP_WINDOWS`` (8192) windows, with one sort per group;
-``shingle`` is its one-sequence case.  A bounded process-wide memo
+groups of about ``GROUP_WINDOWS`` (8192) windows, with one unstable sort
+per group; ``shingle`` is its one-sequence case.  A bounded process-wide memo
 numbers every shingle it has seen, keeps its base hash, and keeps the
 permuted values (the row) of the most recent ones, so shingles shared
 across users are hashed once.  A code of width up to 4 (1..88,740) finds
@@ -166,16 +166,6 @@ def _mulmod_limbs(
     out += mid
     out += np.multiply(a_lo, x_lo, out=mid)  # < 2**62
     return out
-
-
-def mulmod_m61(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Exact (a * x) mod (2**61 - 1) for operands already below 2**61.
-
-    Splits both operands at bit 31 so every intermediate stays inside u64;
-    2**62 = 2 and 2**61 = 1 modulo the prime.
-    """
-    out = _mulmod_limbs(a >> _S31, a & _MASK31, x)
-    return fold_m61(out, out=out)
 
 
 def shingle_hash(shingle: str) -> int:
@@ -548,9 +538,6 @@ class MinHashSignature:
 # Windows per group of ``shingle_many``: a group's int64 keys, sort order
 # and starts take ~64 KiB each, so they stay in cache while it is sorted.
 GROUP_WINDOWS = 8192
-# Up to this many windows a stable sort, which leaves each key's first
-# start first in its run, beats an unstable sort and a least-start pass.
-_STABLE_SORT_WINDOWS = 800
 
 
 def shingle(seq: DnaSequence, k: int) -> ShingleSet:
@@ -570,9 +557,7 @@ def shingle_many(seqs: Sequence[DnaSequence], k: int) -> list[ShingleSet]:
     group, k-1 multiply-adds over the joined digits give every window's
     code, windows that straddle two sequences are dropped, one sort puts
     the keys in order, and each key's first start is the least start of its
-    run: the run's first under a stable sort, which is the faster up to
-    ``_STABLE_SORT_WINDOWS`` (800) windows, else its least under an
-    unstable sort, which is faster above.  A sequence shorter than ``k``
+    run, since the sort is not stable.  A sequence shorter than ``k``
     raises ``SequenceTooShort``, and a symbol of no alphabet ``ValueError``,
     for the first offending sequence in input order, as shingling them one
     at a time would.
@@ -613,16 +598,15 @@ def _shingle_group(seqs: Sequence[DnaSequence], k: int, span: int) -> list[Shing
         at = kept.nonzero()[0]
         keys = keys.take(at)
         keys += np.arange(0, span * len(seqs), span, dtype=np.int64).repeat(lengths - (k - 1))
-    stable = len(keys) <= _STABLE_SORT_WINDOWS
-    order = keys.argsort(kind="stable" if stable else None)
+    order = keys.argsort()
     keys = keys.take(order)
     head = np.empty(len(keys), dtype=bool)
     head[0] = True
     np.not_equal(keys[1:], keys[:-1], out=head[1:])
     heads = head.nonzero()[0]
     keys = keys.take(heads)
-    # The first start of a key is the first of its run in a stable order, else the run's least.
-    starts = order.take(heads) if stable else np.minimum.reduceat(order, heads)
+    # An unstable sort leaves a run in any order: a key's first start is its run's least.
+    starts = np.minimum.reduceat(order, heads)
     if len(seqs) == 1:
         return [ShingleSet._coded(seqs[0].user_id, k, joined, keys, starts)]
     owner = keys // span

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from itertools import groupby, product, repeat
 
 from .classify import EvaluationReport, Prediction, classify_many, score
-from .data import Dataset, SplitSpec, cap_tweets, check_max_tweets, filter_min_length, split
+from .data import Dataset, SplitSpec, cap_tweets, check_gt_fraction, check_max_tweets, filter_min_length, split
 from .encoding import (BOT, CANONICAL_ALPHABET_ORDER, HUMAN, DnaSequence, UserTimeline, encode_user,
                        resolve_alphabets)
 from .errors import IncompatibleSignatures
@@ -355,11 +355,18 @@ def _rank_key(report: EvaluationReport):
 def grid_configs(
     base: RunConfig, ks=DEFAULT_GRID_K, thresholds=DEFAULT_GRID_THRESHOLDS, alphabet_subsets=ALPHABET_SUBSETS
 ) -> list[list[RunConfig]]:
-    """Every grid cell's ``RunConfig``, grouped by ``(alphabets, k_shingle)``; an empty grid raises."""
+    """Every grid cell's ``RunConfig``, grouped by ``(alphabets, k_shingle)``.
+
+    An empty grid raises ``ValueError``, and so does a cell given twice,
+    alphabets compared in canonical order.
+    """
     groups: dict[tuple, list[RunConfig]] = {}
     for alphas, k, t in product(alphabet_subsets, ks, thresholds):
         cfg = replace(base, alphabets=canonical_alphabets(alphas), k_shingle=k, threshold=t)
-        groups.setdefault((cfg.alphabets, k), []).append(cfg)
+        cells = groups.setdefault((cfg.alphabets, k), [])
+        if cfg in cells:  # the same report twice
+            raise ValueError(f"grid cell {cfg.alphabets} k={k} threshold={t} repeats")
+        cells.append(cfg)
     if not groups:
         raise ValueError("empty grid")
     return list(groups.values())
@@ -428,10 +435,10 @@ def grid_search(
 
 
 def check_caps(caps) -> list[int]:
-    """``caps`` as a list if each is a valid ``max_tweets`` and they ascend, else ``ValueError``."""
+    """``caps`` as a list if each is a valid ``max_tweets`` and they strictly ascend, else ``ValueError``."""
     caps = [check_max_tweets(cap) for cap in caps]
-    if caps != sorted(caps):
-        raise ValueError(f"caps must be ascending, got {caps}")
+    if any(a >= b for a, b in zip(caps, caps[1:])):
+        raise ValueError(f"caps must be ascending without repeats, got {caps}")
     return caps
 
 
@@ -464,6 +471,16 @@ def early_detection(ds: Dataset, cfg: RunConfig, caps=DEFAULT_EARLY_DETECTION_CA
     return results
 
 
+def check_fractions(fractions) -> list[float]:
+    """``fractions`` as a list if each is a valid ``gt_fraction`` and none repeats, else ``ValueError``."""
+    fractions = list(fractions)
+    for fraction in fractions:
+        check_gt_fraction(fraction)
+    if len(set(fractions)) < len(fractions):
+        raise ValueError(f"fractions must not repeat, got {fractions}")
+    return fractions
+
+
 def gt_sweep(ds: Dataset, cfg: RunConfig, fractions=DEFAULT_GT_FRACTIONS) -> list[tuple[float, EvaluationReport]]:
     """Re-evaluate with increasing ground-truth fractions under one seed.
 
@@ -473,7 +490,7 @@ def gt_sweep(ds: Dataset, cfg: RunConfig, fractions=DEFAULT_GT_FRACTIONS) -> lis
     """
     if cfg.split.mode != "random_fraction":
         raise ValueError("gt_sweep requires a random_fraction split spec")
-    fractions = list(fractions)
+    fractions = check_fractions(fractions)
     cfgs = [replace(cfg, split=replace(cfg.split, gt_fraction=f)) for f in fractions]
     return list(zip(fractions, _evaluate_shared(ds, cfgs))) if cfgs else []
 

@@ -275,6 +275,11 @@ BAD_LISTS = [
     ("early-detection", "--caps", "200..20", "--caps gives no value"),
     ("early-detection", "--caps", ",", "--caps gives no value"),
     ("gt-sweep", "--fractions", ",", "--fractions gives no value"),
+    # A repeated sweep value would report one cell twice.
+    ("grid-search", "--k-grid", "4,4", "repeats"),
+    ("grid-search", "--alphabet-grid", "B3,B5/B5,B3", "repeats"),
+    ("early-detection", "--caps", "20,20", "caps must be ascending"),
+    ("gt-sweep", "--fractions", "0.3,0.3", "fractions must not repeat"),
 ]
 
 PARSED_INT_LISTS = [

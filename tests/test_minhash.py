@@ -27,7 +27,6 @@ from botdna.minhash import (
     fold_m61,
     habit_anchor,
     minhash,
-    mulmod_m61,
     _hash_family,
     shingle,
     shingle_hash,
@@ -59,15 +58,24 @@ class TestModularArithmetic:
     def test_fold_matches_python_mod(self, x):
         assert int(fold_m61(np.array([x], dtype=np.uint64))[0]) == x % M61
 
-    @given(st.integers(0, M61 - 1), st.integers(0, M61 - 1))
+    @staticmethod
+    def permuted(a, b, x):
+        """The memo's rows ``(a*x + b) mod p`` for the given multipliers, offsets and base hashes."""
+        memo = minhash_module._ShingleMemo(0, 2)
+        memo.a_hi = np.array([ai >> 31 for ai in a], dtype=np.uint64)
+        memo.a_lo = np.array([ai & (1 << 31) - 1 for ai in a], dtype=np.uint64)
+        memo.b = np.array(b, dtype=np.uint64)
+        return memo.permuted(np.array(x, dtype=np.uint64))
+
+    @given(st.integers(0, M61 - 1), st.integers(0, M61 - 1), st.integers(0, M61 - 1))
     @settings(max_examples=300)
-    def test_mulmod_matches_python_mod(self, a, x):
-        got = mulmod_m61(np.array([a], dtype=np.uint64), np.array([x], dtype=np.uint64))
-        assert int(got[0]) == (a * x) % M61
+    def test_mulmod_matches_python_mod(self, a, b, x):
+        assert self.permuted([a], [b], [x]).tolist() == [[(a * x + b) % M61]]
 
     def test_mulmod_extremes(self):
-        worst = np.array([M61 - 1], dtype=np.uint64)
-        assert int(mulmod_m61(worst, worst)[0]) == ((M61 - 1) * (M61 - 1)) % M61
+        worst = M61 - 1
+        assert self.permuted([worst], [worst], [worst]).tolist() == [[(worst * worst + worst) % M61]]
+        assert self.permuted([worst], [0], [worst]).tolist() == [[(worst * worst) % M61]]
 
     # Operands at the 31-bit limb split, at the middle sum's 30-bit split,
     # and at the top of the field, each a few units either side.
@@ -78,8 +86,10 @@ class TestModularArithmetic:
            st.integers(0, 3))
     @settings(max_examples=200)
     def test_limbs_match_python_mod_at_the_boundaries(self, a, x, seed):
-        got = mulmod_m61(np.array(a, dtype=np.uint64)[:, None], np.array(x, dtype=np.uint64)[None, :])
-        assert got.tolist() == [[(ai * xi) % M61 for xi in x] for ai in a]
+        # The drawn operands as the multipliers, with offsets 0 and p - 1.
+        for b in (0, M61 - 1):
+            got = self.permuted(a, [b] * len(a), x)
+            assert got.tolist() == [[(ai * xi + b) % M61 for ai in a] for xi in x]
         # The memo's row: every permutation of the family against each base.
         family_a, family_b = _hash_family(seed, 8)
         rows = minhash_module._ShingleMemo(seed, 8).permuted(np.array(x, dtype=np.uint64))
@@ -161,7 +171,8 @@ class TestShingleCodes:
         ("L" * 15, 15), ("L" * 40, 15),  # the largest code, (17**16 - 17) / 16
         ("LLLLLLLLLLLLLLK", 15), ("ACT", 4), ("A", 15), ("", 1),
         ("ACTXUHMNBDEFGJKIL", 15), ("ACTXUHMNBDEFGJKIL" * 3, 1),
-        # Over 800 windows: the unstable sort.
+        # Long runs of one key, whose first start the unstable sort need not leave first.
+        pytest.param("A" * 300, 3, id="A*300-3"), pytest.param("ACT" * 60, 4, id="ACT*60-4"), ("ACTA", 4),
         pytest.param("ACT" * 400, 4, id="ACT*400-4"), pytest.param("ACTXUHMNBDEFGJKIL" * 100, 6, id="all17*100-6"),
     ])
     def test_codes_equal_the_string_windows_at_the_edges(self, symbols, k):
@@ -261,9 +272,7 @@ class TestShingleMany:
     def test_equals_shingling_each_sequence(self, monkeypatch):
         # With the group budget patched down to a few windows, groups split
         # inside the list; at k=15 an int64 key tells only three sequences
-        # apart.  Both sorts run: the stable one up to a few hundred windows
-        # and the unstable one, with its least-start pass, when the bound is
-        # patched to 0.  A drawn list may hold sequences shorter than k and
+        # apart.  A drawn list may hold sequences shorter than k and
         # symbols of no alphabet; the routine must then raise what the
         # first of them raises alone.
         groups, group = [], minhash_module._shingle_group
@@ -289,19 +298,14 @@ class TestShingleMany:
             with pytest.MonkeyPatch.context() as mp:
                 budget = data.draw(st.sampled_from([1, 5, 40, 8192]), label="budget")
                 mp.setattr(minhash_module, "GROUP_WINDOWS", budget)
-                stable = data.draw(st.sampled_from([0, 800]), label="stable up to")
-                mp.setattr(minhash_module, "_STABLE_SORT_WINDOWS", stable)
                 groups.clear()
                 got = self.outcome(lambda: shingle_many(seqs, k))
-                if isinstance(expected, list):
-                    split = len(groups) > 1
-                    for s, one in zip(seqs, expected):  # the one-sequence path under the drawn sort
-                        self.same(shingle(s, k), one)
+                split = len(groups) > 1
             if isinstance(expected, tuple):
                 assert got == expected
                 seen.add(expected[0].__name__)
                 return
-            seen.update({"stable" if stable else "unstable", "split" if split else "one group"})
+            seen.add("split" if split else "one group")
             if k == 15 and len(seqs) > 3:
                 seen.add("k=15 over three")
             assert len(got) == len(expected)
@@ -310,8 +314,7 @@ class TestShingleMany:
                 TestShingleCodes.check_set(a, a.symbols, k)
 
         check()
-        assert seen == {"SequenceTooShort", "ValueError", "stable", "unstable", "split", "one group",
-                        "k=15 over three"}
+        assert seen == {"SequenceTooShort", "ValueError", "split", "one group", "k=15 over three"}
 
     @pytest.mark.parametrize("texts, budget, refused", [
         (["ACT", "AZ", "ACTZ"], 8192, (SequenceTooShort, "u1")),  # short, and a symbol of no alphabet

@@ -281,6 +281,15 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search(separable_dataset(n=4), base_config(), ks=[], thresholds=[0.4])
 
+    @pytest.mark.parametrize("grid", [dict(ks=[4, 4]), dict(thresholds=[0.4, 0.4]),
+                                      dict(alphabet_subsets=[("B3", "B5"), ("B5", "B3")])])
+    def test_repeated_cell_rejected(self, grid, minhash_counter):
+        # A repeated cell would be evaluated, ranked and reported twice.
+        grid = dict(dict(ks=[4], thresholds=[0.4], alphabet_subsets=[("B3",)]), **grid)
+        with pytest.raises(ValueError, match="repeats"):
+            grid_search(separable_dataset(n=4), base_config(), **grid)
+        assert minhash_counter.calls == 0
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_every_cell_matches_evaluate(self, jobs):
         ds = noisy_dataset()
@@ -434,6 +443,12 @@ class TestEarlyDetection:
         with pytest.raises(ValueError):
             early_detection(separable_dataset(n=4), base_config(), caps=[40, 20])
 
+    @pytest.mark.parametrize("caps", [[20, 20], [20, 40, 40]])
+    def test_repeated_cap_rejected(self, caps):
+        # A repeated cap would be evaluated and reported twice.
+        with pytest.raises(ValueError, match="caps must be ascending"):
+            early_detection(separable_dataset(n=4), base_config(), caps=caps)
+
     def test_cuts_each_long_timeline_once_per_cap(self, monkeypatch):
         ds = noisy_dataset()
         caps = [10, 20]
@@ -496,6 +511,11 @@ class TestGtSweep:
     def test_rejects_out_of_range_fraction(self):
         with pytest.raises(ValueError):
             gt_sweep(separable_dataset(n=4), base_config(), fractions=[1.5])
+
+    def test_rejects_a_repeated_fraction(self, minhash_counter):
+        with pytest.raises(ValueError, match="fractions must not repeat"):
+            gt_sweep(separable_dataset(n=10), base_config(), fractions=[0.3, 0.1, 0.3])
+        assert minhash_counter.calls == 0
 
 
 class TestBlocks:
