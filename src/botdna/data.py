@@ -13,10 +13,12 @@ rows are grouped by user at load.  Fixed split files are plain text with
 one user id per line.
 
 Each user's posts load straight into the columns of a ``UserTimeline``;
-no ``PostRecord`` is built per record.  A record is malformed when a field
-is missing, its timestamp is not a positive int64, a count is not a
-non-negative int64 (no value is truncated or wrapped), or its kind is not
-one of ``POST_KINDS``.  In JSONL, ``tweets`` must be an array, and a user
+no ``PostRecord`` is built per record.  A column's stored type (uint8,
+uint32 or int64) depends on its values alone, so JSONL, CSV and
+``PostRecord`` builds of one corpus store identical columns.  A record is
+malformed when a field is missing, its timestamp is not a positive int64,
+a count is not a non-negative int64 (no value is truncated or wrapped), or
+its kind is not one of ``POST_KINDS``.  In JSONL, ``tweets`` must be an array, and a user
 without a well-formed tweet is one more malformed record.
 
 Files are read as bytes and decoded as UTF-8 one line at a time, so a line
@@ -191,7 +193,8 @@ def _jsonl_timeline(user_id: str, label: str | None, tweets: list) -> tuple[User
             ts, kinds, *counts = zip(*map(_tweet_fields, tweets))
         timeline = UserTimeline.from_columns(user_id, label, ts, kind_codes(kinds), *counts)
         # Every value passes if the least ones do; sorted, timestamps[0] is the least.
-        _check_signs(timeline.timestamps[0], timeline.urls.min(), timeline.hashtags.min(), timeline.mentions.min())
+        _check_signs(timeline._timestamps[0], timeline._urls.min(), timeline._hashtags.min(),
+                     timeline._mentions.min())
         return timeline, 0
     except _RECORD_ERRORS:
         pass

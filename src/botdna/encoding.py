@@ -14,9 +14,11 @@ With several alphabets the per-post symbols are interleaved in the declared
 alphabet order, so the sequence length is ``len(posts) * len(alphabets)``.
 
 A ``UserTimeline`` keeps its posts as numpy columns sorted by timestamp,
-and ``encode_user`` encodes them by table lookup.  ``encode_b3``,
-``encode_b5`` and ``encode_b9`` are the per-post specification: the lookup
-tables are built from them, and the tests check the two against each other.
+each integer column in the narrowest of uint8, uint32 and int64 that holds
+its values, and ``encode_user`` encodes the stored columns by table
+lookup.  ``encode_b3``, ``encode_b5`` and ``encode_b9`` are the per-post
+specification: the lookup tables are built from them, and the tests check
+the two against each other.
 """
 
 from __future__ import annotations
@@ -75,17 +77,35 @@ def to_int64(value) -> int:
     return number
 
 
-def _int64_column(values) -> np.ndarray:
-    """``values`` as an int64 column, each value held to ``to_int64``."""
-    try:  # only exact integers inside int64 pack: no float, string or wider value
-        column = np.frombuffer(struct.pack(f"{len(values)}q", *values), dtype=np.int64)
-    except (struct.error, TypeError):
-        pass
-    else:
-        # struct packs a bool as 0 or 1, so a column whose least value exceeds 1 holds none.
-        if not len(column) or column.min() > 1 or bool not in set(map(type, values)):
-            return column
-    return np.array([to_int64(v) for v in values], dtype=np.int64)
+# The types a post column may be stored in, narrowest first, with their struct codes.
+# A uint16 step is left out: one more failed pack per column cost 2-3% of load time.
+_COLUMN_TYPES = (("B", np.uint8), ("I", np.uint32), ("q", np.int64))
+
+
+def _packed(values) -> np.ndarray | None:
+    """``values`` in the first of ``_COLUMN_TYPES`` that holds them all, or None if none does."""
+    # An integer first value above 255 rules out uint8, so a timestamp column skips that failing pack.
+    first = next(iter(values), 0)
+    for code, dtype in _COLUMN_TYPES[1 if isinstance(first, (int, np.integer)) and first > 255 else 0:]:
+        try:  # only exact integers inside the type pack: no float, string or wider value
+            return np.frombuffer(struct.pack(f"={len(values)}{code}", *values), dtype=dtype)
+        except (struct.error, TypeError):
+            pass
+    return None
+
+
+def _int_column(values) -> np.ndarray:
+    """``values``, each held to ``to_int64``, as a read-only column of the narrowest exact type.
+
+    The type is uint8, uint32 or int64, whichever comes first and holds
+    every value, so it depends on the values alone and not on how they
+    were given.
+    """
+    column = _packed(values)
+    # struct packs a bool as 0 or 1, so a column whose least value exceeds 1 holds none.
+    if column is not None and (not len(column) or column.min() > 1 or bool not in set(map(type, values))):
+        return column
+    return _packed([to_int64(v) for v in values])
 
 
 def kind_codes(kinds) -> np.ndarray:
@@ -103,12 +123,23 @@ class _Posts:
         if timeline is None:
             raise AttributeError("posts")  # no class-level default: the field is required
         kinds = [POST_KINDS[code] for code in timeline.kinds.tolist()]
-        return list(map(PostRecord, timeline.timestamps.tolist(), kinds, timeline.urls.tolist(),
-                        timeline.hashtags.tolist(), timeline.mentions.tolist()))
+        return list(map(PostRecord, timeline._timestamps.tolist(), kinds, timeline._urls.tolist(),
+                        timeline._hashtags.tolist(), timeline._mentions.tolist()))
 
     def __set__(self, timeline, posts):
         timestamps, kinds, *counts = tuple(zip(*posts)) or ((),) * len(PostRecord._fields)
-        timeline._store(_int64_column(timestamps), kind_codes(kinds), *map(_int64_column, counts))
+        timeline._store(_int_column(timestamps), kind_codes(kinds), *map(_int_column, counts))
+
+
+def _widened(name: str) -> property:
+    """A property reading the stored column ``name`` as a read-only int64 array."""
+
+    def read(timeline) -> np.ndarray:
+        column = getattr(timeline, name).astype(np.int64, copy=False)
+        column.flags.writeable = False
+        return column
+
+    return property(read)
 
 
 @dataclass
@@ -116,10 +147,13 @@ class UserTimeline:
     """A user's posts, sorted by timestamp, plus an optional truth label.
 
     ``label`` is ``"human"``, ``"bot"``, or ``None`` for unknown.  The posts
-    are kept as columns, sorted stably by timestamp: ``timestamps`` (int64),
+    are kept as columns, sorted stably by timestamp: ``timestamps``,
     ``kinds`` (uint8 codes into ``POST_KINDS``) and the entity counts
-    ``urls``, ``hashtags`` and ``mentions`` (int64).  Reading ``posts``
-    builds a ``PostRecord`` list from the columns, in that order.
+    ``urls``, ``hashtags`` and ``mentions``.  Each integer column is stored
+    in the narrowest of uint8, uint32 and int64 that holds all its values,
+    so a typical post takes 8 bytes, and reads as a read-only int64 array,
+    widened on each access.  Reading ``posts`` builds a ``PostRecord`` list
+    from the columns, in that order.
 
     A timestamp or count that is not an integer or lies outside int64, or
     a kind outside ``POST_KINDS``, raises ``ValueError`` here.
@@ -141,13 +175,13 @@ class UserTimeline:
         if len({len(c) for c in columns}) != 1:
             raise ValueError(f"post columns of different lengths: {[len(c) for c in columns]}")
         is_u8 = isinstance(kinds, np.ndarray) and kinds.dtype == np.uint8
-        codes = kinds if is_u8 else _int64_column(kinds)
+        codes = kinds if is_u8 else _int_column(kinds)
         if len(codes) and not (0 <= codes.min() and codes.max() < len(POST_KINDS)):
             raise ValueError(f"post kind code outside 0..{len(POST_KINDS) - 1}")
         timeline = cls.__new__(cls)
         timeline.user_id, timeline.label = user_id, label
-        timeline._store(_int64_column(timestamps), codes.astype(np.uint8),
-                        *map(_int64_column, (urls, hashtags, mentions)))
+        timeline._store(_int_column(timestamps), codes.astype(np.uint8),
+                        *map(_int_column, (urls, hashtags, mentions)))
         return timeline
 
     def _store(self, timestamps, kinds, urls, hashtags, mentions) -> None:
@@ -160,17 +194,22 @@ class UserTimeline:
     def _set(self, timestamps, kinds, urls, hashtags, mentions) -> None:
         for column in (timestamps, kinds, urls, hashtags, mentions):
             column.setflags(write=False)  # the columns stay sorted as built
-        self.timestamps, self.kinds = timestamps, kinds
-        self.urls, self.hashtags, self.mentions = urls, hashtags, mentions
+        self._timestamps, self.kinds = timestamps, kinds
+        self._urls, self._hashtags, self._mentions = urls, hashtags, mentions
+
+    timestamps = _widened("_timestamps")
+    urls = _widened("_urls")
+    hashtags = _widened("_hashtags")
+    mentions = _widened("_mentions")
 
     def __len__(self) -> int:
-        return len(self.timestamps)
+        return len(self._timestamps)
 
     def first(self, n: int) -> UserTimeline:
         """The timeline of the chronologically first ``n`` posts, sharing this one's columns."""
         head = type(self).__new__(type(self))
         head.user_id, head.label = self.user_id, self.label
-        head._set(self.timestamps[:n], self.kinds[:n], self.urls[:n], self.hashtags[:n], self.mentions[:n])
+        head._set(self._timestamps[:n], self.kinds[:n], self._urls[:n], self._hashtags[:n], self._mentions[:n])
         return head
 
 
@@ -292,12 +331,13 @@ def encode_user(timeline: UserTimeline, alphabets: "list[str] | tuple[str, ...]"
         if alphabet.id == "B3":
             columns.append(_B3_TABLE[timeline.kinds])
         elif alphabet.id == "B5":
-            bits = (timeline.urls > 0) * 4 + (timeline.hashtags > 0) * 2 + (timeline.mentions > 0)
+            bits = (timeline._urls > 0) * 4 + (timeline._hashtags > 0) * 2 + (timeline._mentions > 0)
             columns.append(_B5_TABLE[bits])
         else:
-            # Sorted int64 values differ by less than 2**64, so their uint64
-            # differences are exact where int64 ones could overflow.
-            stamps = timeline.timestamps.view(np.uint64)
+            # Sorted int64 values differ by less than 2**64, so the wrapping
+            # differences of their uint64 images are exact, whichever type
+            # the column is stored in, where int64 ones could overflow.
+            stamps = timeline._timestamps.astype(np.uint64)
             gaps = np.diff(stamps, prepend=stamps[:1])
             columns.append(_B9_TABLE[np.searchsorted(_B9_BOUNDS, gaps)])
     interleaved = columns[0] if len(columns) == 1 else np.stack(columns, axis=1)  # post-major

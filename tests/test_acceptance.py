@@ -3,7 +3,7 @@
     pytest tests/test_acceptance.py -v
 
 pytest -v prints one PASSED/FAILED line per criterion; each test also
-prints its measured values (visible with -s or on failure).
+prints its measured values (visible with -s, with -rP, or on failure).
 
 The two real-data reproduction checks need locally supplied dataset files
 (see README: "Reproducing published results") and skip with an explanation

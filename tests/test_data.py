@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from botdna.data import (
@@ -495,29 +495,58 @@ class TestReadIdList:
 
 @st.composite
 def record_corpora(draw):
-    """Users of PostRecords with repeated, unsorted and extreme timestamps and entity counts."""
-    stamp = st.one_of(st.integers(1, 40), st.sampled_from([2**63 - 1, 2**62]))
-    post = st.builds(PostRecord, stamp, st.sampled_from(POST_KINDS), *[st.integers(0, 3)] * 3)
+    """Users of PostRecords with repeated, unsorted and extreme timestamps and entity counts.
+
+    Timestamps and counts reach past the limits of uint8 and uint32, so a
+    user's columns are stored in each of the three types.
+    """
+    stamp = st.one_of(st.integers(1, 40), st.sampled_from([255, 256, 2**32 - 1, 2**32, 2**62, 2**63 - 1]))
+    count = st.one_of(st.integers(0, 3), st.sampled_from([255, 256, 2**32 - 1, 2**32]))
+    post = st.builds(PostRecord, stamp, st.sampled_from(POST_KINDS), *[count] * 3)
     n_users = draw(st.integers(1, 5))
     labels = st.sampled_from(["bot", "human", None])
     return [UserTimeline(f"u{i}", draw(labels), draw(st.lists(post, min_size=1, max_size=12)))
             for i in range(n_users)]
 
 
+STORED_COLUMNS = ("_timestamps", "kinds", "_urls", "_hashtags", "_mentions")
+
+
 def assert_same_columns(loaded, built):
+    """Equal stored columns, types included, each read as a read-only int64 array, shared by ``first``."""
     assert (loaded.user_id, loaded.label) == (built.user_id, built.label)
-    for name in ("timestamps", "kinds", "urls", "hashtags", "mentions"):
+    for name in STORED_COLUMNS:
         ours, theirs = getattr(loaded, name), getattr(built, name)
         assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
+    for timeline in (loaded, built):
+        for name in ("timestamps", "urls", "hashtags", "mentions"):
+            column = getattr(timeline, name)
+            assert column.dtype == np.int64 and not column.flags.writeable, name
+            assert column.tolist() == getattr(timeline, f"_{name}").tolist(), name
+        head = timeline.first(len(timeline) // 2 + 1)
+        for name in STORED_COLUMNS:
+            assert np.shares_memory(getattr(head, name), getattr(timeline, name)), name
 
 
 class TestColumnarLoad:
     """Both loaders fill the timeline columns as PostRecords given to UserTimeline would."""
 
-    @given(users=record_corpora())
-    @settings(max_examples=60, deadline=None)
-    def test_jsonl_and_csv_equal_records(self, users, tmp_path_factory):
-        folder = tmp_path_factory.mktemp("corpus")
+    def test_jsonl_and_csv_equal_records(self, tmp_path_factory):
+        stored = set()
+
+        @given(users=record_corpora())
+        @example(users=[UserTimeline(f"u{i}", None, [PostRecord(v, "plain", v)]) for i, v in enumerate((1, 256, 2**32))])
+        @settings(max_examples=60, deadline=None)
+        def check(users):
+            self.check_loaders_equal_records(users, tmp_path_factory.mktemp("corpus"))
+            stored.update(f"{name} {getattr(u, name).dtype}" for u in users for name in ("_timestamps", "_urls"))
+
+        check()
+        assert stored == {f"{name} {dtype}" for name in ("_timestamps", "_urls")
+                          for dtype in ("uint8", "uint32", "int64")}
+
+    @staticmethod
+    def check_loaders_equal_records(users, folder):
         jsonl = load(corpus_to_jsonl(users, folder / "d.jsonl"))
         rows = [(u, p) for u in users for p in u.posts]
         rows = rows[1::2] + rows[::2]  # users' rows interleaved, timestamps out of order
@@ -556,9 +585,11 @@ class TestColumnarLoad:
         assert ds.malformed_count == 1
         assert ds.by_id()["u1"].posts == [PostRecord(101, "plain")]
 
-    def test_loaded_dataset_keeps_at_most_64_bytes_per_post(self, tmp_path):
-        # Guards against per-record objects coming back onto the load path:
-        # a PostRecord per post kept about 187 bytes.
+    def test_loaded_dataset_keeps_at_most_16_bytes_per_post(self, tmp_path):
+        # Guards against per-record objects coming back onto the load path,
+        # and against columns stored wider than their values need: a
+        # PostRecord per post kept about 187 bytes, int64 columns about 38,
+        # and the narrowest exact types about 13.
         path = corpus_to_jsonl(synthetic_corpus(500, 200, seed=4), tmp_path / "d.jsonl")
         tracemalloc.start()
         try:
@@ -569,4 +600,4 @@ class TestColumnarLoad:
             tracemalloc.stop()
         posts = sum(len(u) for u in ds.users)
         assert posts == 500 * 200
-        assert kept / posts <= 64, f"{kept / posts:.1f} bytes per post"
+        assert kept / posts <= 16, f"{kept / posts:.1f} bytes per post"

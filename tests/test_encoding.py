@@ -1,9 +1,10 @@
 import random
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from botdna import encoding
@@ -20,6 +21,7 @@ from botdna.encoding import (
     encode_b9,
     encode_user,
     resolve_alphabets,
+    to_int64,
 )
 from botdna.errors import EmptyTimeline
 
@@ -359,3 +361,76 @@ class TestUserTimeline:
         posts = [post(ts=100.0), post(ts="200"), post(ts=np.int32(300), urls=1.0)]
         timeline = UserTimeline("u", None, posts)
         assert timeline.posts == [post(ts=100), post(ts=200), post(ts=300, urls=1)]
+
+
+def narrowest(values):
+    """The type the column builder must store ``values`` in: the first that holds them all."""
+    if all(0 <= v < 2**8 for v in values):
+        return np.uint8
+    if all(0 <= v < 2**32 for v in values):
+        return np.uint32
+    return np.int64
+
+
+FLAGS = [True, False, np.True_, np.False_]
+
+
+def as_numpy_int(value):
+    return np.int64(value) if INT64_MIN <= value <= INT64_MAX else value
+
+
+@st.composite
+def column_inputs(draw):
+    """A post column's values: bools among zeros and ones, or integers near each type's edges."""
+    if draw(st.booleans()):
+        values = draw(st.lists(st.sampled_from([0, 1]), max_size=12))
+        for flag in draw(st.lists(st.sampled_from(FLAGS), max_size=2)):
+            values.insert(draw(st.integers(0, len(values))), flag)
+    else:
+        # The list's range: its ends sit on, and one past, the limits of uint8, uint32 and int64.
+        low = draw(st.sampled_from([0, -1, INT64_MIN, INT64_MIN - 1]))
+        high = draw(st.sampled_from([1, 255, 256, 2**32 - 1, 2**32, INT64_MAX, INT64_MAX + 1]))
+        ints = st.one_of(st.sampled_from([low, high]), st.integers(low, high), st.integers(0, 300))
+        # Integral floats, integer strings and Decimals are taken exactly; a float may round.
+        forms = st.sampled_from([int, float, str, Decimal, as_numpy_int])
+        value = st.one_of(st.builds(lambda form, v: form(v), forms, ints),
+                          st.sampled_from([0.5, "1.5", Decimal("0.5"), None, float("nan"), float("inf"), *FLAGS]))
+        values = draw(st.lists(value, max_size=12))
+    return draw(st.sampled_from([list, tuple]))(values)
+
+
+class TestIntColumn:
+    """The post column builder against ``to_int64`` applied value by value."""
+
+    def test_equals_to_int64_value_by_value(self):
+        seen = set()
+
+        @given(values=column_inputs())
+        @example(values=[])
+        @example(values=[0, 255])
+        @example(values=[256])
+        @example(values=(0, 2**32 - 1))
+        @example(values=[2**32])
+        @example(values=[-1, 5])
+        @example(values=[0, 0.5])
+        @example(values=[INT64_MIN, INT64_MAX])
+        @example(values=["255", 3.0, Decimal(7)])
+        @example(values=[np.int64(2**32 - 1)])
+        @example(values=[0, 1, np.False_])
+        @settings(max_examples=600)
+        def check(values):
+            try:
+                expected = [to_int64(v) for v in values]
+            except ValueError:
+                with pytest.raises(ValueError):
+                    encoding._int_column(values)
+                seen.add("refused a bool" if any(isinstance(v, (bool, np.bool_)) for v in values) else "refused")
+                return
+            column = encoding._int_column(values)
+            assert column.tolist() == expected
+            assert column.dtype == narrowest(expected)
+            assert not column.flags.writeable
+            seen.add(column.dtype.name)
+
+        check()
+        assert seen == {"uint8", "uint32", "int64", "refused", "refused a bool"}
