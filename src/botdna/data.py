@@ -40,6 +40,8 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .encoding import BOT, HUMAN, POST_KIND_CODES, UserTimeline, kind_codes, to_int64
 from .errors import FormatError, IntegrityError, UnknownUser
 from .minhash import _check_integer, check_seed, rng_for
@@ -303,10 +305,11 @@ def _load_csv(path: Path) -> Dataset:
             except _RECORD_ERRORS:
                 malformed += 1
     width = len(_CSV_COLUMNS) - 2  # the post fields after user_id and label
-    users = [
-        UserTimeline.from_columns(uid, label_by_user[uid], *(rows[i::width] for i in range(width)))
-        for uid, rows in rows_by_user.items()
-    ]
+    users = []
+    for uid, rows in rows_by_user.items():
+        fields = np.frombuffer(rows, dtype=np.int64)  # checked values: int64 columns, screened for no bool
+        columns = (fields[i::width] for i in range(width))
+        users.append(UserTimeline.from_columns(uid, label_by_user[uid], *columns))
     return _finish(path.stem, str(path), users, malformed, total)
 
 

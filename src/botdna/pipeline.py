@@ -5,12 +5,14 @@ Every protocol, ``build_index`` too, sketches its users through one loop
 minhash), and hands the signatures to one core (``_run``) that indexes
 the ground truth (or takes a given index), classifies the test side and
 scores it.  The loop takes users a step of ``SKETCH_STEP`` at a time,
-shingles the step with one ``shingle_many`` call (one sort per group of
-about 8192 windows), and minhashes it in habit order
-(``minhash.habit_anchor``), one ``minhash`` call per user, so that users
-who share shingles follow one another while the memo's row block still
-holds their rows; signatures come out in input order, and
-``build_index`` holds at most one step of them outside the index.
+encodes the step with one ``encode_many`` call (one table lookup per
+alphabet over each group of about 8192 posts), shingles it with one
+``shingle_many`` call (one sort per group of about 8192 windows), and
+minhashes it in habit order (``minhash.habit_anchor``), one ``minhash``
+call per user, so that users who share shingles follow one another while
+the memo's row block still holds their rows; signatures come out in input
+order, and ``build_index`` holds at most one step of them outside the
+index.
 
 A signature depends only on (alphabets, k_shingle, num_perm, seed) and
 the post cap, so configs that differ only in threshold, floor or split
@@ -38,8 +40,8 @@ from itertools import groupby, product, repeat
 
 from .classify import EvaluationReport, Prediction, classify_many, score
 from .data import Dataset, SplitSpec, cap_tweets, check_gt_fraction, check_max_tweets, filter_min_length, split
-from .encoding import (BOT, CANONICAL_ALPHABET_ORDER, HUMAN, DnaSequence, UserTimeline, encode_user,
-                       resolve_alphabets)
+from .encoding import (BOT, CANONICAL_ALPHABET_ORDER, HUMAN, DnaSequence, UserTimeline, encode_many,
+                       encode_user, resolve_alphabets)
 from .errors import IncompatibleSignatures
 from .lsh import LshIndex, check_floor, check_threshold, lsh_plan
 from .minhash import (MinHashSignature, _check_integer, check_k_shingle, check_num_perm, check_seed, habit_anchor,
@@ -153,23 +155,20 @@ def signature_for(timeline: UserTimeline, cfg: RunConfig) -> MinHashSignature:
 SKETCH_STEP = 2048
 
 
-def _dna(user: UserTimeline, cfg: RunConfig, seqs: dict[str, DnaSequence] | None) -> DnaSequence:
-    """``user``'s DNA under ``cfg.alphabets``, from ``seqs`` when found there; one encoded is added to it."""
-    if seqs is None:
-        return encode_user(user, cfg.alphabets)
-    seq = seqs.get(user.user_id)
-    if seq is None:
-        seq = seqs[user.user_id] = encode_user(user, cfg.alphabets)
-    return seq
-
-
 def _sketch_step(users: list[UserTimeline], cfg: RunConfig,
                  seqs: dict[str, DnaSequence] | None) -> list[MinHashSignature]:
     """The users' signatures in input order.
 
-    Shingled with one ``shingle_many`` call, minhashed in order of their sets' habit anchors.
+    Encoded with one ``encode_many`` call (of those not found in ``seqs``), shingled with one
+    ``shingle_many`` call, minhashed in order of their sets' habit anchors.
     """
-    sets = shingle_many([_dna(u, cfg, seqs) for u in users], cfg.k_shingle)
+    if seqs is None:
+        dna = encode_many(users, cfg.alphabets)
+    else:
+        fresh = [u for u in users if u.user_id not in seqs]
+        seqs.update(zip((u.user_id for u in fresh), encode_many(fresh, cfg.alphabets)))
+        dna = [seqs[u.user_id] for u in users]
+    sets = shingle_many(dna, cfg.k_shingle)
     anchors = [habit_anchor(s) for s in sets]
     sigs = [None] * len(sets)
     for i in sorted(range(len(sets)), key=anchors.__getitem__):  # stable: ties keep input order
@@ -182,8 +181,9 @@ def _signatures(users: list[UserTimeline], cfg: RunConfig,
                 seqs: dict[str, DnaSequence] | None = None) -> Iterator[MinHashSignature]:
     """Every user's signature under ``cfg``, as ``signature_for`` makes it, in input order.
 
-    Users go ``SKETCH_STEP`` at a time: a step shingles all its users
-    with one ``shingle_many`` call, then minhashes them in habit order, by
+    Users go ``SKETCH_STEP`` at a time: a step encodes all its users
+    with one ``encode_many`` call and shingles them with one
+    ``shingle_many`` call, then minhashes them in habit order, by
     each set's ``habit_anchor``, so that users who share shingles follow
     one another and reuse the rows the memo's block still holds.  A signature does not depend on what the
     memo holds, so the order changes no value.  Lazy: a step is made when
@@ -191,7 +191,8 @@ def _signatures(users: list[UserTimeline], cfg: RunConfig,
     signatures are held here.
 
     ``seqs`` maps user ids to DNA under ``cfg.alphabets``: a user found
-    there is not encoded again, and one not found is encoded and added.
+    there is not encoded again, and the step's users not found are encoded
+    with its one ``encode_many`` call and added.
     Keyed by id, it is sound only while each id names one timeline under
     one post cap, as within one ``grid_search`` call; without it each user
     is encoded and nothing is kept.
@@ -497,7 +498,7 @@ def gt_sweep(ds: Dataset, cfg: RunConfig, fractions=DEFAULT_GT_FRACTIONS) -> lis
 
 def encode_dataset(ds: Dataset, alphabets) -> list[DnaSequence]:
     """Debug helper: the DNA string of every user in the dataset."""
-    return [encode_user(u, alphabets) for u in ds.users]
+    return encode_many(ds.users, alphabets)
 
 
 def classify_against_index(

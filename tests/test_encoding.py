@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from decimal import Decimal
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from botdna.encoding import (
     encode_b3,
     encode_b5,
     encode_b9,
+    encode_many,
     encode_user,
     resolve_alphabets,
     to_int64,
@@ -276,17 +278,110 @@ class TestColumnarEncoding:
 
     def test_calls_no_scalar_encoder(self, monkeypatch):
         def refuse(*_):
-            raise AssertionError("encode_user called a per-post encoder")
+            raise AssertionError("an encoder called a per-post encoder")
 
         timeline = UserTimeline("u", None, [post(ts=5, kind="reply", urls=1), post(ts=9000)])
+        other = UserTimeline("v", None, [post(ts=2**40, kind="retweet", hashtags=1, mentions=1)])
         for name in ("encode_b3", "encode_b5", "encode_b9"):
             monkeypatch.setattr(encoding, name, refuse)
         assert encode_user(timeline, ["B3", "B5", "B9"]).symbols == "TUBAND"
+        assert [s.symbols for s in encode_many([timeline, other], ["B3", "B5", "B9"])] == ["TUBAND", "CXB"]
 
     def test_gap_across_all_of_int64(self):
         # int64 subtraction would wrap to a negative gap here.
         posts = [post(ts=INT64_MIN), post(ts=-(2**62) - 5), post(ts=2**62 + 5), post(ts=INT64_MAX)]
         assert encode_user(UserTimeline("u", None, posts), ["B9"]).symbols == "BLLL"
+
+
+@st.composite
+def stored_posts(draw):
+    """A timeline's posts, unsorted, with stamps and counts that store as uint8, uint32 or int64."""
+    n = draw(st.one_of(st.just(1), st.integers(1, 20)))
+    widest = draw(st.sampled_from([255, 2**32 - 1, None]))
+    if widest is None:
+        stamps = draw(timestamp_lists(n))
+    else:
+        stamps = draw(st.lists(st.one_of(st.just(widest), st.integers(0, widest)), min_size=n, max_size=n))
+    kinds = draw(st.lists(st.sampled_from(POST_KINDS), min_size=n, max_size=n))
+    edges = st.sampled_from([255, 256, 2**32 - 1, 2**32, INT64_MAX])
+    count = st.one_of(st.integers(0, 3), st.integers(-3, -1), edges)
+    counts = draw(st.lists(st.tuples(count, count, count), min_size=n, max_size=n))
+    return [PostRecord(t, k, *c) for t, k, c in zip(stamps, kinds, counts)]
+
+
+ALPHABET_ORDERS = [order for n in (1, 2, 3) for order in permutations(("B3", "B5", "B9"), n)]
+
+
+class TestEncodeMany:
+    """encode_many against the per-post specification, across group boundaries."""
+
+    def test_equals_scalar_specification(self, monkeypatch):
+        # With the group size patched down to a few posts, groups split
+        # inside the list and a timeline can be longer than a group.  A
+        # drawn list may hold empty timelines; the first must be named.
+        groups, group = [], encoding._encode_group
+        monkeypatch.setattr(encoding, "_encode_group",
+                            lambda timelines, lengths, ids: groups.append(timelines) or group(timelines, lengths, ids))
+        seen = set()
+
+        @given(data=st.data())
+        @settings(max_examples=200, deadline=None)
+        def check(data):
+            posts = data.draw(st.lists(st.one_of(stored_posts(), st.just([])) if data.draw(st.booleans())
+                                       else stored_posts(), max_size=6), label="posts")
+            timelines = [UserTimeline(f"u{i}", None, p) for i, p in enumerate(posts)]
+            size = data.draw(st.sampled_from([1, 4, 16, 8192]), label="group size")
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(encoding, "GROUP_POSTS", size)
+                if [] in posts:
+                    with pytest.raises(EmptyTimeline, match=f"user 'u{posts.index([])}' has no posts"):
+                        encode_many(timelines, ("B3",))
+                    seen.add("empty")
+                    return
+                for alphabets in ALPHABET_ORDERS:
+                    groups.clear()
+                    seqs = encode_many(timelines, alphabets)
+                    assert [s.symbols for s in seqs] == [scalar_encoding(p, alphabets) for p in posts]
+                    assert [s.user_id for s in seqs] == [t.user_id for t in timelines]
+                    assert all(s.alphabets == alphabets for s in seqs)
+                    assert all(type(s.symbols) is str for s in seqs)
+            if not timelines:
+                seen.add("no timeline")
+            if len(groups) > 1:
+                seen.add("split")
+            if any(len(t) > size for t in timelines):
+                seen.add("longer than a group")
+            if any(len(t) == 1 for t in timelines):
+                seen.add("one post")
+            if any(p != sorted(p, key=lambda r: r.timestamp) for p in posts):
+                seen.add("unsorted")
+            for g in groups:
+                stamp_types = {t._timestamps.dtype.name for t in g}
+                count_types = {c.dtype.name for t in g for c in (t._urls, t._hashtags, t._mentions)}
+                seen.update(f"{name} stamps" for name in stamp_types)
+                if len(stamp_types) > 1:
+                    seen.add("mixed stamps in a group")
+                if len(count_types) == 3:
+                    seen.add("uint8, uint32 and int64 counts in a group")
+
+        check()
+        assert seen == {"empty", "no timeline", "split", "longer than a group", "one post", "unsorted",
+                        "uint8 stamps", "uint32 stamps", "int64 stamps", "mixed stamps in a group",
+                        "uint8, uint32 and int64 counts in a group"}
+
+    @pytest.mark.parametrize("alphabets", [[], ["B4"], ["B3", "B3"], "B3", None],
+                             ids=["none", "unknown", "repeated", "a string", "None"])
+    @pytest.mark.parametrize("timelines", [[], [UserTimeline("u", None, [])]], ids=["no timeline", "empty"])
+    def test_bad_alphabets_fail_first(self, alphabets, timelines):
+        with pytest.raises(ValueError):
+            encode_many(timelines, alphabets)
+
+    def test_alphabet_ids_come_out_as_str(self):
+        timeline = UserTimeline("u", None, [post(ts=1)])
+        for alphabets in (["B5", "B3"], ("B5", "B3"), [np.str_("B5"), np.str_("B3")]):
+            seq = encode_user(timeline, alphabets)
+            assert seq.alphabets == ("B5", "B3") and all(type(a) is str for a in seq.alphabets)
+            assert seq.symbols == "NA"
 
 
 class TestUserTimeline:
@@ -380,8 +475,23 @@ def as_numpy_int(value):
 
 
 @st.composite
+def int64_arrays(draw):
+    """An int64 array near each type's edges, as a strided view like a CSV user's row buffer gives."""
+    low = draw(st.sampled_from([0, -1, INT64_MIN]))
+    high = draw(st.sampled_from([1, 255, 256, 2**32 - 1, 2**32, INT64_MAX]))
+    ints = draw(st.lists(st.one_of(st.sampled_from([low, high]), st.integers(low, high), st.integers(0, 300)),
+                         max_size=12))
+    width = draw(st.integers(1, 5))
+    rows = np.full(len(ints) * width, INT64_MIN, dtype=np.int64)  # the other fields of each row
+    rows[::width] = ints
+    return rows[::width]
+
+
+@st.composite
 def column_inputs(draw):
-    """A post column's values: bools among zeros and ones, or integers near each type's edges."""
+    """A post column's values: bools among zeros and ones, integers near each type's edges, or an int64 array."""
+    if draw(st.booleans()):
+        return draw(int64_arrays())
     if draw(st.booleans()):
         values = draw(st.lists(st.sampled_from([0, 1]), max_size=12))
         for flag in draw(st.lists(st.sampled_from(FLAGS), max_size=2)):
@@ -417,6 +527,10 @@ class TestIntColumn:
         @example(values=["255", 3.0, Decimal(7)])
         @example(values=[np.int64(2**32 - 1)])
         @example(values=[0, 1, np.False_])
+        @example(values=np.array([], dtype=np.int64))
+        @example(values=np.array([0, 255, 256, 2**32 - 1, 2**32], dtype=np.int64)[:2])
+        @example(values=np.array([-1, 2**32 - 1], dtype=np.int64)[1:])
+        @example(values=np.array([2**32, INT64_MIN], dtype=np.int64)[::-1])
         @settings(max_examples=600)
         def check(values):
             try:
@@ -430,7 +544,12 @@ class TestIntColumn:
             assert column.tolist() == expected
             assert column.dtype == narrowest(expected)
             assert not column.flags.writeable
-            seen.add(column.dtype.name)
+            if isinstance(values, np.ndarray):
+                assert not np.shares_memory(column, values)  # the row buffer is not kept alive
+                seen.add(f"{column.dtype.name} from int64")
+            else:
+                seen.add(column.dtype.name)
 
         check()
-        assert seen == {"uint8", "uint32", "int64", "refused", "refused a bool"}
+        assert seen == {"uint8", "uint32", "int64", "refused", "refused a bool",
+                        "uint8 from int64", "uint32 from int64", "int64 from int64"}

@@ -320,13 +320,13 @@ class TestGridSearch:
 
     def test_encodes_once_per_user_and_alphabet_subset(self, monkeypatch):
         calls = []
-        encode_user = pipeline.encode_user
+        encode_many = pipeline.encode_many
 
-        def counting(timeline, alphabets):
-            calls.append((timeline.user_id, tuple(alphabets)))
-            return encode_user(timeline, alphabets)
+        def counting(timelines, alphabets):
+            calls.extend((timeline.user_id, tuple(alphabets)) for timeline in timelines)
+            return encode_many(timelines, alphabets)
 
-        monkeypatch.setattr(pipeline, "encode_user", counting)
+        monkeypatch.setattr(pipeline, "encode_many", counting)
         ds = noisy_dataset()
         base = base_config(max_tweets=20)
         subsets, ks = [("B3",), ("B3", "B9")], [5, 2]  # the short users join at the second k
