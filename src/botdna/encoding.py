@@ -30,7 +30,7 @@ from __future__ import annotations
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, permutations, product
+from itertools import accumulate, product
 from typing import NamedTuple
 
 import numpy as np
@@ -328,20 +328,6 @@ def resolve_alphabets(ids: "list[str] | tuple[str, ...]") -> tuple[Alphabet, ...
         raise ValueError(f"unknown alphabet id {exc.args[0]!r}") from None
 
 
-# Every valid alphabet order, each id tuple keyed by itself: one lookup takes
-# ~0.1 µs, where ``resolve_alphabets`` takes ~0.9 of a ~3 µs one-timeline B3 encode.
-_ORDERS = {ids: ids for n in range(1, len(ALPHABETS) + 1) for ids in permutations(ALPHABETS, n)}
-
-
-def _alphabet_ids(alphabets) -> tuple[str, ...]:
-    """``alphabets`` as a tuple of ids, in one lookup; an invalid one raises as in ``resolve_alphabets``."""
-    try:
-        return _ORDERS[tuple(alphabets)]
-    except (KeyError, TypeError):  # TypeError: not iterable, or an unhashable id
-        pass
-    return tuple(a.id for a in resolve_alphabets(alphabets))
-
-
 # Posts per group of ``encode_many``.  Its 64-bit working arrays (B5's bits,
 # B9's stamps, gaps and bucket indices) take 64 KiB each.  On 200-post users,
 # per user, 8192 and 16384 encoded alike; 2048 cost 1.3-1.5x as much under
@@ -373,7 +359,7 @@ def encode_many(timelines: Sequence[UserTimeline], alphabets: "list[str] | tuple
     is read, and an empty timeline ``EmptyTimeline``, for the first one in
     input order.
     """
-    ids = _alphabet_ids(alphabets)
+    ids = tuple(a.id for a in resolve_alphabets(alphabets))
     lengths = list(map(len, timelines))
     if 0 in lengths:
         raise EmptyTimeline(f"user {timelines[lengths.index(0)].user_id!r} has no posts")
