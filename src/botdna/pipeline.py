@@ -169,6 +169,7 @@ def _sketch_step(users: list[UserTimeline], cfg: RunConfig,
         seqs.update(zip((u.user_id for u in fresh), encode_many(fresh, cfg.alphabets)))
         dna = [seqs[u.user_id] for u in users]
     sets = shingle_many(dna, cfg.k_shingle)
+    del dna  # freed before sketching, so the step's DNA and signatures do not peak together
     anchors = [habit_anchor(s) for s in sets]
     sigs = [None] * len(sets)
     for i in sorted(range(len(sets)), key=anchors.__getitem__):  # stable: ties keep input order
