@@ -30,7 +30,7 @@ from __future__ import annotations
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate, permutations, product
 from typing import NamedTuple
 
 import numpy as np
@@ -316,16 +316,22 @@ _B9_BOUNDS = np.array([bound for bound, _ in _B9_BUCKETS], dtype=np.uint64)
 _B9_TABLE = _table(map(encode_b9, [0, *(_B9_BOUNDS + 1).tolist()]))
 
 
+# Every valid alphabet order, resolved: a valid order is resolved in one lookup.
+_RESOLVED = {ids: tuple(ALPHABETS[i] for i in ids)
+             for n in range(1, len(ALPHABETS) + 1) for ids in permutations(ALPHABETS, n)}
+
+
 def resolve_alphabets(ids: "list[str] | tuple[str, ...]") -> tuple[Alphabet, ...]:
     """Map alphabet ids to Alphabet objects, rejecting unknowns and duplicates."""
+    try:
+        return _RESOLVED[tuple(ids)]
+    except (KeyError, TypeError):  # TypeError: not iterable, or an unhashable id
+        pass
     if not ids:
         raise ValueError("at least one alphabet is required")
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate alphabet ids: {ids!r}")
-    try:
-        return tuple(ALPHABETS[i] for i in ids)
-    except KeyError as exc:
-        raise ValueError(f"unknown alphabet id {exc.args[0]!r}") from None
+    raise ValueError(f"unknown alphabet id {next(i for i in ids if i not in ALPHABETS)!r}")
 
 
 # Posts per group of ``encode_many``.  Its 64-bit working arrays (B5's bits,
@@ -359,7 +365,7 @@ def encode_many(timelines: Sequence[UserTimeline], alphabets: "list[str] | tuple
     is read, and an empty timeline ``EmptyTimeline``, for the first one in
     input order.
     """
-    ids = tuple(a.id for a in resolve_alphabets(alphabets))
+    ids = tuple([a.id for a in resolve_alphabets(alphabets)])
     lengths = list(map(len, timelines))
     if 0 in lengths:
         raise EmptyTimeline(f"user {timelines[lengths.index(0)].user_id!r} has no posts")
