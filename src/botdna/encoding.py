@@ -316,7 +316,8 @@ _B9_BOUNDS = np.array([bound for bound, _ in _B9_BUCKETS], dtype=np.uint64)
 _B9_TABLE = _table(map(encode_b9, [0, *(_B9_BOUNDS + 1).tolist()]))
 
 
-# Every valid alphabet order, resolved: a valid order is resolved in one lookup.
+# Every valid alphabet order with its Alphabets.  A valid order resolves in one
+# lookup: checking and building the tuple took ~0.9 µs of a ~4 µs B3 encode_user.
 _RESOLVED = {ids: tuple(ALPHABETS[i] for i in ids)
              for n in range(1, len(ALPHABETS) + 1) for ids in permutations(ALPHABETS, n)}
 

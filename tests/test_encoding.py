@@ -45,12 +45,28 @@ class TestAlphabets:
                 assert not (sets[i] & sets[j])
 
     def test_resolve_rejects_bad_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one alphabet"):
             resolve_alphabets([])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one alphabet"):
+            resolve_alphabets(None)
+        with pytest.raises(ValueError, match="duplicate alphabet ids"):
             resolve_alphabets(["B3", "B3"])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duplicate alphabet ids"):
+            resolve_alphabets(("B3", "B5", "B9", "B3"))
+        with pytest.raises(ValueError, match="unknown alphabet id 'B4'"):
             resolve_alphabets(["B4"])
+        with pytest.raises(ValueError, match="unknown alphabet id 'B4'"):
+            resolve_alphabets(["B3", "B4"])
+        with pytest.raises(ValueError, match="unknown alphabet id 'B'"):
+            resolve_alphabets("B3")
+
+    def test_resolve_every_order(self):
+        for n in (1, 2, 3):
+            for order in permutations(ALPHABETS, n):
+                expected = tuple(ALPHABETS[i] for i in order)
+                assert resolve_alphabets(order) == expected
+                assert resolve_alphabets(list(order)) == expected
+                assert resolve_alphabets([np.str_(i) for i in order]) == expected
 
 
 class TestEncodeB3:
