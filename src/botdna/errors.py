@@ -23,7 +23,8 @@ class IncompatibleSignatures(BotDnaError):
 
 
 class DuplicateUser(BotDnaError):
-    """A user id was inserted into an index more than once."""
+    """A user id was inserted into an index more than once, or repeats within
+    a dataset given to a protocol (``pipeline.preprocess``)."""
 
 
 class FormatError(BotDnaError):

@@ -17,10 +17,7 @@ index.
 A signature depends only on (alphabets, k_shingle, num_perm, seed) and
 the post cap, so configs that differ only in threshold, floor or split
 share one sketch pass: ``grid_search`` sketches once per (alphabets,
-k_shingle) group and ``gt_sweep`` once for all its fractions.  A DNA
-string depends only on the alphabets and the post cap, so a serial
-``grid_search`` also encodes each user once per alphabet subset and
-shingles that string for every k.
+k_shingle) group and ``gt_sweep`` once for all its fractions.
 
 Every protocol is deterministic for a fixed (dataset, RunConfig): splits,
 hash families, and band digests all derive from the config seed, so reruns
@@ -36,13 +33,13 @@ import resource
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
-from itertools import groupby, product, repeat
+from itertools import product, repeat
 
 from .classify import EvaluationReport, Prediction, classify_many, score
 from .data import Dataset, SplitSpec, cap_tweets, check_gt_fraction, check_max_tweets, filter_min_length, split
 from .encoding import (BOT, CANONICAL_ALPHABET_ORDER, HUMAN, DnaSequence, UserTimeline, encode_many,
                        encode_user, resolve_alphabets)
-from .errors import IncompatibleSignatures
+from .errors import DuplicateUser, IncompatibleSignatures
 from .lsh import LshIndex, check_floor, check_threshold, lsh_plan
 from .minhash import (MinHashSignature, _check_integer, check_k_shingle, check_num_perm, check_seed, habit_anchor,
                       minhash, shingle, shingle_many)
@@ -155,19 +152,13 @@ def signature_for(timeline: UserTimeline, cfg: RunConfig) -> MinHashSignature:
 SKETCH_STEP = 2048
 
 
-def _sketch_step(users: list[UserTimeline], cfg: RunConfig,
-                 seqs: dict[str, DnaSequence] | None) -> list[MinHashSignature]:
+def _sketch_step(users: list[UserTimeline], cfg: RunConfig) -> list[MinHashSignature]:
     """The users' signatures in input order.
 
-    Encoded with one ``encode_many`` call (of those not found in ``seqs``), shingled with one
-    ``shingle_many`` call, minhashed in order of their sets' habit anchors.
+    Encoded with one ``encode_many`` call, shingled with one ``shingle_many``
+    call, minhashed in order of their sets' habit anchors.
     """
-    if seqs is None:
-        dna = encode_many(users, cfg.alphabets)
-    else:
-        fresh = [u for u in users if u.user_id not in seqs]
-        seqs.update(zip((u.user_id for u in fresh), encode_many(fresh, cfg.alphabets)))
-        dna = [seqs[u.user_id] for u in users]
+    dna = encode_many(users, cfg.alphabets)
     sets = shingle_many(dna, cfg.k_shingle)
     del dna  # freed before sketching, so the step's DNA and signatures do not peak together
     anchors = [habit_anchor(s) for s in sets]
@@ -178,8 +169,7 @@ def _sketch_step(users: list[UserTimeline], cfg: RunConfig,
     return sigs
 
 
-def _signatures(users: list[UserTimeline], cfg: RunConfig,
-                seqs: dict[str, DnaSequence] | None = None) -> Iterator[MinHashSignature]:
+def _signatures(users: list[UserTimeline], cfg: RunConfig) -> Iterator[MinHashSignature]:
     """Every user's signature under ``cfg``, as ``signature_for`` makes it, in input order.
 
     Users go ``SKETCH_STEP`` at a time: a step encodes all its users
@@ -190,16 +180,9 @@ def _signatures(users: list[UserTimeline], cfg: RunConfig,
     memo holds, so the order changes no value.  Lazy: a step is made when
     its first signature is asked for, and only that step's sets and
     signatures are held here.
-
-    ``seqs`` maps user ids to DNA under ``cfg.alphabets``: a user found
-    there is not encoded again, and the step's users not found are encoded
-    with its one ``encode_many`` call and added.
-    Keyed by id, it is sound only while each id names one timeline under
-    one post cap, as within one ``grid_search`` call; without it each user
-    is encoded and nothing is kept.
     """
     for lo in range(0, len(users), SKETCH_STEP):
-        yield from _sketch_step(users[lo : lo + SKETCH_STEP], cfg, seqs)
+        yield from _sketch_step(users[lo : lo + SKETCH_STEP], cfg)
 
 
 def _sketch(users: list[UserTimeline], cfg: RunConfig) -> list[MinHashSignature]:
@@ -230,6 +213,12 @@ def build_index(users: list[UserTimeline], cfg: RunConfig) -> LshIndex:
 
 
 def preprocess(ds: Dataset, cfg: RunConfig) -> tuple[Dataset, int]:
+    """Cap and length-filter ``ds`` under ``cfg``; a repeated user id raises ``DuplicateUser``."""
+    seen: set[str] = set()
+    for user in ds.users:
+        if user.user_id in seen:  # reports and sketches are keyed by id
+            raise DuplicateUser(f"user id {user.user_id!r} repeats in dataset {ds.name!r}")
+        seen.add(user.user_id)
     if cfg.max_tweets is not None:
         ds = cap_tweets(ds, cfg.max_tweets)
     return filter_min_length(ds, cfg.k_shingle, cfg.alphabets)
@@ -279,16 +268,14 @@ def _run(
     return predictions, report
 
 
-def _evaluate_shared(ds: Dataset, cfgs: list[RunConfig],
-                     seqs: dict[str, DnaSequence] | None = None) -> list[EvaluationReport]:
+def _evaluate_shared(ds: Dataset, cfgs: list[RunConfig]) -> list[EvaluationReport]:
     """Evaluate configs that differ only in threshold, floor and split.
 
     The dataset is preprocessed once, each distinct split is made once,
     and each user is sketched once, the first time a split needs them;
     all later configs reuse those signatures.  A report's ``preprocess_s``
     is the time that config added (preprocess, split, sketch), so a config
-    that reuses everything reads 0.0.  ``seqs`` is ``_signatures``' map of
-    DNA already encoded under these configs' alphabets and post cap.
+    that reuses everything reads 0.0.
     """
     t0 = _now()
     filtered, removed = preprocess(ds, cfgs[0])
@@ -302,7 +289,7 @@ def _evaluate_shared(ds: Dataset, cfgs: list[RunConfig],
         else:
             gt_ds, test_ds = split(filtered, cfg.split)
             fresh = [u for u in (*gt_ds.users, *test_ds.users) if u.user_id not in sigs]
-            sigs.update(zip((u.user_id for u in fresh), _signatures(fresh, cfg, seqs)))
+            sigs.update(zip((u.user_id for u in fresh), _signatures(fresh, cfg)))
             sides[cfg.split] = (
                 gt_ds.users,
                 [sigs[u.user_id] for u in gt_ds.users],
@@ -406,16 +393,13 @@ def grid_search(
     The dataset is capped to ``base.max_tweets`` once, before any group,
     and no group cuts it again; ``preprocess_s`` does not count that cap.
     Cells that share ``(alphabets, k_shingle)`` form one group: the group
-    is preprocessed, split and sketched once, and only the index, classify
-    and score steps run per threshold.  The first cell of a group carries
-    the group's ``preprocess_s``; its other cells read 0.0.  Run serially,
-    the groups of one alphabet subset share its users' DNA strings, held
-    only until the subset changes: each user is encoded once per subset,
-    so the subset's first group carries the encoding in its
-    ``preprocess_s`` and later groups only shingling and sketching.  With
+    is preprocessed, split, encoded and sketched once, and only the index,
+    classify and score steps run per threshold.  The first cell of a group
+    carries the group's ``preprocess_s``; its other cells read 0.0.  With
     ``jobs > 1`` the groups run in a process pool of ``min(jobs, groups)``
-    workers, one task per group, so the dataset is pickled once per group
-    and each group encodes for itself.  ``jobs < 1`` raises ``ValueError``.
+    workers, one task per group, so the dataset is pickled once per group;
+    otherwise they run one after another in this process, each the same
+    task.  ``jobs < 1`` raises ``ValueError``.
 
     Ties break toward smaller k, then larger threshold.  Cell execution
     order never affects the ranking.
@@ -429,10 +413,7 @@ def grid_search(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_evaluate_shared, repeat(ds, len(groups)), groups))
     else:
-        results = []
-        for _, subset in groupby(groups, key=lambda cfgs: cfgs[0].alphabets):
-            seqs: dict[str, DnaSequence] = {}  # every group shares ds and base.max_tweets
-            results += [_evaluate_shared(ds, cfgs, seqs) for cfgs in subset]
+        results = list(map(_evaluate_shared, repeat(ds, len(groups)), groups))
     return sorted((r for reports in results for r in reports), key=_rank_key)
 
 
@@ -450,8 +431,11 @@ def early_detection(ds: Dataset, cfg: RunConfig, caps=DEFAULT_EARLY_DETECTION_CA
     The ground-truth/test membership is decided once on the uncapped
     dataset and frozen; users whose capped sequence falls below the
     shingle width are dropped from their side for that K.  Each cap is
-    applied once, and ``evaluate`` runs on the capped dataset.
+    applied once, and ``evaluate`` runs on the capped dataset.  A
+    ``cfg.max_tweets`` raises ``ValueError``: the caps replace it.
     """
+    if cfg.max_tweets is not None:
+        raise ValueError("early_detection sweeps its own caps; cfg.max_tweets must be None")
     caps = check_caps(caps)
     filtered, _ = preprocess(ds, cfg)
     gt_ds, test_ds = split(filtered, cfg.split)
@@ -509,16 +493,20 @@ def classify_against_index(
 
     Returns per-user predictions, plus a scored report when every query
     carries a truth label.  The report's ``build_s`` is 0.0: the index is
-    given.  An index whose recipe is known must have been sketched under
+    given.  The index must hold ``cfg``'s hash family (num_perm and
+    seed), and one whose recipe is known must have been sketched under
     ``cfg``'s alphabets, in the same order, and k_shingle, or
-    ``IncompatibleSignatures`` is raised; one with no recipe (built by
-    hand) is taken as it is.
+    ``IncompatibleSignatures`` is raised before any query is sketched; one
+    with no recipe (built by hand) is taken as it is.
     """
     wanted = (tuple(cfg.alphabets), cfg.k_shingle)
     if index.recipe is not None and index.recipe != wanted:
         raise IncompatibleSignatures(f"index built with alphabets={list(index.recipe[0])}, "
                                      f"k_shingle={index.recipe[1]}; queries sketched with "
                                      f"alphabets={list(wanted[0])}, k_shingle={wanted[1]}")
+    if (index.num_perm, index.seed) != (cfg.num_perm, cfg.seed):
+        raise IncompatibleSignatures(f"index built with num_perm={index.num_perm}, seed={index.seed}; "
+                                     f"queries sketched with num_perm={cfg.num_perm}, seed={cfg.seed}")
     t0 = _now()
     filtered, removed = preprocess(ds, cfg)
     sigs = _sketch(filtered.users, cfg)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 import weakref
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from botdna import pipeline
 from botdna.data import Dataset, SplitSpec, split
 from botdna.encoding import PostRecord, UserTimeline
-from botdna.errors import IncompatibleSignatures
+from botdna.errors import DuplicateUser, IncompatibleSignatures
 from botdna.lsh import BandingPlan, LshIndex
 from botdna.minhash import MinHashSignature
 from botdna.pipeline import (
@@ -222,6 +223,7 @@ class TestEvaluate:
 
 class TestCrossDataset:
     def test_same_file_as_gt_and_test_is_perfect(self):
+        # Every id is on both sides: only an id repeated within one dataset is refused.
         ds = separable_dataset()
         report = cross_dataset(ds, ds, base_config())
         assert report.f1 == 1.0
@@ -318,7 +320,12 @@ class TestGridSearch:
         assert len(set(filtered)) > 1  # the short users drop out of some groups only
         assert minhash_counter.calls == len(minhash_counter.keys) == sum(filtered)
 
-    def test_encodes_once_per_user_and_alphabet_subset(self, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_group_encodes_its_own_users(self, monkeypatch, jobs):
+        # Serially as in the pool, an (alphabets, k) group encodes the users
+        # preprocess keeps for it, once each, and shares no DNA with another.
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(FakePool, "created", [])
         calls = []
         encode_many = pipeline.encode_many
 
@@ -330,15 +337,16 @@ class TestGridSearch:
         ds = noisy_dataset()
         base = base_config(max_tweets=20)
         subsets, ks = [("B3",), ("B3", "B9")], [5, 2]  # the short users join at the second k
-        grid_search(ds, base, ks=ks, thresholds=[0.3, 0.6], alphabet_subsets=subsets)
-        sketched = {
+        grid_search(ds, base, ks=ks, thresholds=[0.3, 0.6], alphabet_subsets=subsets, jobs=jobs)
+        assert FakePool.created == ([2] if jobs == 2 else [])
+        kept = Counter(
             (u.user_id, a)
             for a in subsets
             for k in ks
             for u in preprocess(ds, replace(base, alphabets=a, k_shingle=k))[0].users
-        }
-        assert len({uid for uid, _ in sketched}) == len(ds)
-        assert len(calls) == len(sketched) and set(calls) == sketched
+        )
+        assert max(kept.values()) == len(ks)  # a user kept at every k is encoded at every k
+        assert Counter(calls) == kept
 
     def test_encodings_do_not_outlive_a_call(self):
         # Same user ids, other posts: DNA kept from the first call would
@@ -410,7 +418,6 @@ class TestGridSearch:
         assert done.stdout.strip() == "[]"
 
     def test_parallel_jobs_match_sequential(self):
-        # Serially the groups of a subset share its encodings; in the pool each encodes for itself.
         ds = noisy_dataset()
         kwargs = dict(ks=[2, 5], thresholds=[0.4], alphabet_subsets=[("B3",), ("B5", "B9")])
         sequential = grid_search(ds, base_config(max_tweets=20), jobs=1, **kwargs)
@@ -442,6 +449,13 @@ class TestEarlyDetection:
     def test_caps_must_ascend(self):
         with pytest.raises(ValueError):
             early_detection(separable_dataset(n=4), base_config(), caps=[40, 20])
+
+    def test_refuses_a_config_post_cap(self, minhash_counter):
+        # Membership is decided on the uncapped dataset; a config cap would
+        # decide it on a capped one and echo a cap it did not apply.
+        with pytest.raises(ValueError, match="max_tweets"):
+            early_detection(separable_dataset(n=8), base_config(max_tweets=2), caps=[20, 40])
+        assert minhash_counter.calls == 0
 
     @pytest.mark.parametrize("caps", [[20, 20], [20, 40, 40]])
     def test_repeated_cap_rejected(self, caps):
@@ -731,6 +745,44 @@ class TestClassifyAgainstIndex:
         for cfg in others:
             predictions, _ = classify_against_index(index, test, cfg)
             assert [p.query_id for p in predictions] == [u.user_id for u in preprocess(test, cfg)[0].users]
+
+    def test_refuses_another_hash_family_before_sketching(self, minhash_counter):
+        # Signatures of another num_perm or seed share no hash function with
+        # the index: refused before any query is sketched, recipe or not.
+        ds = noisy_dataset()
+        built = base_config()
+        gt, test = split(preprocess(ds, built)[0], built.split)
+        index = build_index(gt.users, built)
+        for recipe in (index.recipe, None):
+            index.recipe = recipe
+            for cfg in (replace(built, num_perm=64), replace(built, seed=7)):
+                before = minhash_counter.calls
+                with pytest.raises(IncompatibleSignatures, match="num_perm=128, seed=42; queries"):
+                    classify_against_index(index, test, cfg)
+                assert minhash_counter.calls == before
+
+
+class TestDuplicateUser:
+    PROTOCOLS = {
+        "evaluate": evaluate,
+        "gt_sweep": gt_sweep,
+        "grid_search": lambda ds, cfg: grid_search(ds, cfg, ks=[4], thresholds=[0.4], alphabet_subsets=[("B3",)]),
+        "early_detection": lambda ds, cfg: early_detection(ds, cfg, caps=[20]),
+        "cross_dataset as ground truth": lambda ds, cfg: cross_dataset(ds, separable_dataset(n=8), cfg),
+        "cross_dataset as test": lambda ds, cfg: cross_dataset(separable_dataset(n=8), ds, cfg),
+        "classify_against_index": lambda ds, cfg: classify_against_index(
+            build_index(preprocess(separable_dataset(n=8), cfg)[0].users, cfg), ds, cfg),
+    }
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_every_protocol_refuses_a_repeated_id(self, protocol):
+        # Reports and signatures are keyed by id: a bot and a human both
+        # named "dup" would be scored under one label and one signature.
+        users = synthetic_corpus(8, 60, seed=5)
+        bot, human = (next(u for u in users if u.label == label) for label in ("bot", "human"))
+        ds = Dataset("dups", [replace(bot, user_id="dup"), replace(human, user_id="dup")])
+        with pytest.raises(DuplicateUser, match="'dup'"):
+            self.PROTOCOLS[protocol](ds, base_config())
 
 
 class TestEncodeDataset:
